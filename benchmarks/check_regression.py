@@ -22,12 +22,12 @@ is comparable across machines but noisy: it must stay above
 :data:`RATIO_GATING_FLOOR` (2x) are informational only — that close
 to parity, constant-overhead noise swamps any tolerance band.
 
-**Machine-class-guarded ratios**. The backend and question-sharding
-speedups depend on real parallel hardware: a 1-CPU runner measures
-overhead, not speedup (``speedup_enforced`` is False there). These
-compare — same tolerance band — only when the baseline and current
-runs agree on the CPU count *and* both runs enforced their speedup
-floor; otherwise the gate records a note and moves on.
+**Machine-class-guarded ratio**. The process-backend speedup depends
+on real parallel hardware: a 1-CPU runner measures overhead, not
+speedup (``speedup_enforced`` is False there). It compares — same
+tolerance band — only when the baseline and current runs agree on the
+CPU count *and* both runs enforced their speedup floor; otherwise the
+gate records a note and moves on.
 
 Usage::
 
@@ -128,7 +128,7 @@ def _compare_kernel(name: str, cur: dict, base: dict, tolerance: float,
 def _compare_guarded_speedup(section: str, cur: dict, base: dict,
                              tolerance: float, failures: List[str],
                              notes: List[str]) -> None:
-    """Backend/question-sharding speedups, gated on machine class."""
+    """The backend speedup, gated on machine class."""
     cs, bs = cur.get(section), base.get(section)
     if not (isinstance(cs, dict) and isinstance(bs, dict)):
         return
@@ -245,8 +245,6 @@ def compare(current: dict, baseline: dict,
                         tolerance, failures, notes)
     _compare_guarded_speedup("backend", current, baseline, tolerance,
                              failures, notes)
-    _compare_guarded_speedup("question_sharding", current, baseline,
-                             tolerance, failures, notes)
     _compare_serving(current, failures, notes)
     _compare_strategies(current, baseline, failures, notes)
     return failures, notes

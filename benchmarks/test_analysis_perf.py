@@ -291,47 +291,9 @@ def test_process_backend_beats_gil_bound_threads():
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-#: Question-granularity sharding comparison (``--shard-unit question``):
-#: fan-out width, acceptance bar, and repetitions. LBM is the mandated
-#: kernel — a single big parallel loop, so loop-granularity sharding is
-#: structurally useless for it and only question fan-out can help. The
-#: bar is armed exactly like the backend bar above: identity and honest
-#: numbers everywhere, the speedup requirement only where >1 CPU exists.
-QS_JOBS = 4
-MIN_QS_SPEEDUP = 1.2
-QS_REPEATS = 1 if QUICK else 2
-
 #: Micro-timing repetitions for the SMT hot-path trackers.
 MICRO_INTERN_REPS = 20_000
 MICRO_SIMPLEX_REPS = 300
-
-
-def _lbm_engine(source: str):
-    from repro.ir import parse_program
-    proc = parse_program(source)["lbm"]
-    activity = ActivityAnalysis(proc, ["srcgrid"], ["dstgrid"])
-    return FormADEngine(proc, activity)
-
-
-def _lbm_thread_run(source: str):
-    engine = _lbm_engine(source)
-    clausify_cache_clear()
-    start = time.perf_counter()
-    analyses = engine.analyze_all(jobs=QS_JOBS)
-    return analyses, time.perf_counter() - start
-
-
-def _lbm_question_run(source: str):
-    from repro.resilience import ShardConfig, analyze_question_sharded
-    engine = _lbm_engine(source)
-    clausify_cache_clear()
-    start = time.perf_counter()
-    analyses, outcomes = analyze_question_sharded(
-        engine, source, "lbm", ["srcgrid"], ["dstgrid"],
-        config=ShardConfig(jobs=QS_JOBS))
-    elapsed = time.perf_counter() - start
-    assert all(o.status == "ok" for o in outcomes)
-    return analyses, elapsed
 
 
 def _micro_interning(reps: int = MICRO_INTERN_REPS) -> dict:
@@ -381,43 +343,12 @@ def _micro_simplex(reps: int = MICRO_SIMPLEX_REPS) -> dict:
 
 
 @pytest.mark.figure("analysis-perf")
-def test_question_sharding_on_single_loop_lbm():
-    """``--shard-unit question`` vs the thread backend on LBM — the
-    paper's single-big-loop rejection case, where ``--backend process``
-    at loop granularity cannot help at all. Identity must hold
-    everywhere (same verdicts, same deterministic counters, rejection
-    preserved); the ≥``MIN_QS_SPEEDUP``x bar is armed only where more
-    than one CPU is available. Numbers (plus the interning and simplex
-    hot-path micro-timings) land in BENCH_ANALYSIS.json under
-    ``question_sharding`` either way."""
-    from repro import format_procedure
-    source = format_procedure(build_lbm())
-    thread_best, question_best = None, None
-    for _ in range(QS_REPEATS):
-        thread_run, thread_t = _lbm_thread_run(source)
-        question_run, question_t = _lbm_question_run(source)
-        assert len(thread_run) == len(question_run) == 1
-        for local, remote in zip(thread_run, question_run):
-            assert not remote.degraded
-            local_verdicts = {n: v.safe for n, v in local.verdicts.items()}
-            assert local_verdicts \
-                == {n: v.safe for n, v in remote.verdicts.items()}
-            # the paper's negative result survives the fan-out
-            assert local_verdicts["srcgrid"] is False
-            for name in BACKEND_INVARIANT:
-                assert getattr(local.stats, name) \
-                    == getattr(remote.stats, name), name
-        thread_best = min(thread_t, thread_best or thread_t)
-        question_best = min(question_t, question_best or question_t)
-
-    cpus = len(os.sched_getaffinity(0))
-    speedup = thread_best / max(question_best, 1e-9)
-    if cpus >= 2:
-        assert speedup >= MIN_QS_SPEEDUP, (
-            f"question sharding only {speedup:.2f}x the thread backend "
-            f"on LBM at jobs={QS_JOBS} on {cpus} CPUs "
-            f"(need >= {MIN_QS_SPEEDUP}x)")
-
+def test_smt_hot_path_micro_timings():
+    """The interning and dense-vs-Fraction simplex micro-timings, tracked
+    across PRs under the ``smt_micro`` key of BENCH_ANALYSIS.json. No
+    bar: simplex pivot parity is pinned by
+    tests/smt/test_simplex_parity.py, and these only record the
+    wall-clock trajectory of the SMT hot path."""
     path = Path(__file__).resolve().parent.parent / "BENCH_ANALYSIS.json"
     doc = {}
     if path.exists():
@@ -425,20 +356,9 @@ def test_question_sharding_on_single_loop_lbm():
             doc = json.loads(path.read_text())
         except ValueError:
             doc = {}
-    doc["question_sharding"] = {
-        "kernel": "LBM (single big loop; the loop-granularity blind spot)",
-        "jobs": QS_JOBS,
-        "cpus": cpus,
-        "repeats": QS_REPEATS,
-        "thread_seconds": thread_best,
-        "question_seconds": question_best,
-        "speedup": speedup,
-        "min_required_speedup": MIN_QS_SPEEDUP,
-        "speedup_enforced": cpus >= 2,
-        "micro": {
-            "interning": _micro_interning(),
-            "simplex": _micro_simplex(),
-        },
+    doc["smt_micro"] = {
+        "interning": _micro_interning(),
+        "simplex": _micro_simplex(),
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

@@ -2,14 +2,14 @@
 ! CI resilience smoke job and docs/RESILIENCE.md. Because every adjoint
 ! update touches only its own slot, the analysis proves both loops safe
 ! without SAT early-breaks, so question counts are identical across
-! every resilience configuration (deadline, isolation, resume).
+! every resilience configuration (deadline, process backend, resume).
 !
-! Try the crash-safe journal:
+! Try the crash-safe journal on the crash-containing process backend:
 !   python -m repro analyze examples/resilience_demo.f90 -i x -o y,z \
-!     --isolate --journal run.jsonl
+!     --backend process --jobs 1 --journal run.jsonl
 !   kill -9 <pid>   # at any point
 !   python -m repro analyze examples/resilience_demo.f90 -i x -o y,z \
-!     --isolate --journal run.jsonl --resume run.jsonl
+!     --backend process --jobs 1 --journal run.jsonl --resume run.jsonl
 subroutine resilience_demo(x, y, z, n)
   real, intent(in) :: x(1000)
   real, intent(out) :: y(1000)

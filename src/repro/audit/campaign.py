@@ -47,8 +47,8 @@ from ..obs.tracer import NULL_TRACER, NullTracer
 from ..resilience.deadline import per_question
 from ..resilience.journal import (JournalError, JournalWriter, _canonical,
                                   read_journal)
-from ..resilience.shards import ShardConfig, WorkerGone, WorkerPool
-from ..resilience.workers import _DEADLINE_GRACE
+from ..resilience.shards import (_DEADLINE_GRACE, ShardConfig, WorkerGone,
+                                 WorkerPool)
 from .corpus import CorpusEntry, commit_entry
 from .generator import CaseSpec, FAMILIES, build_procedure, generate_case, \
     spec_from_json

@@ -147,16 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="thread",
                    help="how --jobs fans out: 'thread' (default; "
                         "GIL-bound, byte-identical output), 'process' "
-                        "(persistent worker processes pulling shards "
-                        "off a work queue — docs/SCALING.md), or 'auto' "
-                        "(process when there are enough loops and CPUs "
-                        "to amortize the pool, thread otherwise)")
-    p.add_argument("--shard-unit", choices=("loop", "question"),
-                   default="loop",
-                   help="granularity of --backend process shards: whole "
-                        "loops (default) or individual testVar questions "
-                        "fanned across the worker pool with loop "
-                        "knowledge contexts kept warm (docs/SCALING.md)")
+                        "(persistent worker processes pulling loop "
+                        "shards off a work queue; a crashed or hung "
+                        "worker degrades only its loop — docs/SCALING.md), "
+                        "or 'auto' (process when --jobs, the loop count "
+                        "and the usable CPUs are all at least 2, thread "
+                        "otherwise)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persist decided SAT/UNSAT answers and clean "
                         "settled loops across runs (schema repro-cache/1, "
@@ -194,13 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retry timed-out/budget-exhausted questions up "
                         "to N times with exponentially enlarged budgets "
                         "(default 1 = no retries)")
-    p.add_argument("--isolate", action="store_true",
-                   help="analyze each parallel loop in its own worker "
-                        "subprocess; a crashed or hung worker degrades "
-                        "that loop instead of failing the run")
     p.add_argument("--kill-timeout", type=float, default=60.0, metavar="S",
-                   help="hard wall-clock cap per --isolate worker "
-                        "before SIGKILL (default 60)")
+                   help="hard wall-clock cap per --backend process shard "
+                        "request before SIGKILL (default 60)")
     p.add_argument("--journal", default=None, metavar="OUT.jsonl",
                    help="append every settled verdict to a crash-safe "
                         "journal (schema repro-journal/1)")
@@ -294,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto",
                    help="run the Table-1 analyses in-process ('thread') "
                         "or in per-problem worker processes ('process'); "
-                        "'auto' (default) picks process when the host has "
-                        "more than one CPU and thread otherwise")
+                        "'auto' (default) picks process when --jobs is at "
+                        "least 2 on a multi-CPU host and thread otherwise")
     p.add_argument("--trace", default=None, metavar="OUT.jsonl",
                    help="record the analysis/simulation event stream")
     p.add_argument("--deadline", type=float, default=None, metavar="S",
@@ -673,14 +665,15 @@ def _run_corpus(args) -> int:
 
 def _run_analyze(args, proc, independents, dependents) -> int:
     """The ``analyze`` command, including the resilience runtime
-    (docs/RESILIENCE.md): deadline, escalation, isolation, journal,
-    resume, and ``--strict``."""
+    (docs/RESILIENCE.md): deadline, escalation, crash containment,
+    journal, resume, and ``--strict``."""
     import os
 
     from .analysis import ActivityAnalysis
     from .formad import FormADEngine
     from .resilience import (JOURNAL_SCHEMA, EscalationPolicy, JournalError,
-                             JournalWriter, ResumeState, journal_fingerprint)
+                             JournalWriter, ResumeState, journal_fingerprint,
+                             resolve_backend)
 
     if args.connect:
         return _run_analyze_connected(args, proc, independents, dependents)
@@ -726,26 +719,9 @@ def _run_analyze(args, proc, independents, dependents) -> int:
         except OSError as exc:
             print(f"error: cannot open journal: {exc}", file=sys.stderr)
             return 1
-    backend = args.backend
-    if backend == "auto":
-        # --isolate is its own process runtime; auto defers to it.
-        if args.isolate:
-            backend = "thread"
-        else:
-            from .resilience import resolve_backend
-            loops = list(proc.parallel_loops())
-            if args.shard_unit == "question":
-                work = sum(len(engine.question_schedule(loop))
-                           for loop in loops)
-            else:
-                work = len(loops)
-            backend = resolve_backend("auto", work_items=work)
-    if args.isolate and backend == "process":
-        print("error: --isolate and --backend process are both process "
-              "runtimes; pick one (--isolate = one short-lived worker "
-              "per loop, --backend process = a persistent shard pool)",
-              file=sys.stderr)
-        return 1
+    backend = resolve_backend(args.backend,
+                              work_items=len(list(proc.parallel_loops())),
+                              jobs=args.jobs)
     cache = None
     if args.cache_dir:
         from .resilience import VerdictCache
@@ -757,32 +733,21 @@ def _run_analyze(args, proc, independents, dependents) -> int:
             return 1
     engine.attach_run_state(journal=journal, resume=resume, cache=cache)
     outcomes = None
-    shard_outcomes = None
     heartbeat = None
     if args.progress is not None:
         heartbeat = _start_heartbeat(tracer, args.progress)
     try:
-        if args.isolate:
-            from .resilience import IsolationConfig, analyze_isolated
-            config = IsolationConfig(kill_timeout=args.kill_timeout)
-            analyses, outcomes = analyze_isolated(
-                engine, source, proc.name, independents, dependents,
-                config=config, journal_path=args.journal,
-                resume_path=args.resume)
-        elif backend == "process":
-            from .resilience import (ShardConfig, analyze_question_sharded,
-                                     analyze_sharded)
+        if backend == "process":
+            from .resilience import ShardConfig, analyze_sharded
             config = ShardConfig(jobs=args.jobs or 1,
                                  kill_timeout=args.kill_timeout)
-            sharder = (analyze_question_sharded
-                       if args.shard_unit == "question" else analyze_sharded)
-            analyses, shard_outcomes = sharder(
+            analyses, shard_outcomes = analyze_sharded(
                 engine, source, proc.name, independents, dependents,
                 config=config, resume_path=args.resume,
                 cache_dir=args.cache_dir, fingerprint=fingerprint)
-            # Unlike --isolate, the shard outcomes only enter the JSON
-            # document when something actually went wrong — an all-ok
-            # process run stays byte-identical to the thread backend.
+            # The shard outcomes only enter the JSON document when
+            # something actually went wrong — an all-ok process run
+            # stays byte-identical to the thread backend.
             if any(o.status not in ("ok", "resumed", "cached")
                    for o in shard_outcomes):
                 outcomes = shard_outcomes
@@ -906,7 +871,6 @@ def _run_analyze_connected(args, proc, independents, dependents) -> int:
     from .serve import ServeError, analyze_connected
 
     rejected = [name for name, live in (
-        ("--isolate", args.isolate),
         ("--journal", args.journal),
         ("--resume", args.resume),
         ("--cache-dir", args.cache_dir),
@@ -915,7 +879,6 @@ def _run_analyze_connected(args, proc, independents, dependents) -> int:
         ("--progress", args.progress is not None),
         ("--jobs", args.jobs),
         ("--backend", args.backend != "thread"),
-        ("--shard-unit", args.shard_unit != "loop"),
     ) if live]
     if rejected:
         print(f"error: --connect sends the analysis to the daemon; "

@@ -41,12 +41,14 @@ def run_table1(jobs: Optional[int] = None,
     each problem in its own persistent worker process (the pool
     threads then only marshal JSON and wait on pipes, so ``jobs``
     problems really run concurrently — docs/SCALING.md).
-    ``backend="auto"`` resolves to ``process`` on multi-CPU hosts and
-    ``thread`` otherwise (:func:`repro.resilience.resolve_backend`).
+    ``backend="auto"`` resolves to ``process`` only when ``jobs`` ≥ 2
+    on a multi-CPU host, and to ``thread`` otherwise
+    (:func:`repro.resilience.resolve_backend`).
     """
     if backend == "auto":
         from ..resilience.shards import resolve_backend
-        backend = resolve_backend("auto", work_items=len(TABLE1_PROBLEMS))
+        backend = resolve_backend("auto", work_items=len(TABLE1_PROBLEMS),
+                                  jobs=jobs)
 
     def one(item) -> AnalysisReport:
         name, (builder, independents, dependents) = item

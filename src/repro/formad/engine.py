@@ -155,16 +155,8 @@ class AnalysisStats:
     def absorb_solver(self, solver: Solver) -> None:
         """Fold one solver's counters into this record."""
         s = solver.stats
-        self.absorb_solver_totals(
-            {src: getattr(s, src) for src, _ in self.SOLVER_FIELD_MAP})
-
-    def absorb_solver_totals(self, totals: Dict[str, float]) -> None:
-        """Fold a ``SolverStats``-shaped dict of counters into this
-        record — the question-sharding parent's merge path, where the
-        counters arrive as JSON (one build delta plus one delta per
-        consumed answer) instead of as a live solver."""
         for src, dst in self.SOLVER_FIELD_MAP:
-            setattr(self, dst, getattr(self, dst) + totals.get(src, 0))
+            setattr(self, dst, getattr(self, dst) + getattr(s, src))
 
 
 @dataclass
@@ -193,7 +185,7 @@ class LoopAnalysis:
     offending_expressions: List[str] = field(default_factory=list)
     #: True when this result is a safeguard fallback rather than an
     #: analysis: the knowledge base could not be established, the run
-    #: deadline expired before phase 2, or an isolated worker died.
+    #: deadline expired before phase 2, or a shard worker died.
     degraded: bool = False
     #: True when this result was replayed from a resume journal
     #: instead of being analyzed in this process.
@@ -222,43 +214,6 @@ class _QuestionRef:
     primed: Tuple[Term, ...]
     context: Context
     rendering: str
-
-
-@dataclass
-class _ScheduledQuestion:
-    """One planned exploitation question, at its serial ask position.
-
-    The schedule is a pure function of the region source and the engine
-    flags: candidate arrays in reference order, each array's pairs in
-    ``_question_pairs`` order, truncated at the first rank mismatch
-    exactly where the serial loop breaks. Parent and worker processes
-    therefore compute *identical* schedules independently, which lets
-    the question-sharding wire protocol ship bare positions instead of
-    formulas (docs/SCALING.md)."""
-
-    position: int
-    array: str
-    w: _QuestionRef
-    other: _QuestionRef
-    ctx: Context
-    question: Formula
-
-
-@dataclass
-class QuestionContext:
-    """A worker's warm per-loop state for question-granularity sharding:
-    the built context model on its live solver, plus the question
-    schedule it answers positions from. ``degraded`` carries the
-    buildModel failure message when the knowledge base could not be
-    established (the parent then never asks; it degrades the loop the
-    same way the serial path does)."""
-
-    loop: Loop
-    model: _ContextModel
-    solver: Solver
-    schedule: List[_ScheduledQuestion]
-    stats: AnalysisStats
-    degraded: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -743,11 +698,11 @@ class FormADEngine:
         axiom = self._root_axiom(loop, translator)
         return refs, translator, kb, axiom
 
-    def _analyze(self, loop: Loop, remote=None) -> LoopAnalysis:
+    def _analyze(self, loop: Loop) -> LoopAnalysis:
         with self.tracer.span("analysis.loop", loop=loop.var, uid=loop.uid):
-            return self._analyze_traced(loop, remote)
+            return self._analyze_traced(loop)
 
-    def _analyze_traced(self, loop: Loop, remote=None) -> LoopAnalysis:
+    def _analyze_traced(self, loop: Loop) -> LoopAnalysis:
         start = time.perf_counter()
         tracer = self.tracer
         stats = AnalysisStats()
@@ -763,33 +718,20 @@ class FormADEngine:
                             array=fact.source_array,
                             formula=str(fact.formula))
 
-        solver: Optional[Solver] = None
-        model: Optional[_ContextModel] = None
+        solver = self._new_solver()
+        by_context: Dict[int, List] = {}
+        for fact in kb.facts:
+            by_context.setdefault(fact.context.uid, []).append(fact)
+        model = _ContextModel(solver, axiom, by_context, stats)
         degraded: Optional[KnowledgeDegradedError] = None
-        if remote is not None:
-            # Question-granularity sharding: the worker pool holds the
-            # solvers and context models; this process keeps the plan,
-            # the merge, and every side effect (memo, journal, verdict
-            # cache, trace) — single-writer by construction.
-            with tracer.span("analysis.build_model", loop=loop.var):
-                prep = remote.prepare(refs, translator)
-                stats.consistency_checks += prep["consistency_checks"]
-                if prep.get("degraded"):
-                    degraded = KnowledgeDegradedError(prep["degraded"])
-        else:
-            solver = self._new_solver()
-            by_context: Dict[int, List] = {}
-            for fact in kb.facts:
-                by_context.setdefault(fact.context.uid, []).append(fact)
-            model = _ContextModel(solver, axiom, by_context, stats)
-            with tracer.span("analysis.build_model", loop=loop.var):
-                try:
-                    model.build(refs.contexts.root)
-                except KnowledgeDegradedError as exc:
-                    # The knowledge base could not be established (solver
-                    # failure/UNKNOWN, not a primal race): every candidate
-                    # array keeps its safeguard. Never crash, never share.
-                    degraded = exc
+        with tracer.span("analysis.build_model", loop=loop.var):
+            try:
+                model.build(refs.contexts.root)
+            except KnowledgeDegradedError as exc:
+                # The knowledge base could not be established (solver
+                # failure/UNKNOWN, not a primal race): every candidate
+                # array keeps its safeguard. Never crash, never share.
+                degraded = exc
 
         verdicts: Dict[str, ArrayVerdict] = {}
         safe_writes: List[str] = []
@@ -829,8 +771,7 @@ class FormADEngine:
                                  array=array):
                     verdict = self._test_array(
                         loop, array, refs, translator, model, memo, stats,
-                        offending, health,
-                        asker=remote.answer if remote is not None else None)
+                        offending, health)
             verdicts[array] = verdict
             logger.debug("loop over %r: %s", loop.var, verdict)
             if tracer.enabled:
@@ -851,10 +792,7 @@ class FormADEngine:
 
         stats.unique_exprs = len(unique_exprs)
         stats.region_loc = max(0, len(format_stmt(loop)) - 2)
-        if remote is not None:
-            stats.absorb_solver_totals(remote.solver_totals())
-        else:
-            stats.absorb_solver(solver)
+        stats.absorb_solver(solver)
         stats.time_seconds = time.perf_counter() - start
         logger.info(
             "analyzed loop over %r: %d/%d arrays safe, %d queries "
@@ -1048,7 +986,7 @@ class FormADEngine:
     ) -> ArrayVerdict:
         """The safeguard verdict for one array when the analysis cannot
         run (knowledge degraded, run deadline expired before phase 2,
-        or an isolated worker died). Enumerates and *counts* the
+        or a shard worker died). Enumerates and *counts* the
         exploitation questions the honest analysis would have asked —
         without solving — so the Table-1 question totals are
         independent of where a fault struck, and emits the matching
@@ -1085,11 +1023,11 @@ class FormADEngine:
         """A complete safeguards-only :class:`LoopAnalysis` for *loop*,
         produced without touching the solver.
 
-        The worker-isolation layer calls this in the parent process
-        when an isolated child crashes, hangs past its kill timeout, or
-        is OOM-killed: the loop's result becomes "every candidate array
-        keeps its safeguard", with the planned question counts so the
-        Table-1 totals stay fault-independent.
+        The shard scheduler calls this in the parent process when a
+        worker crashes, hangs past its kill timeout, or is OOM-killed:
+        the loop's result becomes "every candidate array keeps its
+        safeguard", with the planned question counts so the Table-1
+        totals stay fault-independent.
         """
         start = time.perf_counter()
         tracer = self.tracer
@@ -1127,102 +1065,18 @@ class FormADEngine:
             self._journal_loop(self.loop_key(loop), analysis)
         return analysis
 
-    # -- question-granularity sharding ---------------------------------
-    def question_schedule(self, loop: Loop, refs=None, translator=None,
-                          ) -> List[_ScheduledQuestion]:
-        """The loop's exploitation questions in serial ask order.
-
-        Mirrors the enumeration of :meth:`_test_array` over
-        :meth:`_candidate_arrays`: untranslatable arrays contribute
-        nothing (serial fails them before asking), and an array's pair
-        list is truncated at the first rank mismatch (serial breaks
-        there). SAT early-breaks are *not* modeled — the schedule is
-        the maximal plan; the sharding scheduler cancels the tail of an
-        array's block when a SAT answer lands.
-        """
-        if refs is None or translator is None:
-            refs, translator, _kb, _axiom = self._extract(loop)
-        schedule: List[_ScheduledQuestion] = []
-        for array in self._candidate_arrays(refs):
-            try:
-                writes, reads = self._adjoint_refs(array, refs, translator)
-            except UntranslatableError:
-                continue
-            for w, other in self._question_pairs(writes, reads):
-                if len(w.plain) != len(other.plain):
-                    break
-                ctx = w.context.common_root(other.context)
-                question = And(*[FAtom(Rel.EQ, lp, r)
-                                 for lp, r in zip(w.primed, other.plain)])
-                schedule.append(_ScheduledQuestion(
-                    position=len(schedule), array=array, w=w, other=other,
-                    ctx=ctx, question=question))
-        return schedule
-
-    def prepare_question_context(self, loop: Loop) -> QuestionContext:
-        """Build one worker's warm state for *loop*: extract knowledge,
-        run buildModel on a fresh solver, and compute the question
-        schedule. :class:`PrimalRaceError` propagates (it is a verdict
-        about the input, not a fault); buildModel faults surface as
-        ``degraded`` so the parent can keep every safeguard."""
-        stats = AnalysisStats()
-        refs, translator, kb, axiom = self._extract(loop)
-        solver = self._new_solver()
-        by_context: Dict[int, List] = {}
-        for fact in kb.facts:
-            by_context.setdefault(fact.context.uid, []).append(fact)
-        model = _ContextModel(solver, axiom, by_context, stats)
-        degraded: Optional[str] = None
-        try:
-            model.build(refs.contexts.root)
-        except KnowledgeDegradedError as exc:
-            degraded = str(exc)
-        schedule = self.question_schedule(loop, refs, translator)
-        return QuestionContext(loop, model, solver, schedule, stats, degraded)
-
-    def translate_question(self, qc: QuestionContext, position: int) -> None:
-        """Fast-forward one schedule position without searching:
-        navigate to its context, translate (and clausify) the question
-        at a throwaway push level, and pop. This reproduces exactly the
-        translate-history, Ackermann-naming, and clausify-cache state
-        the serial analysis has after *asking* that question, so a
-        worker that fast-forwards positions it does not own reports
-        byte-identical per-question deltas for the positions it does."""
-        entry = qc.schedule[position]
-        qc.model._navigate(entry.ctx)
-        solver = qc.solver
-        solver.push()
-        try:
-            solver.add(entry.question)
-            solver.translate_only()
-        finally:
-            solver.pop()
-
-    def ask_question(self, qc: QuestionContext, position: int,
-                     ) -> Tuple[Result, Optional[Dict[str, int]],
-                                Optional[str], Optional[str], int]:
-        """Answer one schedule position under the resilience policy —
-        the worker-side counterpart of the serial ask in
-        :meth:`_test_array`, with the identical escalation key."""
-        entry = qc.schedule[position]
-        loop_key = self.loop_key(qc.loop)
-        return self._ask_escalating(
-            qc.model, entry.ctx, entry.question, qc.stats,
-            f"{loop_key}/{entry.array}/{entry.question}", entry.array)
-
     def _test_array(
         self,
         loop: Loop,
         array: str,
         refs: RegionReferences,
         translator: IndexTranslator,
-        model: Optional[_ContextModel],
+        model: _ContextModel,
         memo: Optional[Dict[Tuple[int, Formula],
                             Tuple[Result, Optional[Dict[str, int]]]]],
         stats: AnalysisStats,
         offending: List[str],
         health: Optional[Dict[str, int]] = None,
-        asker=None,
     ) -> ArrayVerdict:
         tracer = self.tracer
         loop_key = self.loop_key(loop)
@@ -1278,15 +1132,6 @@ class FormADEngine:
                         cached = True
                         if health is not None:
                             health["cached"] += 1
-                    elif asker is not None:
-                        # Question sharding: the answer (and its timing)
-                        # comes from a pool worker; the worker ran the
-                        # same escalation ladder, so escalations are
-                        # recovered from the attempt count exactly as
-                        # _ask_escalating would have counted them.
-                        result, witness, reason, failure, attempts, asked = \
-                            asker(ctx, question, array)
-                        stats.escalations += max(attempts - 1, 0)
                     else:
                         asked = time.perf_counter()
                         result, witness, reason, failure, attempts = \

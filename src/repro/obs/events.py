@@ -56,9 +56,8 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     # One audit case finished (repro audit --trace); ``violations`` is
     # the (usually empty) list of violation kinds observed.
     "audit_case": ("case", "family", "violations"),
-    # One isolated worker subprocess finished (``--isolate``) or one
-    # shard request completed (``--backend process``); status is "ok",
-    # "crash", or "timeout" (docs/RESILIENCE.md, docs/SCALING.md).
+    # One shard request completed (``--backend process``); status is
+    # "ok", "crash", or "timeout" (docs/RESILIENCE.md, docs/SCALING.md).
     "worker": ("loop", "status", "dur_s"),
     # One loop's settled verdicts were replayed from a resume journal
     # instead of being analyzed (``--resume``).
@@ -68,12 +67,11 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     "cached": ("loop",),
     # One work item left the scheduler queue: how long it sat there.
     "queue_wait": ("loop", "wait_s"),
-    # A feeder pulled work off another worker's expected share (loop
-    # sharding: off the round-robin home slot; question sharding: a
-    # fast-forward past positions other workers answered).
+    # A feeder pulled a loop off another worker's round-robin share.
     "steal": ("loop", "worker_id"),
-    # A SAT answer cancelled the rest of an array's question block
-    # (question sharding's serial-break mirror, docs/SCALING.md).
+    # A SAT answer cancelled the rest of an array's question block.
+    # Only the retired question-sharding runtime emitted it; the type
+    # stays so traces recorded by earlier builds still validate.
     "cancel": ("loop", "count"),
     # One worker's clock-offset handshake settled (repro.obs.clock):
     # worker timestamps re-emitted after this are normalized by it.
@@ -101,7 +99,8 @@ OPTIONAL_FIELDS: Dict[str, Tuple[str, ...]] = {
     "solver_check": ("reason",),
     # The worker's crash/timeout detail (exit status, signal, stderr).
     "worker": ("detail",),
-    # The schedule position the stolen fast-forward reached.
+    # The question position a question-sharding steal reached (traces
+    # recorded by earlier builds; see ``cancel`` above).
     "steal": ("position",),
     # Per-kind miss counts and the damaged-line tally of the cache file.
     "cache_summary": ("loop_misses", "question_misses", "dropped_lines",

@@ -1,4 +1,4 @@
-"""Resilience runtime: deadlines, escalation, isolation, resume.
+"""Resilience runtime: deadlines, escalation, crash containment, resume.
 
 The analysis must degrade, never fail (docs/RESILIENCE.md):
 
@@ -11,13 +11,12 @@ The analysis must degrade, never fail (docs/RESILIENCE.md):
 * :mod:`~repro.resilience.journal` — an append-only, checksummed
   verdict journal (schema ``repro-journal/1``) that survives ``kill
   -9`` and lets ``analyze --resume`` skip settled work.
-* :mod:`~repro.resilience.workers` — opt-in per-loop subprocess
-  isolation with a hard kill timeout; a crashed or hung worker becomes
-  a per-loop *degraded* result instead of a failed run.
 * :mod:`~repro.resilience.shards` — the ``--backend process`` shard
   scheduler: persistent worker processes pulling loop shards off a
   work queue, sidestepping the GIL-bound ``--jobs`` thread fan-out
-  (docs/SCALING.md).
+  (docs/SCALING.md). It is also the crash-containment runtime: each
+  shard request has a hard kill timeout, and a crashed or hung worker
+  becomes a per-loop *degraded* result instead of a failed run.
 * :mod:`~repro.resilience.cache` — the ``--cache-dir`` cross-run
   verdict cache (schema ``repro-cache/1``): decided SAT/UNSAT answers
   and clean settled loops persist across invocations, keyed by the
@@ -31,11 +30,9 @@ from .escalate import EscalationPolicy
 from .journal import (JOURNAL_SCHEMA, JournalError, JournalWriter,
                       ResumeState, journal_fingerprint, read_journal,
                       rebuild_analysis)
-from .shards import (QuestionShardingLost, ShardConfig, WorkerClient,
-                     WorkerGone, WorkerPool, analyze_program_remote,
-                     analyze_question_sharded, analyze_sharded,
+from .shards import (ShardConfig, WorkerClient, WorkerGone, WorkerOutcome,
+                     WorkerPool, analyze_program_remote, analyze_sharded,
                      resolve_backend)
-from .workers import IsolationConfig, WorkerOutcome, analyze_isolated
 
 __all__ = [
     "CACHE_SCHEMA", "CacheConflictError", "CacheStore", "CacheStoreError",
@@ -43,9 +40,7 @@ __all__ = [
     "Deadline", "EscalationPolicy",
     "JOURNAL_SCHEMA", "JournalError", "JournalWriter", "ResumeState",
     "journal_fingerprint", "read_journal", "rebuild_analysis",
-    "QuestionShardingLost", "ShardConfig", "WorkerClient", "WorkerGone",
-    "WorkerPool",
-    "analyze_program_remote", "analyze_question_sharded", "analyze_sharded",
+    "ShardConfig", "WorkerClient", "WorkerGone", "WorkerOutcome",
+    "WorkerPool", "analyze_program_remote", "analyze_sharded",
     "resolve_backend",
-    "IsolationConfig", "WorkerOutcome", "analyze_isolated",
 ]

@@ -337,15 +337,6 @@ class VerdictCache:
             self.question_misses += 1
         return hit
 
-    def peek_question(self, loop_key: str, ctx_path: str, question: str,
-                      ) -> Optional[Tuple[str, Optional[Dict[str, int]]]]:
-        """Like :meth:`question` but without bumping the hit counter —
-        for *planning* lookups (the question-sharding scheduler decides
-        which positions to dispatch without consuming the answer; the
-        merge path later calls :meth:`question` for the real, counted
-        lookup)."""
-        return self._state.question(loop_key, ctx_path, question)
-
     # ------------------------------------------------------------- stores
     def record(self, kind: str, **fields) -> None:
         """Journal-writer contract entry point (no-op when readonly)."""

@@ -150,15 +150,14 @@ class JournalWriter:
         self.appending = append
         self._fsync = fsync
         self._lock = threading.Lock()
-        self._workers = 0
         if append:
             if os.path.exists(path):
                 _truncate_partial_tail(path)
         else:
             open(path, "w").close()  # truncate
-        # Always O_APPEND: worker subprocesses append to the same file
-        # (strictly sequentially), so the parent's handle must follow
-        # the real end of file, not its own cached offset.
+        # Append mode: a resumed journal continues after its last intact
+        # record. This writer is the file's only writer — shard workers
+        # ship their records back for the parent to write here.
         self._fh = open(path, "a", encoding="utf-8")
         if meta is not None and os.path.getsize(path) == 0:
             self._write(dict(meta, kind="meta"))
@@ -174,38 +173,11 @@ class JournalWriter:
         with self._lock:
             self._write(dict(fields, kind=kind))
 
-    def attach_worker(self) -> None:
-        """Declare that a worker subprocess holds its own ``O_APPEND``
-        handle to this journal's file. While any worker is attached,
-        :meth:`rotate` refuses to run: rotation replaces the inode, and
-        records the workers keep appending to the *old* inode would
-        silently vanish from the journal."""
-        with self._lock:
-            self._workers += 1
-
-    def detach_worker(self) -> None:
-        with self._lock:
-            if self._workers <= 0:
-                raise JournalError("detach_worker without a matching "
-                                   "attach_worker")
-            self._workers -= 1
-
     def rotate(self) -> None:
         """Compact in place: settled loops keep only their ``verdict``
         and ``loop_done`` records. Write-temp + fsync + atomic rename,
-        so a crash during rotation leaves the old journal intact.
-
-        Refused while worker subprocesses are attached (see
-        :meth:`attach_worker`): their ``O_APPEND`` handles point at the
-        journal's current inode, and the atomic rename would strand
-        every record they write afterwards on the orphaned old file —
-        a durability hole a later ``--resume`` could never see."""
+        so a crash during rotation leaves the old journal intact."""
         with self._lock:
-            if self._workers:
-                raise JournalError(
-                    f"cannot rotate: {self._workers} worker(s) hold live "
-                    f"append handles to {self.path!r}; rotation would "
-                    f"orphan their subsequent records")
             self._fh.flush()
             meta, records, _ = read_journal(self.path)
             done = {r["loop"] for r in records if r.get("kind") == "loop_done"}
@@ -311,8 +283,8 @@ def rebuild_analysis(loop, done: dict, verdicts: List[dict], *,
                      resumed: bool = True):
     """Reconstruct a :class:`~repro.formad.engine.LoopAnalysis` from a
     settled loop's journal records (the ``--resume`` fast path, and —
-    with ``resumed=False`` — the worker-isolation result channel, which
-    reuses the same record shapes)."""
+    with ``resumed=False`` — the shard workers' and the daemon's result
+    channel, which reuse the same record shapes)."""
     from ..formad.engine import AnalysisStats, ArrayVerdict, LoopAnalysis
     stats = AnalysisStats()
     known = set(AnalysisStats.__dataclass_fields__)

@@ -24,12 +24,13 @@ Division of labor (docs/SCALING.md):
   in the parent *before* sharding; only genuinely open loops are
   queued.
 
-Fault handling matches ``--isolate``: a crashed, hung, or killed
-worker degrades the loop it was holding (safeguards everywhere,
-planned question counts — Table-1 totals stay fault-independent) and
-the feeder respawns a fresh worker for its next shard. A
-:class:`~repro.formad.engine.PrimalRaceError` reported by any worker
-stops the pool and is re-raised, exactly as the inline analysis would.
+This is also the crash-containment runtime (docs/RESILIENCE.md): a
+crashed, hung, or killed worker degrades the loop it was holding
+(safeguards everywhere, planned question counts — Table-1 totals stay
+fault-independent) and the feeder respawns a fresh worker for its next
+shard. A :class:`~repro.formad.engine.PrimalRaceError` reported by any
+worker stops the pool and is re-raised, exactly as the inline analysis
+would.
 
 The default backend stays ``thread``: its output is byte-identical to
 the process backend (tests/resilience/test_backend_identity.py keeps
@@ -39,10 +40,7 @@ for.
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import json
-import logging
 import os
 import queue
 import subprocess
@@ -51,14 +49,28 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.clock import ClockSync
 from .journal import rebuild_analysis
-from .workers import (_DEADLINE_GRACE, IsolationConfig, WorkerOutcome,
-                      _worker_env)
 
-logger = logging.getLogger(__name__)
+#: Grace period added to a run deadline before the hard kill: the
+#: worker polls its own (tighter) deadline cooperatively, so the parent
+#: only kills workers that stopped cooperating.
+_DEADLINE_GRACE = 2.0
+
+
+@dataclass
+class WorkerOutcome:
+    """What happened to one loop's shard."""
+
+    loop_key: str
+    #: ``ok`` | ``crash`` | ``timeout`` | ``resumed`` (no worker ran:
+    #: the loop was settled in the resume journal) | ``cached`` (no
+    #: worker ran: the loop replayed from the cross-run verdict cache).
+    status: str
+    detail: str = ""
+    elapsed: float = 0.0
 
 
 def _fold_worker_events(tracer, items, *, worker_id=None, clock=None,
@@ -117,10 +129,18 @@ class ShardConfig:
     #: ``REPRO_WORKER_FAULT`` here).
     extra_env: Optional[Dict[str, str]] = None
 
-    def isolation(self) -> IsolationConfig:
-        """The equivalent one-shot config (shared env construction)."""
-        return IsolationConfig(kill_timeout=self.kill_timeout,
-                               python=self.python, extra_env=self.extra_env)
+
+def _worker_env(config: ShardConfig) -> Dict[str, str]:
+    env = dict(os.environ)
+    # The worker imports `repro` the same way this process did.
+    src_root = os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))
+    parts = [src_root] + [p for p in env.get("PYTHONPATH", "").split(
+        os.pathsep) if p and p != src_root]
+    env["PYTHONPATH"] = os.pathsep.join(parts)
+    if config.extra_env:
+        env.update(config.extra_env)
+    return env
 
 
 class WorkerClient:
@@ -154,7 +174,7 @@ class WorkerClient:
             [config.python, "-m", "repro.resilience.worker", "--serve"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True,
-            env=_worker_env(config.isolation()))
+            env=_worker_env(config))
         self._lines: "queue.Queue[Optional[str]]" = queue.Queue()
         self._stderr_tail: deque = deque(maxlen=20)
         threading.Thread(target=self._read_stdout, daemon=True).start()
@@ -442,10 +462,9 @@ def analyze_sharded(
     """Analyze every parallel loop of *engine*'s procedure across a
     pool of persistent worker processes.
 
-    Returns ``(analyses, outcomes)`` in loop order, mirroring
-    :func:`~repro.resilience.workers.analyze_isolated` — plus the
-    ``resumed``/``cached`` outcomes of loops the parent replayed
-    without dispatching a shard.
+    Returns ``(analyses, outcomes)`` in loop order; loops the parent
+    replayed without dispatching a shard get a ``resumed``/``cached``
+    outcome.
 
     *pool* is the caller-owned worker pool; when omitted, a throwaway
     pool is built and torn down inside this call (the one-shot CLI
@@ -635,578 +654,35 @@ def analyze_sharded(
     return list(slots), list(outcomes)
 
 
-#: Below this many schedulable work items the process pool's spawn and
-#: init cost dominates any GIL win, so ``--backend auto`` stays on
-#: threads (see :func:`resolve_backend`).
+#: Below this many schedulable work items, workers, or usable CPUs the
+#: process pool's spawn and init cost dominates any GIL win, so
+#: ``--backend auto`` stays on threads (see :func:`resolve_backend`).
 AUTO_PROCESS_MIN_ITEMS = 2
 
 
 def resolve_backend(backend: str, *, work_items: int,
+                    jobs: Optional[int] = None,
                     cpus: Optional[int] = None) -> str:
     """Resolve ``--backend auto`` to ``thread`` or ``process``.
 
-    The process backend only pays off when there are at least
-    :data:`AUTO_PROCESS_MIN_ITEMS` independent work items (loops for
-    ``--shard-unit loop``, Table-1 problems for ``experiments``) *and*
-    more than one CPU to run them on; otherwise the spawn/init cost of
-    the worker pool buys nothing and ``auto`` picks the thread backend,
-    whose output is byte-identical anyway.
+    The process backend only pays off when the fan-out is real: at
+    least :data:`AUTO_PROCESS_MIN_ITEMS` independent work items (loops
+    for ``analyze``, Table-1 problems for ``experiments``), as many
+    requested workers (``--jobs``; unset means one), and as many usable
+    CPUs to run them on. Usable CPUs come from the affinity mask where
+    the platform has one (a container or ``taskset`` narrows it below
+    ``os.cpu_count()``). Otherwise the spawn/init cost of the worker
+    pool buys nothing and ``auto`` picks the thread backend, whose
+    output is byte-identical anyway.
     """
     if backend != "auto":
         return backend
     if cpus is None:
-        cpus = os.cpu_count() or 1
-    if cpus <= 1 or work_items < AUTO_PROCESS_MIN_ITEMS:
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if min(work_items, jobs or 1, cpus) < AUTO_PROCESS_MIN_ITEMS:
         return "thread"
     return "process"
-
-
-class QuestionShardingLost(RuntimeError):
-    """The question-sharding pool could not serve a loop at all — no
-    worker survived ``qprepare`` or the worker's question schedule
-    disagreed with the parent's. The loop degrades to safeguards."""
-
-    def __init__(self, status: str, detail: str) -> None:
-        super().__init__(detail)
-        self.status = status
-        self.detail = detail
-
-
-class _QuestionRemote:
-    """Parent-side scheduler of one loop's question-granularity fan-out
-    (``--shard-unit question``, docs/SCALING.md).
-
-    The engine's :meth:`~repro.formad.engine.FormADEngine._analyze`
-    runs *in the parent* with this object as its ``remote``: the parent
-    keeps the plan, the memo/resume/cache lookups, the merge, and every
-    journal/cache/trace write, while the persistent serve workers hold
-    the solvers. Identity with the serial run rests on three legs:
-
-    * the question schedule is a pure function of the source and flags,
-      so parent and workers compute it independently and the wire
-      protocol ships bare positions;
-    * a worker *fast-forwards* (translate-only) every planned position
-      between its cursor and a dispatched position, reproducing the
-      serial solver's translate-history, Ackermann naming, and clausify
-      cache before answering — so per-question stat deltas and SAT
-      witnesses match the serial run's;
-    * a SAT answer cancels the rest of that array's block (the serial
-      loop breaks there); workers and buffered answers whose state saw
-      a cancelled position are conservatively reset/recomputed.
-
-    Answers for positions the run deadline outruns, and re-asks after
-    timeout answers (which the memo never stores), are dispatched
-    on-demand by the merge side — those runs are already outside the
-    byte-identity claim, exactly as for the loop-sharded backend.
-    """
-
-    _MAX_RESPAWNS = 2
-
-    def __init__(self, engine, loop, pool: WorkerPool,
-                 config: ShardConfig) -> None:
-        self._engine = engine
-        self._loop = loop
-        self._key = engine.loop_key(loop)
-        self._pool = pool   # shared across loops; slots index-owned below
-        self._config = config
-        self._lock = threading.Condition()
-        self._schedule: List = []
-        self._history: List[int] = []      # planned ask positions, sorted
-        self._history_set: Set[int] = set()
-        self._pending: List[int] = []      # min-heap of undispatched
-        self._enqueued: Dict[int, float] = {}   # position -> push time
-        self._answers: Dict[int, tuple] = {}
-        self._cancelled: Set[int] = set()
-        self._totals: Dict[str, float] = {}
-        self._merge_cursor = -1
-        self._closing = False
-        self._fatal: Optional[str] = None
-        self._threads: List[threading.Thread] = []
-        self._states = [
-            {"cursor": -1, "processed": set(), "needs_reset": False,
-             "dead": False}
-            for _ in range(pool.size)]
-
-    # -------------------------------------------------- engine-facing API
-    def prepare(self, refs, translator) -> dict:
-        """Build the parent schedule, warm one worker's context, plan
-        the fan-out, and start the feeders. Returns the build facts the
-        parent folds into its stats (``consistency_checks``, plus the
-        ``degraded`` message when buildModel failed)."""
-        from ..formad.engine import PrimalRaceError
-
-        engine = self._engine
-        self._schedule = engine.question_schedule(self._loop, refs,
-                                                  translator)
-        prep = None
-        last = "no workers configured"
-        for k in range(self._pool.size):
-            try:
-                client = self._ensure_client(k)
-                prep = client.request(
-                    {"op": "qprepare", "loop_key": self._key,
-                     "deadline_remaining": self._deadline_remaining()},
-                    timeout=self._budget())
-            except WorkerGone as exc:
-                self._drop_client(k)
-                last = exc.detail
-                continue
-            error = prep.get("error")
-            if error is not None:
-                if error.get("type") == "PrimalRaceError":
-                    raise PrimalRaceError(error.get("message", ""))
-                self._drop_client(k)
-                last = str(error.get("message", error))
-                prep = None
-                continue
-            break
-        if prep is None:
-            raise QuestionShardingLost(
-                "crash", f"no worker survived prepare: {last}")
-        if int(prep.get("schedule_len", -1)) != len(self._schedule):
-            raise QuestionShardingLost(
-                "crash",
-                f"schedule desync: worker planned "
-                f"{prep.get('schedule_len')} question(s), parent "
-                f"{len(self._schedule)}")
-        self._fold(prep.get("solver_stats") or {})
-        self._emit_events(prep.get("events"), client=client)
-        degraded = prep.get("degraded")
-        if not degraded:
-            self._plan()
-            self._start_feeders()
-        return {"consistency_checks":
-                    int(prep.get("consistency_checks") or 0),
-                "degraded": degraded}
-
-    def answer(self, ctx, question, array: str):
-        """The engine's asker: block until the worker pool has answered
-        the schedule position this (ctx, question, array) ask matches,
-        then consume it — folding its solver-stat delta and re-emitting
-        its trace events. Mirrors ``_ask_escalating``'s run-deadline
-        pre-check, and synthesizes a *contained solver failure* answer
-        (safeguard, non-cacheable) when the whole pool is lost."""
-        from ..smt.solver import SAT, UNKNOWN, UNSAT
-
-        with self._lock:
-            pos = self._match(ctx, question, array)
-            deadline = self._engine.deadline
-            if deadline is not None and deadline.expired():
-                return UNKNOWN, None, "timeout", None, 0, 0.0
-            if pos not in self._history_set:
-                # The plan expected this position to settle from the
-                # memo, but its earlier twin answered with a timeout
-                # (never memoized) — dispatch it now. The late ff is a
-                # documented stats-drift corner: timeout runs are
-                # already outside the byte-identity claim.
-                bisect.insort(self._history, pos)
-                self._history_set.add(pos)
-                self._push(pos)
-                self._lock.notify_all()
-            while pos not in self._answers:
-                if self._fatal is not None:
-                    return (UNKNOWN, None, None,
-                            f"question worker lost: {self._fatal}", 1, 0.0)
-                deadline = self._engine.deadline
-                if deadline is not None and deadline.expired():
-                    return UNKNOWN, None, "timeout", None, 0, 0.0
-                self._lock.wait(timeout=0.2)
-            reply, _basis, emitctx = self._answers.pop(pos)
-            self._fold(reply.get("solver_stats") or {})
-            self._emit_events(reply.get("events"), emitctx=emitctx)
-            result = {"SAT": SAT, "UNSAT": UNSAT,
-                      "UNKNOWN": UNKNOWN}[str(reply["result"])]
-            if result is SAT:
-                self._on_sat(pos, array)
-            return (result, reply.get("witness"), reply.get("reason"),
-                    reply.get("failure"), int(reply.get("attempts") or 0),
-                    float(reply.get("dur_s") or 0.0))
-
-    def solver_totals(self) -> Dict[str, float]:
-        """Build delta plus every consumed answer's delta — exactly the
-        solver work the serial analysis would have absorbed."""
-        with self._lock:
-            return dict(self._totals)
-
-    def close(self) -> None:
-        """Stop the feeders and drop the loop's warm worker contexts.
-        The clients themselves stay alive for the next loop."""
-        with self._lock:
-            self._closing = True
-            self._lock.notify_all()
-        for thread in self._threads:
-            thread.join()
-        for k in range(self._pool.size):
-            client = self._pool.peek(k)
-            if client is None:
-                continue
-            try:
-                client.request({"op": "qdone", "loop_key": self._key},
-                               timeout=self._config.kill_timeout)
-            except WorkerGone:
-                self._drop_client(k)
-
-    # ------------------------------------------------------------ planning
-    def _plan(self) -> None:
-        """Mirror ``_test_array``'s skip decisions: positions the serial
-        run answers from the memo, the resume journal, or the verdict
-        cache are not dispatched (the parent's merge resolves them the
-        serial way). Lookups here are *peeks* — the counted lookups
-        happen in the merge, once each, like the serial run's."""
-        engine = self._engine
-        key = self._key
-        resume = engine._resume
-        vcache = engine._vcache
-        use_memo = engine.use_question_memo
-        seen = set()
-        for sq in self._schedule:
-            if use_memo:
-                mkey = (sq.ctx.uid, sq.question)
-                if mkey in seen:
-                    continue
-                seen.add(mkey)
-            if resume is not None and resume.question(
-                    key, sq.ctx.path(), str(sq.question)) is not None:
-                continue
-            if vcache is not None and vcache.peek_question(
-                    key, sq.ctx.path(), str(sq.question)) is not None:
-                continue
-            self._history.append(sq.position)
-            self._history_set.add(sq.position)
-            self._push(sq.position)
-
-    def _push(self, pos: int) -> None:
-        """Enqueue *pos* (caller holds the lock), stamping its push time
-        so the dequeue can report scheduler queue-wait."""
-        heapq.heappush(self._pending, pos)
-        self._enqueued[pos] = time.perf_counter()
-
-    def _match(self, ctx, question, array: str) -> int:
-        """The schedule position of the merge's next ask: a forward
-        cursor scan, skipping positions the merge resolved without
-        asking. Identity matching (``is``) works because contexts are
-        shared objects and question formulas are hash-consed."""
-        schedule = self._schedule
-        i = self._merge_cursor + 1
-        while i < len(schedule):
-            sq = schedule[i]
-            if sq.array == array and sq.ctx is ctx \
-                    and sq.question is question:
-                self._merge_cursor = i
-                return i
-            i += 1
-        raise QuestionShardingLost(
-            "crash", f"merge desync: question for array {array!r} not in "
-                     f"the schedule tail")
-
-    def _on_sat(self, pos: int, array: str) -> None:
-        """A SAT answer breaks the serial loop out of *array*'s block:
-        cancel its later positions, purge answers computed on state
-        that saw a cancelled position (recompute the survivors), and
-        mark contaminated workers for reset."""
-        schedule = self._schedule
-        tracer = self._engine.tracer
-        fresh = 0
-        for i in range(pos + 1, len(schedule)):
-            if schedule[i].array == array and i not in self._cancelled:
-                self._cancelled.add(i)
-                fresh += 1
-        if not fresh:
-            return
-        tracer.counter("scheduler.cancelled", fresh)
-        if tracer.enabled:
-            tracer.emit("cancel", loop=self._key, count=fresh)
-        live = [p for p in self._pending if p not in self._cancelled]
-        if len(live) != len(self._pending):
-            self._pending[:] = live
-            heapq.heapify(self._pending)
-        for p in list(self._answers):
-            _reply, basis, _emitctx = self._answers[p]
-            if p in self._cancelled:
-                del self._answers[p]
-            elif basis & self._cancelled:
-                del self._answers[p]
-                self._push(p)
-        for state in self._states:
-            if state["processed"] & self._cancelled:
-                state["needs_reset"] = True
-        self._lock.notify_all()
-
-    # ------------------------------------------------------------- feeders
-    def _start_feeders(self) -> None:
-        n = max(1, min(self._pool.size, len(self._pending)))
-        self._threads = [
-            threading.Thread(target=self._feed, args=(k,),
-                             name=f"qshard-{k}", daemon=True)
-            for k in range(n)]
-        for thread in self._threads:
-            thread.start()
-
-    def _feed(self, k: int) -> None:
-        tracer = self._engine.tracer
-        wid = f"w{k}"
-        respawns = 0
-        started = time.perf_counter()
-        busy = 0.0
-        try:
-            while True:
-                with self._lock:
-                    while not self._pending and not self._closing \
-                            and self._fatal is None:
-                        self._lock.wait()
-                    if self._closing or self._fatal is not None:
-                        return
-                    pos = heapq.heappop(self._pending)
-                    if pos in self._cancelled:
-                        continue
-                    enqueued = self._enqueued.pop(pos, None)
-                    depth = len(self._pending)
-                    state = self._states[k]
-                    needs_reset = state["needs_reset"]
-                    ff = [p for p in self._history
-                          if state["cursor"] < p < pos
-                          and p not in self._cancelled
-                          and p not in state["processed"]]
-                tracer.gauge("scheduler.queue_depth", depth)
-                tracer.counter("scheduler.dispatched")
-                if enqueued is not None:
-                    wait_s = max(time.perf_counter() - enqueued, 0.0)
-                    tracer.observe("scheduler.queue_wait_seconds", wait_s)
-                    if tracer.enabled:
-                        tracer.emit("queue_wait", loop=self._key,
-                                    wait_s=wait_s, worker_id=wid)
-                if ff and state["cursor"] >= 0:
-                    # A non-empty fast-forward past an already-warm
-                    # cursor means siblings answered the intervening
-                    # positions: this pull is a steal off their share.
-                    tracer.counter("scheduler.steals")
-                    if tracer.enabled:
-                        tracer.emit("steal", loop=self._key, worker_id=wid,
-                                    position=pos)
-                t0 = time.perf_counter()
-                try:
-                    client = self._ensure_client(k)
-                    if needs_reset:
-                        client.request(
-                            {"op": "qreset", "loop_key": self._key},
-                            timeout=self._config.kill_timeout)
-                        with self._lock:
-                            state["cursor"] = -1
-                            state["processed"] = set()
-                            state["needs_reset"] = False
-                            ff = [p for p in self._history
-                                  if p < pos and p not in self._cancelled]
-                    with tracer.span("shard.request", loop=self._key,
-                                     worker_id=wid):
-                        reply = client.request(
-                            {"op": "qask", "loop_key": self._key,
-                             "position": pos, "ff": ff,
-                             "deadline_remaining":
-                                 self._deadline_remaining()},
-                            timeout=self._budget())
-                    emitctx = (wid, client.clock, client.last_window)
-                    error = reply.get("error")
-                    if error is not None:
-                        # The reply arrived, so its buffered telemetry
-                        # did too — fold it (marked partial) before the
-                        # respawn path runs, and don't count it dropped.
-                        with self._lock:
-                            self._emit_events(reply.get("events"),
-                                              emitctx=emitctx, partial=True)
-                        gone = WorkerGone(
-                            "crash", f"worker error on question {pos}: "
-                                     f"{error.get('message', error)}")
-                        gone.events_folded = True
-                        raise gone
-                except WorkerGone as exc:
-                    busy += time.perf_counter() - t0
-                    with self._lock:
-                        if pos not in self._cancelled:
-                            self._push(pos)
-                        self._lock.notify_all()
-                    self._drop_client(k)
-                    if tracer.enabled \
-                            and not getattr(exc, "events_folded", False):
-                        tracer.counter("telemetry.dropped_events")
-                    respawns += 1
-                    if respawns > self._MAX_RESPAWNS:
-                        self._retire(k, exc.detail)
-                        return
-                    tracer.counter("scheduler.respawns")
-                    with self._lock:
-                        state = self._states[k]
-                        state["cursor"] = -1
-                        state["processed"] = set()
-                        state["needs_reset"] = False
-                    continue
-                busy += time.perf_counter() - t0
-                with self._lock:
-                    state = self._states[k]
-                    state["processed"].update(ff)
-                    state["processed"].add(pos)
-                    state["cursor"] = max(state["cursor"], pos)
-                    contaminated = bool(state["processed"] & self._cancelled)
-                    if contaminated:
-                        state["needs_reset"] = True
-                    if pos in self._cancelled:
-                        pass           # the merge will never ask for it
-                    elif contaminated:
-                        # The answer was computed on state that saw a
-                        # cancelled position — recompute on a clean worker.
-                        self._push(pos)
-                    else:
-                        self._answers[pos] = (reply,
-                                              frozenset(state["processed"]),
-                                              emitctx)
-                    self._lock.notify_all()
-        finally:
-            wall = time.perf_counter() - started
-            tracer.counter(f"worker.{wid}.busy_seconds", busy)
-            tracer.counter(f"worker.{wid}.idle_seconds",
-                           max(wall - busy, 0.0))
-
-    def _retire(self, k: int, detail: str) -> None:
-        with self._lock:
-            self._states[k]["dead"] = True
-            if all(s["dead"] for s in self._states[:len(self._threads)]):
-                self._fatal = detail
-            self._lock.notify_all()
-
-    # ------------------------------------------------------------ plumbing
-    def _ensure_client(self, k: int) -> WorkerClient:
-        return self._pool.client(k, tracer=self._engine.tracer)
-
-    def _drop_client(self, k: int) -> None:
-        self._pool.drop(k)
-
-    def _deadline_remaining(self) -> Optional[float]:
-        deadline = self._engine.deadline
-        return deadline.remaining() if deadline is not None else None
-
-    def _budget(self) -> float:
-        budget = self._config.kill_timeout
-        deadline = self._engine.deadline
-        if deadline is not None:
-            budget = min(budget,
-                         max(deadline.remaining(), 0.0) + _DEADLINE_GRACE)
-        return budget
-
-    def _fold(self, delta: Dict[str, float]) -> None:
-        for name, value in delta.items():
-            self._totals[name] = self._totals.get(name, 0) + value
-
-    def _emit_events(self, events, client: Optional[WorkerClient] = None,
-                     emitctx: Optional[tuple] = None,
-                     partial: bool = False) -> None:
-        """Fold one reply's buffered events through the parent tracer.
-        ``emitctx`` is the ``(worker_id, clock, window)`` triple captured
-        right after the carrying request (feeders capture it so the
-        merge thread can re-emit later without racing the client's
-        mutable ``last_window``); ``client`` is the immediate-fold
-        shorthand used on the prepare path."""
-        if client is not None and emitctx is None:
-            emitctx = (client.worker_id, client.clock, client.last_window)
-        worker_id, clock, window = emitctx if emitctx else (None, None, None)
-        _fold_worker_events(self._engine.tracer, events,
-                            worker_id=worker_id, clock=clock,
-                            window=window, partial=partial)
-
-
-def analyze_question_sharded(
-    engine,
-    source: str,
-    head: str,
-    independents: Sequence[str],
-    dependents: Sequence[str],
-    *,
-    config: Optional[ShardConfig] = None,
-    resume_path: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    fingerprint: Optional[str] = None,
-    pool: Optional[WorkerPool] = None,
-) -> Tuple[List, List[WorkerOutcome]]:
-    """Analyze every parallel loop with **question-granularity**
-    sharding (``--shard-unit question``): loops run in serial order,
-    but each loop's exploitation questions fan out across the
-    persistent worker pool, with work-stealing off a shared position
-    heap. The parent remains the single journal/cache/trace writer —
-    the merge runs the ordinary serial loop body, so ``--json`` output
-    is byte-identical to the serial and loop-sharded backends on
-    deadline-free runs (tests/resilience/test_backend_identity.py).
-
-    Returns ``(analyses, outcomes)`` exactly like
-    :func:`analyze_sharded`; a loop whose pool is lost entirely
-    degrades to safeguards with planned question counts.
-    """
-    config = config or ShardConfig()
-    tracer = engine.tracer
-    loops = list(engine.proc.parallel_loops())
-    slots: List[Optional[object]] = [None] * len(loops)
-    outcomes: List[Optional[WorkerOutcome]] = [None] * len(loops)
-    open_loops: List[Tuple[int, object]] = []
-    for index, loop in enumerate(loops):
-        key = engine.loop_key(loop)
-        replayed = engine._replay_settled(loop)
-        if replayed is not None:
-            slots[index] = replayed
-            outcomes[index] = WorkerOutcome(key, "resumed")
-            continue
-        replayed = engine._replay_cached(loop)
-        if replayed is not None:
-            slots[index] = replayed
-            outcomes[index] = WorkerOutcome(key, "cached")
-            continue
-        open_loops.append((index, loop))
-    if not open_loops:
-        return list(slots), list(outcomes)
-
-    init_request = _init_request(engine, source, head, independents,
-                                 dependents, resume_path=resume_path,
-                                 cache_dir=cache_dir, fingerprint=fingerprint)
-    owned_pool = pool is None
-    if pool is None:
-        pool = WorkerPool(config, max(1, config.jobs))
-    pool.begin_run(init_request)
-    try:
-        for index, loop in open_loops:
-            key = engine.loop_key(loop)
-            deadline = engine.deadline
-            if deadline is not None and deadline.expired():
-                detail = ("run deadline expired before the loop was "
-                          "dispatched")
-                if tracer.enabled:
-                    tracer.emit("worker", loop=key, status="timeout",
-                                dur_s=0.0, detail=detail)
-                slots[index] = engine.degraded_analysis(
-                    loop, f"shard {detail}", phase="deadline")
-                outcomes[index] = WorkerOutcome(key, "timeout", detail, 0.0)
-                continue
-            start = time.perf_counter()
-            remote = _QuestionRemote(engine, loop, pool, config)
-            try:
-                try:
-                    analysis = engine._analyze(loop, remote=remote)
-                finally:
-                    remote.close()
-            except QuestionShardingLost as exc:
-                elapsed = time.perf_counter() - start
-                if tracer.enabled:
-                    tracer.emit("worker", loop=key, status=exc.status,
-                                dur_s=elapsed, detail=exc.detail)
-                slots[index] = engine.degraded_analysis(
-                    loop, f"shard {exc.detail}")
-                outcomes[index] = WorkerOutcome(key, exc.status, exc.detail,
-                                                elapsed)
-                continue
-            elapsed = time.perf_counter() - start
-            if tracer.enabled:
-                tracer.emit("worker", loop=key, status="ok", dur_s=elapsed)
-            slots[index] = analysis
-            outcomes[index] = WorkerOutcome(key, "ok", elapsed=elapsed)
-    finally:
-        if owned_pool:
-            pool.shutdown()
-    return list(slots), list(outcomes)
 
 
 def analyze_program_remote(

@@ -1,17 +1,10 @@
-"""Worker subprocess entry point: ``python -m repro.resilience.worker``.
+"""Worker subprocess entry point: ``python -m repro.resilience.worker
+--serve``.
 
-Two modes share this module:
-
-**One-shot** (the ``--isolate`` runtime, no arguments): read one JSON
-request from stdin (see :mod:`~repro.resilience.workers` for the
-contract), analyze exactly one parallel loop, write one JSON reply to
-stdout, exit. Any unexpected failure exits non-zero — the parent maps
-that to a per-loop *degraded* result.
-
-**Serve** (the ``--backend process`` shard runtime, ``--serve``): a
-persistent newline-delimited JSON loop. The parent sends one ``init``
-request naming the program and engine flags, then any number of
-``analyze`` requests — one per loop shard pulled from the parent's
+The ``--backend process`` shard runtime's worker: a persistent
+newline-delimited JSON loop. The parent sends one ``init`` request
+naming the program and engine flags, then any number of ``analyze``
+requests — one per loop shard pulled from the parent's
 work queue — and finally ``shutdown``. The worker never writes the
 parent's journal, trace stream, or verdict cache: every record the
 engine would journal is buffered by a :class:`_RecordCollector`,
@@ -28,9 +21,9 @@ The serve loop also backs ``repro campaign``: an ``init`` with
 crash, hang, or injected fault takes down one case — never the
 campaign.
 
-In both modes a :class:`~repro.formad.engine.PrimalRaceError` is a
-genuine finding, not a failure: it is reported in the reply
-(``error``) and re-raised by the parent.
+A :class:`~repro.formad.engine.PrimalRaceError` is a genuine finding,
+not a failure: it is reported in the reply (``error``) and re-raised
+by the parent.
 
 ``REPRO_WORKER_FAULT`` injects deterministic faults for tests and the
 CI resilience smoke job::
@@ -41,7 +34,7 @@ CI resilience smoke job::
     REPRO_WORKER_FAULT="exit:3@1:j"    # ... only for loop key "1:j"
 
 The optional ``@<loop_key>`` suffix restricts the fault to one loop,
-leaving every other worker (and every other shard request) honest.
+leaving every other shard request honest.
 """
 
 from __future__ import annotations
@@ -98,7 +91,7 @@ class _RecordCollector:
 
 
 def _build_engine(request: dict, *, journal, tracer=None):
-    """The shared engine construction of both modes."""
+    """The engine an ``init`` request describes."""
     from ..analysis.activity import ActivityAnalysis
     from ..formad.engine import FormADEngine
     from ..ir import parse_program
@@ -136,9 +129,9 @@ def _build_engine(request: dict, *, journal, tracer=None):
 def serialize_analysis(engine, loop_key: str, analysis) -> dict:
     """One settled :class:`~repro.formad.engine.LoopAnalysis` as the
     wire shape ``{"done": ..., "verdicts": [...]}`` that
-    :func:`~repro.resilience.journal.rebuild_analysis` reverses. This
-    is the shared per-loop serialization of the one-shot ``--isolate``
-    reply and the ``repro serve`` daemon's analyze reply."""
+    :func:`~repro.resilience.journal.rebuild_analysis` reverses — the
+    per-loop serialization of the ``repro serve`` daemon's analyze
+    reply."""
     from ..formad.engine import AnalysisStats
 
     stats = {name: getattr(analysis.stats, name)
@@ -160,55 +153,6 @@ def serialize_analysis(engine, loop_key: str, analysis) -> dict:
     }
 
 
-def main() -> int:
-    request = json.load(sys.stdin)
-    loop_key = str(request["loop_key"])
-    _inject_fault(loop_key)
-
-    from ..formad.engine import PrimalRaceError
-    from .journal import JournalWriter
-
-    journal = None
-    if request.get("journal"):
-        # Append: the parent already wrote the meta header, and loops
-        # run sequentially, so the offsets never interleave.
-        journal = JournalWriter(request["journal"], append=True)
-    engine = _build_engine(request, journal=journal)
-    target = None
-    for loop in engine.proc.parallel_loops():
-        if engine.loop_key(loop) == loop_key:
-            target = loop
-            break
-    if target is None:
-        print(json.dumps({"error": {
-            "type": "KeyError",
-            "message": f"no parallel loop with key {loop_key!r}"}}))
-        return 1
-    try:
-        analysis = engine.analyze_loop(target)
-    except PrimalRaceError as exc:
-        print(json.dumps({"error": {"type": "PrimalRaceError",
-                                    "message": str(exc)}}))
-        return 0
-    finally:
-        if journal is not None:
-            journal.close()
-    print(json.dumps(serialize_analysis(engine, loop_key, analysis)))
-    return 0
-
-
-def _stats_snapshot(solver) -> dict:
-    """Every ``SolverStats`` counter of *solver*, as a plain dict."""
-    from ..smt.solver import SolverStats
-
-    return {name: getattr(solver.stats, name)
-            for name in SolverStats.__dataclass_fields__}
-
-
-def _stats_delta(before: dict, after: dict) -> dict:
-    return {name: after[name] - before[name] for name in after}
-
-
 def serve() -> int:
     """The ``--serve`` request loop (one line in, one line out)."""
     from ..obs.tracer import BufferTracer
@@ -220,9 +164,6 @@ def serve() -> int:
     tracer: Optional[BufferTracer] = None
     loops_by_key = {}
     cache = None
-    # loop_key -> QuestionContext: the warm per-loop state of
-    # --shard-unit question. One entry per loop; qreset/qdone drop it.
-    qcontexts = {}
 
     def reply(payload: dict) -> None:
         # Every reply carries the worker's monotonic clock (the
@@ -236,29 +177,6 @@ def serve() -> int:
             payload["events_total"] = tracer.events_total
         sys.stdout.write(json.dumps(payload) + "\n")
         sys.stdout.flush()
-
-    def _question_context(loop_key: str):
-        """The warm context for *loop_key*, built on demand (a fresh or
-        reset worker rebuilds it on its first qask; the parent then
-        fast-forwards the full canonical prefix). Returns
-        ``(qc, error_payload)`` — exactly one is non-None."""
-        from ..formad.engine import PrimalRaceError
-
-        qc = qcontexts.get(loop_key)
-        if qc is not None:
-            return qc, None
-        target = loops_by_key.get(loop_key)
-        if target is None:
-            return None, {"loop": loop_key, "error": {
-                "type": "KeyError",
-                "message": f"no parallel loop with key {loop_key!r}"}}
-        try:
-            qc = engine.prepare_question_context(target)
-        except PrimalRaceError as exc:
-            return None, {"loop": loop_key, "error": {
-                "type": "PrimalRaceError", "message": str(exc)}}
-        qcontexts[loop_key] = qc
-        return qc, None
 
     for line in sys.stdin:
         line = line.strip()
@@ -278,7 +196,6 @@ def serve() -> int:
             collector = None
             tracer = None
             loops_by_key = {}
-            qcontexts = {}
             reply({"ok": True, "loops": []})
             continue
         if op == "audit_case":
@@ -308,68 +225,7 @@ def serve() -> int:
             cache = engine._vcache
             loops_by_key = {engine.loop_key(loop): loop
                             for loop in engine.proc.parallel_loops()}
-            qcontexts = {}
             reply({"ok": True, "loops": sorted(loops_by_key)})
-            continue
-        if op in ("qprepare", "qask", "qreset", "qdone") \
-                and engine is not None:
-            loop_key = str(request["loop_key"])
-            if op == "qdone":
-                # The loop is merged: drop the warm context, keep the
-                # clausify cache (serial keeps its warmth across loops
-                # too).
-                qcontexts.pop(loop_key, None)
-                reply({"loop": loop_key, "ok": True})
-                continue
-            if op == "qreset":
-                # This worker fast-forwarded positions a SAT answer
-                # cancelled: its solver *and* the process-global
-                # clausify cache saw formulas the serial run never
-                # translates. Drop both; the next qask rebuilds and
-                # re-fast-forwards the canonical prefix only.
-                qcontexts.pop(loop_key, None)
-                clausify_cache_clear()
-                reply({"loop": loop_key, "ok": True})
-                continue
-            _inject_fault(loop_key)
-            if request.get("deadline_remaining") is not None:
-                engine.attach_run_state(
-                    deadline=Deadline(float(request["deadline_remaining"])))
-            qc, error = _question_context(loop_key)
-            if error is not None:
-                reply(error)
-                continue
-            if op == "qprepare":
-                payload = {"loop": loop_key, "ok": True,
-                           "degraded": qc.degraded,
-                           "consistency_checks":
-                               qc.stats.consistency_checks,
-                           "schedule_len": len(qc.schedule),
-                           "solver_stats": _stats_snapshot(qc.solver)}
-                reply(payload)
-                continue
-            # qask: fast-forward the positions this worker missed, then
-            # answer the dispatched position. The stats window opens
-            # *after* the fast-forward — ff deltas duplicate the owning
-            # workers' shipped deltas and must stay local.
-            qc.solver.deadline = engine.deadline
-            position = int(request["position"])
-            for pos in request.get("ff") or []:
-                engine.translate_question(qc, int(pos))
-            if tracer is not None:
-                tracer.drain()  # ff/prepare events: owning replies carry them
-            before = _stats_snapshot(qc.solver)
-            t0 = time.perf_counter()
-            result, witness, reason, failure, attempts = \
-                engine.ask_question(qc, position)
-            dur_s = time.perf_counter() - t0
-            payload = {"loop": loop_key, "position": position,
-                       "result": result.name, "witness": witness,
-                       "reason": reason, "failure": failure,
-                       "attempts": attempts, "dur_s": dur_s,
-                       "solver_stats": _stats_delta(
-                           before, _stats_snapshot(qc.solver))}
-            reply(payload)
             continue
         if op != "analyze" or engine is None:
             reply({"error": {"type": "ValueError",
@@ -406,7 +262,5 @@ def serve() -> int:
     return 0
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via --isolate
-    if "--serve" in sys.argv[1:]:
-        sys.exit(serve())
-    sys.exit(main())
+if __name__ == "__main__":  # pragma: no cover - exercised via the pool
+    sys.exit(serve())

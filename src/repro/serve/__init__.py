@@ -1,5 +1,5 @@
 """Analysis-as-a-service: the ``repro serve`` daemon and its client
-(schema ``repro-serve/1``, docs/SCALING.md §7).
+(schema ``repro-serve/1``, docs/SCALING.md §6).
 
 * :mod:`~repro.serve.protocol` — the newline-JSON wire format and
   address parsing shared by both sides;

@@ -308,47 +308,6 @@ class Solver:
             return None
         return self._model.get(name, 0)
 
-    def translate_only(self) -> None:
-        """Translate (and clausify) every pending assertion without
-        searching.
-
-        This is the question-sharding fast-forward primitive: a serve
-        worker replays questions it did *not* own by navigate + push +
-        add + ``translate_only`` + pop, which reproduces exactly the
-        translation side effects (Ackermann registrations, congruence
-        axioms, clause-cache warmth) a full ``check()`` would have had
-        at that point — so the solver-stat deltas of the questions the
-        worker *does* own match the serial run's deltas bit for bit.
-        The stats this call itself accumulates are deliberately left on
-        this solver (never shipped): the question's owner reports them.
-
-        In non-incremental mode there is no persistent translation
-        state; the only cross-check side effect is clause-cache warmth,
-        so the fresh pipeline's ackermannize + clausify pass is run
-        (probe order matching :meth:`_check_fresh`) and its outcome
-        discarded.
-        """
-        if self.incremental:
-            self._translate_pending()
-            return
-        formulas = self.assertions()
-        t0 = time.perf_counter()
-        ack = ackermannize(formulas)
-        self._app_names = ack.app_names
-        t1 = time.perf_counter()
-        self.stats.translate_seconds += t1 - t0
-        self.stats.formulas_translated += len(formulas)
-        self.stats.congruence_axioms += len(ack.congruence)
-        try:
-            count = 0
-            for f in ack.all_formulas:
-                count += len(self._clausify_counted(f))
-                if count > self.max_clauses:
-                    break
-        except ClausifyBudgetError:
-            pass
-        self.stats.clausify_seconds += time.perf_counter() - t1
-
     # ------------------------------------------------------------------
     def _translate_pending(self) -> None:
         """Translate every not-yet-translated assertion into the

@@ -5,16 +5,13 @@ timers — whether the loops are analyzed
 
 * inline in the parent (default ``--backend thread``),
 * across persistent worker processes (``--backend process``),
-* with individual questions fanned across the pool
-  (``--shard-unit question``),
 * replayed from a warm ``--cache-dir`` verdict cache, or
 * served by a ``repro serve`` daemon (``--connect``), cold *and* from
   its memo,
 
 on all four paper kernels. This is what lets ``--backend process``,
-``--shard-unit question``, ``--cache-dir``, and ``--connect`` be
-adopted without re-validating any downstream consumer of the JSON:
-the bytes do not change.
+``--cache-dir``, and ``--connect`` be adopted without re-validating
+any downstream consumer of the JSON: the bytes do not change.
 """
 
 import json
@@ -106,11 +103,6 @@ def test_thread_process_and_cache_warm_are_identical(name, tmp_path, capsys,
                               "--backend", "process", "--jobs", "2")
     assert process_doc == thread_doc
 
-    question_doc, _ = _analyze(capsys, str(src), ins, outs,
-                               "--backend", "process", "--jobs", "2",
-                               "--shard-unit", "question")
-    assert question_doc == thread_doc
-
     cold_doc, cold_cache = _analyze(capsys, str(src), ins, outs,
                                     "--cache-dir", cache_dir)
     assert cold_doc == thread_doc
@@ -129,13 +121,6 @@ def test_thread_process_and_cache_warm_are_identical(name, tmp_path, capsys,
                                    "--cache-dir", cache_dir,
                                    "--backend", "process", "--jobs", "2")
     assert warm_process_doc == thread_doc
-
-    # ... and through question-granularity sharding, warm or cold
-    warm_question_doc, _ = _analyze(capsys, str(src), ins, outs,
-                                    "--cache-dir", cache_dir,
-                                    "--backend", "process", "--jobs", "2",
-                                    "--shard-unit", "question")
-    assert warm_question_doc == thread_doc
 
     # ... and served by a daemon: cold, then from its in-memory memo
     connect_doc, _ = _analyze(capsys, str(src), ins, outs,

@@ -28,8 +28,7 @@ from repro.formad import FormADEngine
 from repro.ir import parse_program
 from repro.obs import CollectingTracer, validate_events
 from repro.obs.metrics import METRICS_SCHEMA_V2
-from repro.resilience import (ShardConfig, analyze_question_sharded,
-                              analyze_sharded)
+from repro.resilience import ShardConfig, analyze_sharded
 
 SAFE_TWO_LOOPS = """
 subroutine two(x, y, z, n)
@@ -159,17 +158,6 @@ class TestBackendIdentity:
         process_events, _, _ = _traced_sharded(analyze_sharded)
         assert _multiset(thread_tracer.events) \
             == _multiset(process_events)
-
-    def test_question_sharded_trace_validates_too(self):
-        events, analyses, outcomes = _traced_sharded(
-            analyze_question_sharded)
-        assert [o.status for o in outcomes] == ["ok", "ok"]
-        assert validate_events(events) == []
-        assert any("worker_id" in e for e in events)
-        counters = events[-1]["counters"]
-        assert counters["scheduler.dispatched"] >= 1
-        assert any(name.startswith("worker.") and
-                   name.endswith(".busy_seconds") for name in counters)
 
 
 class TestTelemetryLoss:

@@ -1,26 +1,20 @@
-"""Worker isolation: identity with inline, fault containment, and the
-kill -9 + --resume smoke test over the CLI.
+"""Single-worker isolation: identity with inline and fault containment.
 
-The fault-independence contract: a crashed, hung, or killed worker
+Isolating the analysis from the parent process means running it on a
+loop-shard pool of one worker (``--backend process --jobs 1``).  The
+fault-independence contract: a crashed, hung, or raising worker
 degrades exactly its own loop (safeguards everywhere, planned question
-counts preserved), and a SIGKILLed *run* resumes from the journal to
-reproduce the uninterrupted verdicts and counts.
+counts preserved), and the respawned worker serves the other loop as
+if nothing had happened.  The kill -9 + ``--resume`` smoke test lives
+in ``test_shards.py``.
 """
 
-import json
-import os
-import signal
-import subprocess
-import sys
 import time
-
-import pytest
 
 from repro.analysis.activity import ActivityAnalysis
 from repro.formad import FormADEngine
 from repro.ir import parse_program
-from repro.resilience import (IsolationConfig, ResumeState, analyze_isolated,
-                              read_journal)
+from repro.resilience import ShardConfig, analyze_sharded
 
 #: Both loops are all-safe (each adjoint hits only its own slot), so
 #: the honest analysis never breaks early on a SAT answer and degraded
@@ -56,9 +50,9 @@ def _engine(proc):
 
 def _isolated(proc, **config_kwargs):
     engine = _engine(proc)
-    return analyze_isolated(engine, SAFE_TWO_LOOPS, "two", ["x"],
-                            ["y", "z"],
-                            config=IsolationConfig(**config_kwargs))
+    return analyze_sharded(engine, SAFE_TWO_LOOPS, "two", ["x"],
+                           ["y", "z"],
+                           config=ShardConfig(jobs=1, **config_kwargs))
 
 
 class TestIsolationIdentity:
@@ -124,98 +118,3 @@ class TestFaultContainment:
         assert isolated[0].safe_arrays() == set()
         assert outcomes[1].status == "ok"
         assert not isolated[1].degraded
-
-
-def _cli(tmp_path, src_path, *extra, env=None, check=True):
-    cmd = [sys.executable, "-m", "repro", "analyze", str(src_path),
-           "-i", "x", "-o", "y,z", "--json", *extra]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
-                          cwd=str(tmp_path))
-    if check:
-        assert proc.returncode == 0, proc.stderr
-    return proc
-
-
-def _loop_views(doc):
-    return [(entry["loop"], entry["all_safe"], entry["verdicts"])
-            for entry in doc["loops"]]
-
-
-def _env():
-    env = dict(os.environ)
-    src_root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            os.pardir, os.pardir, "src")
-    env["PYTHONPATH"] = os.path.abspath(src_root)
-    env.pop("REPRO_WORKER_FAULT", None)
-    return env
-
-
-class TestKillParentResume:
-    """SIGKILL the whole process group mid-run; ``--resume`` must
-    reproduce the uninterrupted verdicts and question counts."""
-
-    @pytest.mark.slow
-    def test_sigkill_then_resume_reproduces_counts(self, tmp_path):
-        src = tmp_path / "two.f"
-        src.write_text(SAFE_TWO_LOOPS)
-        env = _env()
-
-        baseline = _cli(tmp_path, src, "--isolate", env=env)
-        base_doc = json.loads(baseline.stdout)
-
-        # interrupted run: loop 1:j's worker hangs; the parent would
-        # wait out the generous kill timeout, but we SIGKILL the whole
-        # group as soon as loop 0:i's verdicts are durable
-        journal = tmp_path / "run.jsonl"
-        hang_env = dict(env, REPRO_WORKER_FAULT="hang:120@1:j")
-        victim = subprocess.Popen(
-            [sys.executable, "-m", "repro", "analyze", str(src),
-             "-i", "x", "-o", "y,z", "--json", "--isolate",
-             "--kill-timeout", "120", "--journal", str(journal)],
-            cwd=str(tmp_path), env=hang_env, start_new_session=True,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        try:
-            deadline = time.monotonic() + 60.0
-            settled = False
-            while time.monotonic() < deadline:
-                if journal.exists():
-                    _, records, _ = read_journal(str(journal))
-                    if any(r.get("kind") == "loop_done"
-                           and r.get("loop") == "0:i" for r in records):
-                        settled = True
-                        break
-                time.sleep(0.1)
-            assert settled, "first loop never settled in the journal"
-        finally:
-            os.killpg(victim.pid, signal.SIGKILL)
-            victim.wait()
-
-        # the journal survived the kill: loop 0:i is settled, 1:j not
-        state = ResumeState.load(str(journal))
-        assert state.loop_done("0:i") is not None
-        assert state.loop_done("1:j") is None
-
-        resumed = _cli(tmp_path, src, "--isolate",
-                       "--journal", str(journal),
-                       "--resume", str(journal), env=env)
-        doc = json.loads(resumed.stdout)
-
-        assert _loop_views(doc) == _loop_views(base_doc)
-        assert doc["all_safe"] == base_doc["all_safe"]
-        for key in ("exploitation_checks", "consistency_checks",
-                    "solver_sat", "solver_unsat"):
-            assert doc["totals"][key] == base_doc["totals"][key], key
-        assert doc["resilience"]["resumed_loops"] == 1
-        assert doc["resilience"]["degraded_loops"] == 0
-        statuses = {w["loop"]: w["status"] for w in doc["workers"]}
-        assert statuses == {"0:i": "resumed", "1:j": "ok"}
-
-    def test_strict_flags_degraded_runs(self, tmp_path):
-        src = tmp_path / "two.f"
-        src.write_text(SAFE_TWO_LOOPS)
-        env = dict(_env(), REPRO_WORKER_FAULT="exit:3@1:j")
-        proc = _cli(tmp_path, src, "--isolate", "--strict", env=env,
-                    check=False)
-        assert proc.returncode == 3
-        doc = json.loads(proc.stdout)
-        assert doc["resilience"]["degraded_loops"] == 1

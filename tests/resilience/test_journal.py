@@ -159,59 +159,6 @@ class TestRotate:
         assert kinds.count(("question", "1:j")) == 2  # unsettled: kept
 
 
-class TestRotateWorkerFence:
-    """Rotation must refuse while isolated workers hold live O_APPEND
-    handles on the journal.
-
-    Regression: ``rotate()`` replaces the file via rename, but a worker
-    subprocess appends through its *own* O_APPEND handle on the old
-    inode — rotating under it silently discards every verdict the
-    worker writes afterwards. The writer now counts attached workers
-    and refuses to rotate until they detach."""
-
-    def test_rotate_refuses_while_worker_attached(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        writer = JournalWriter(path, meta=_meta())
-        writer.record("question", loop="0:i", q="a", result="unsat")
-        writer.attach_worker()
-        with pytest.raises(JournalError, match="live append handle"):
-            writer.rotate()
-        # the refusal must not have disturbed the journal
-        writer.record("question", loop="0:i", q="b", result="sat",
-                      witness={"i": 1})
-        writer.detach_worker()
-        writer.close()
-        _, records, dropped = read_journal(path)
-        assert dropped == 0
-        assert [r["q"] for r in records] == ["a", "b"]
-
-    def test_rotate_works_again_after_detach(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        writer = JournalWriter(path, meta=_meta())
-        writer.record("question", loop="0:i", q="a", result="unsat")
-        writer.record("verdict", loop="0:i", array="y", safe=True)
-        writer.record("loop_done", loop="0:i", stats={}, degraded=False)
-        writer.attach_worker()
-        writer.attach_worker()
-        writer.detach_worker()
-        with pytest.raises(JournalError):
-            writer.rotate()       # one worker still attached
-        writer.detach_worker()
-        writer.rotate()           # all detached: compaction allowed
-        writer.close()
-        _, records, dropped = read_journal(path)
-        assert dropped == 0
-        kinds = [r["kind"] for r in records]
-        assert "question" not in kinds  # settled loop compacted
-        assert kinds == ["verdict", "loop_done"]
-
-    def test_detach_without_attach_is_an_error(self, tmp_path):
-        writer = JournalWriter(str(tmp_path / "j.jsonl"), meta=_meta())
-        with pytest.raises(JournalError, match="detach"):
-            writer.detach_worker()
-        writer.close()
-
-
 class TestAppendingContract:
     """``appending`` is a *required* attribute of anything passed as a
     journal: the engine decides whether to re-emit resume-settled loops

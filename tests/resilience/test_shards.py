@@ -12,19 +12,29 @@ The contract under test (docs/SCALING.md):
 * loops the parent can replay (``--resume`` journal, warm verdict
   cache) never reach a worker at all;
 * the parent is the single journal writer: a sharded run's journal
-  resumes exactly like an inline run's.
+  resumes exactly like an inline run's, including after the whole run
+  is SIGKILLed mid-flight;
+* ``--backend auto`` only starts a pool when the fan-out is real.
 """
 
+import json
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.analysis.activity import ActivityAnalysis
+from repro.cli import main
 from repro.formad import FormADEngine, PrimalRaceError
 from repro.ir import parse_program
+from repro.obs.tracer import load_trace
 from repro.resilience import (JournalWriter, ResumeState, ShardConfig,
                               VerdictCache, analyze_program_remote,
-                              analyze_sharded)
+                              analyze_sharded, read_journal,
+                              resolve_backend)
 from repro.resilience.journal import JOURNAL_SCHEMA, journal_fingerprint
 
 SAFE_TWO_LOOPS = """
@@ -260,3 +270,131 @@ class TestParentalReplay:
             for name in COUNTERS:
                 assert getattr(again.stats, name) \
                     == getattr(honest.stats, name), name
+
+
+def _cli(tmp_path, src_path, *extra, env=None, check=True):
+    cmd = [sys.executable, "-m", "repro", "analyze", str(src_path),
+           "-i", "x", "-o", "y,z", "--json", *extra]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          cwd=str(tmp_path))
+    if check:
+        assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _loop_views(doc):
+    return [(entry["loop"], entry["all_safe"], entry["verdicts"])
+            for entry in doc["loops"]]
+
+
+def _env():
+    env = dict(os.environ)
+    src_root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir, os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src_root)
+    env.pop("REPRO_WORKER_FAULT", None)
+    return env
+
+
+POOL = ("--backend", "process", "--jobs", "1")
+
+
+class TestKillParentResume:
+    """SIGKILL the whole process group mid-run; ``--resume`` must
+    reproduce the uninterrupted verdicts and question counts."""
+
+    @pytest.mark.slow
+    def test_sigkill_then_resume_reproduces_counts(self, tmp_path):
+        src = tmp_path / "two.f"
+        src.write_text(SAFE_TWO_LOOPS)
+        env = _env()
+
+        baseline = _cli(tmp_path, src, *POOL, env=env)
+        base_doc = json.loads(baseline.stdout)
+
+        # interrupted run: the one pool worker settles loop 0:i, then
+        # hangs on 1:j; the parent would wait out the generous kill
+        # timeout, but we SIGKILL the whole group (parent and worker)
+        # as soon as loop 0:i's verdicts are durable
+        journal = tmp_path / "run.jsonl"
+        hang_env = dict(env, REPRO_WORKER_FAULT="hang:120@1:j")
+        victim = subprocess.Popen(
+            [sys.executable, "-m", "repro", "analyze", str(src),
+             "-i", "x", "-o", "y,z", "--json", *POOL,
+             "--kill-timeout", "120", "--journal", str(journal)],
+            cwd=str(tmp_path), env=hang_env, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60.0
+            settled = False
+            while time.monotonic() < deadline:
+                if journal.exists():
+                    _, records, _ = read_journal(str(journal))
+                    if any(r.get("kind") == "loop_done"
+                           and r.get("loop") == "0:i" for r in records):
+                        settled = True
+                        break
+                time.sleep(0.1)
+            assert settled, "first loop never settled in the journal"
+        finally:
+            os.killpg(victim.pid, signal.SIGKILL)
+            victim.wait()
+
+        # the journal survived the kill: loop 0:i is settled, 1:j not
+        state = ResumeState.load(str(journal))
+        assert state.loop_done("0:i") is not None
+        assert state.loop_done("1:j") is None
+
+        resumed = _cli(tmp_path, src, *POOL,
+                       "--journal", str(journal),
+                       "--resume", str(journal), env=env)
+        doc = json.loads(resumed.stdout)
+
+        assert _loop_views(doc) == _loop_views(base_doc)
+        assert doc["all_safe"] == base_doc["all_safe"]
+        for key in ("exploitation_checks", "consistency_checks",
+                    "solver_sat", "solver_unsat"):
+            assert doc["totals"][key] == base_doc["totals"][key], key
+        assert doc["resilience"]["resumed_loops"] == 1
+        assert doc["resilience"]["degraded_loops"] == 0
+        # an all-healthy pool run carries no per-shard outcome list
+        assert "workers" not in doc
+
+    def test_strict_flags_degraded_runs(self, tmp_path):
+        src = tmp_path / "two.f"
+        src.write_text(SAFE_TWO_LOOPS)
+        env = dict(_env(), REPRO_WORKER_FAULT="exit:3@1:j")
+        proc = _cli(tmp_path, src, *POOL, "--strict", env=env, check=False)
+        assert proc.returncode == 3
+        doc = json.loads(proc.stdout)
+        assert doc["resilience"]["degraded_loops"] == 1
+        statuses = {w["loop"]: w["status"] for w in doc["workers"]}
+        assert statuses == {"0:i": "ok", "1:j": "crash"}
+
+
+class TestAutoBackend:
+    def test_process_needs_jobs_items_and_cpus(self):
+        assert resolve_backend("auto", work_items=6, jobs=None,
+                               cpus=2) == "thread"
+        assert resolve_backend("auto", work_items=6, jobs=1,
+                               cpus=2) == "thread"
+        assert resolve_backend("auto", work_items=1, jobs=4,
+                               cpus=2) == "thread"
+        assert resolve_backend("auto", work_items=6, jobs=4,
+                               cpus=1) == "thread"
+        assert resolve_backend("auto", work_items=2, jobs=2,
+                               cpus=2) == "process"
+        # an explicit choice is never second-guessed
+        assert resolve_backend("process", work_items=1, jobs=None,
+                               cpus=1) == "process"
+
+    def test_auto_without_jobs_starts_no_worker(self, tmp_path, capsys):
+        src = tmp_path / "two.f90"
+        src.write_text(SAFE_TWO_LOOPS)
+        trace = tmp_path / "t.jsonl"
+        assert main(["analyze", str(src), "-i", "x", "-o", "y,z",
+                     "--backend", "auto", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        events = load_trace(str(trace))
+        assert any(e["type"] == "verdict" for e in events)
+        assert not any("worker_id" in e for e in events)

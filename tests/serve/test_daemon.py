@@ -1,6 +1,6 @@
 """The ``repro serve`` daemon: memoization, dedup, soundness, drain.
 
-What must hold (docs/SCALING.md §7):
+What must hold (docs/SCALING.md §6):
 
 * a repeat identical request is answered from the in-memory memo —
   no second analysis (``serve.cold_runs`` stays at 1);
@@ -390,8 +390,7 @@ class TestCliConnect:
         address, _ = daemon
         src = tmp_path / "two.f90"
         src.write_text(TWO_LOOPS)
-        for extra in (["--isolate"],
-                      ["--journal", str(tmp_path / "j.jsonl")],
+        for extra in (["--journal", str(tmp_path / "j.jsonl")],
                       ["--cache-dir", str(tmp_path / "c")],
                       ["--backend", "process"]):
             assert main(["analyze", str(src), "-i", "x", "-o", "y,z",

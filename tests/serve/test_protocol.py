@@ -3,7 +3,7 @@
 One ``--connect ADDR`` flag carries both localhost TCP and unix-socket
 addresses, so ``parse_address`` is the single point where the grammar
 lives; the framing is newline-JSON with sorted keys so replies are
-deterministic and diffable (docs/SCALING.md §7).
+deterministic and diffable (docs/SCALING.md §6).
 """
 
 import io

@@ -54,8 +54,6 @@ def _doc():
             },
         },
         "backend": {"cpus": 4, "speedup": 2.5, "speedup_enforced": True},
-        "question_sharding": {"cpus": 4, "speedup": 2.1,
-                              "speedup_enforced": True},
     }
 
 
