@@ -2,14 +2,15 @@
 ! CI resilience smoke job and docs/RESILIENCE.md. Because every adjoint
 ! update touches only its own slot, the analysis proves both loops safe
 ! without SAT early-breaks, so question counts are identical across
-! every resilience configuration (deadline, process backend, resume).
+! every resilience configuration (deadline, process backend, recovery).
 !
-! Try the crash-safe journal on the crash-containing process backend:
+! Try crash recovery from the --cache-dir store on the crash-containing
+! process backend:
 !   python -m repro analyze examples/resilience_demo.f90 -i x -o y,z \
-!     --backend process --jobs 1 --journal run.jsonl
+!     --backend process --jobs 1 --cache-dir vcache
 !   kill -9 <pid>   # at any point
 !   python -m repro analyze examples/resilience_demo.f90 -i x -o y,z \
-!     --backend process --jobs 1 --journal run.jsonl --resume run.jsonl
+!     --backend process --jobs 1 --cache-dir vcache
 subroutine resilience_demo(x, y, z, n)
   real, intent(in) :: x(1000)
   real, intent(out) :: y(1000)

@@ -86,8 +86,6 @@ def analyze_formad(
     deadline=None,
     question_timeout: Optional[float] = None,
     escalation=None,
-    journal=None,
-    resume=None,
 ) -> List[LoopAnalysis]:
     """Run the FormAD analysis on every parallel loop of *proc*.
 
@@ -100,14 +98,12 @@ def analyze_formad(
     run in wall-clock time, ``question_timeout`` each exploitation
     question; ``escalation`` (an :class:`repro.resilience.
     EscalationPolicy`) retries timed-out questions with enlarged
-    budgets; ``journal``/``resume`` are the crash-safe verdict journal
-    writer and a recovered :class:`repro.resilience.ResumeState`.
+    budgets.
     """
     activity = ActivityAnalysis(proc, independents, dependents)
     engine = FormADEngine(proc, activity, tracer=tracer, deadline=deadline,
                           question_timeout=question_timeout,
-                          escalation=escalation, journal=journal,
-                          resume=resume)
+                          escalation=escalation)
     return engine.analyze_all(jobs=jobs)
 
 

@@ -156,8 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persist decided SAT/UNSAT answers and clean "
                         "settled loops across runs (schema repro-cache/1, "
-                        "keyed by the invocation fingerprint); a rerun "
-                        "answers from DIR instead of the solver")
+                        "keyed by the invocation fingerprint, fsync'd per "
+                        "record); a rerun answers from DIR instead of the "
+                        "solver, which is also how a killed or timed-out "
+                        "run recovers")
     p.add_argument("--cache-max-bytes", type=int, default=None, metavar="N",
                    help="size budget for --cache-dir: after the run, "
                         "evict least-recently-used fingerprint files "
@@ -193,12 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kill-timeout", type=float, default=60.0, metavar="S",
                    help="hard wall-clock cap per --backend process shard "
                         "request before SIGKILL (default 60)")
-    p.add_argument("--journal", default=None, metavar="OUT.jsonl",
-                   help="append every settled verdict to a crash-safe "
-                        "journal (schema repro-journal/1)")
-    p.add_argument("--resume", default=None, metavar="JOURNAL.jsonl",
-                   help="replay settled verdicts from a previous run's "
-                        "journal and analyze only the rest")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero (status 3) when any loop degraded "
                         "or any question timed out")
@@ -460,7 +456,7 @@ def _analysis_json(proc, analyses, outcomes=None, cache=None,
     for byte-stable output (schema ``repro-analyze/1``).
 
     Resilience keys are *conditional*: without resilience flags nothing
-    degrades, times out, or resumes, so the document stays byte-
+    degrades, times out, or escalates, so the document stays byte-
     identical to builds without the resilience layer (the acceptance
     bar for the default mode).
     """
@@ -480,8 +476,6 @@ def _analysis_json(proc, analyses, outcomes=None, cache=None,
         }
         if analysis.degraded:
             entry["degraded"] = True
-        if analysis.resumed:
-            entry["resumed"] = True
         loops.append(entry)
     doc = {
         "schema": "repro-analyze/1",
@@ -492,12 +486,9 @@ def _analysis_json(proc, analyses, outcomes=None, cache=None,
     }
     resilience = {
         "degraded_loops": sum(1 for a in analyses if a.degraded),
-        "resumed_loops": sum(1 for a in analyses if a.resumed),
         "timed_out_questions": sum(a.stats.timed_out_questions
                                    for a in analyses),
         "escalations": sum(a.stats.escalations for a in analyses),
-        "resumed_questions": sum(a.stats.resumed_questions
-                                 for a in analyses),
     }
     if any(resilience.values()):
         doc["resilience"] = resilience
@@ -666,13 +657,10 @@ def _run_corpus(args) -> int:
 def _run_analyze(args, proc, independents, dependents) -> int:
     """The ``analyze`` command, including the resilience runtime
     (docs/RESILIENCE.md): deadline, escalation, crash containment,
-    journal, resume, and ``--strict``."""
-    import os
-
+    recovery through the ``--cache-dir`` store, and ``--strict``."""
     from .analysis import ActivityAnalysis
     from .formad import FormADEngine
-    from .resilience import (JOURNAL_SCHEMA, EscalationPolicy, JournalError,
-                             JournalWriter, ResumeState, journal_fingerprint,
+    from .resilience import (EscalationPolicy, journal_fingerprint,
                              resolve_backend)
 
     if args.connect:
@@ -690,35 +678,6 @@ def _run_analyze(args, proc, independents, dependents) -> int:
         source = fh.read()
     fingerprint = journal_fingerprint(source, proc.name, independents,
                                       dependents, engine.fingerprint_flags())
-    resume = None
-    if args.resume:
-        try:
-            resume = ResumeState.load(args.resume)
-            resume.check_fingerprint(fingerprint)
-        except (OSError, JournalError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if resume.dropped:
-            print(f"resume: dropped {resume.dropped} damaged journal "
-                  f"line(s); their questions will be re-asked",
-                  file=sys.stderr)
-        print(f"resume: {resume.settled_loops} settled loop(s), "
-              f"{resume.settled_questions} settled question(s)",
-              file=sys.stderr)
-    journal = None
-    if args.journal:
-        # Journaling onto the journal being resumed continues it
-        # in place (append); any other path starts fresh.
-        append = bool(args.resume) and (os.path.abspath(args.resume)
-                                        == os.path.abspath(args.journal))
-        try:
-            journal = JournalWriter(args.journal,
-                                    meta={"schema": JOURNAL_SCHEMA,
-                                          "fingerprint": fingerprint},
-                                    append=append)
-        except OSError as exc:
-            print(f"error: cannot open journal: {exc}", file=sys.stderr)
-            return 1
     backend = resolve_backend(args.backend,
                               work_items=len(list(proc.parallel_loops())),
                               jobs=args.jobs)
@@ -731,7 +690,7 @@ def _run_analyze(args, proc, independents, dependents) -> int:
             print(f"error: cannot open verdict cache: {exc}",
                   file=sys.stderr)
             return 1
-    engine.attach_run_state(journal=journal, resume=resume, cache=cache)
+    engine.attach_run_state(cache=cache)
     outcomes = None
     heartbeat = None
     if args.progress is not None:
@@ -743,19 +702,17 @@ def _run_analyze(args, proc, independents, dependents) -> int:
                                  kill_timeout=args.kill_timeout)
             analyses, shard_outcomes = analyze_sharded(
                 engine, source, proc.name, independents, dependents,
-                config=config, resume_path=args.resume,
-                cache_dir=args.cache_dir, fingerprint=fingerprint)
+                config=config, cache_dir=args.cache_dir,
+                fingerprint=fingerprint)
             # The shard outcomes only enter the JSON document when
             # something actually went wrong — an all-ok process run
             # stays byte-identical to the thread backend.
-            if any(o.status not in ("ok", "resumed", "cached")
+            if any(o.status not in ("ok", "cached")
                    for o in shard_outcomes):
                 outcomes = shard_outcomes
         else:
             analyses = engine.analyze_all(jobs=args.jobs)
     finally:
-        if journal is not None:
-            journal.close()
         if cache is not None:
             cache.close()
             # The structured replacement for the old stderr-only
@@ -829,14 +786,10 @@ def _finish_analyze(args, proc, analyses, outcomes=None,
         notes = []
         if analysis.degraded:
             notes.append("degraded")
-        if analysis.resumed:
-            notes.append("resumed")
         if s.timed_out_questions:
             notes.append(f"timed_out={s.timed_out_questions}")
         if s.escalations:
             notes.append(f"escalations={s.escalations}")
-        if s.resumed_questions:
-            notes.append(f"resumed_questions={s.resumed_questions}")
         if notes:
             print(f"  resilience: {' '.join(notes)}")
     if strategy_doc is not None:
@@ -851,10 +804,6 @@ def _finish_analyze(args, proc, analyses, outcomes=None,
         print(f"trace written to {args.trace} (replay with "
               f"'repro explain {args.trace} --array A' or "
               f"'repro profile {args.trace}')", file=sys.stderr)
-    if args.journal:
-        print(f"journal written to {args.journal} (resume with "
-              f"'repro analyze ... --resume {args.journal}')",
-              file=sys.stderr)
     if strict_failure:
         print(f"strict: {degraded} degraded loop(s), {timed_out} "
               f"timed-out question(s)", file=sys.stderr)
@@ -871,8 +820,6 @@ def _run_analyze_connected(args, proc, independents, dependents) -> int:
     from .serve import ServeError, analyze_connected
 
     rejected = [name for name, live in (
-        ("--journal", args.journal),
-        ("--resume", args.resume),
         ("--cache-dir", args.cache_dir),
         ("--cache-max-bytes", args.cache_max_bytes is not None),
         ("--trace", args.trace),

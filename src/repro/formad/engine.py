@@ -109,14 +109,12 @@ class AnalysisStats:
     # triple is the structured breakdown of ``solver_unknown``;
     # ``timed_out_questions`` counts exploitation questions whose
     # *final* answer (after any escalation) was a deadline expiry;
-    # ``escalations`` counts ladder retries; ``resumed_questions``
-    # counts answers replayed from a ``--resume`` journal.
+    # ``escalations`` counts ladder retries.
     unknown_timeout: int = 0
     unknown_budget: int = 0
     unknown_solver: int = 0
     timed_out_questions: int = 0
     escalations: int = 0
-    resumed_questions: int = 0
 
     @property
     def queries(self) -> int:
@@ -187,15 +185,12 @@ class LoopAnalysis:
     #: analysis: the knowledge base could not be established, the run
     #: deadline expired before phase 2, or a shard worker died.
     degraded: bool = False
-    #: True when this result was replayed from a resume journal
-    #: instead of being analyzed in this process.
-    resumed: bool = False
     #: True when this result is eligible for the cross-run verdict
     #: cache: a genuine, *clean* analysis — not degraded, no timed-out
     #: or UNKNOWN questions, no solver failures, and no answers that
-    #: were themselves replayed from a journal or cache. Only such
-    #: loops replay wholesale with counter-identical stats, which is
-    #: the cache's byte-identity guarantee (docs/SCALING.md).
+    #: were themselves replayed from the store. Only such loops replay
+    #: wholesale with counter-identical stats, which is the cache's
+    #: byte-identity guarantee (docs/SCALING.md).
     cacheable: bool = False
 
     def safe_arrays(self) -> Set[str]:
@@ -424,8 +419,6 @@ class FormADEngine:
         deadline: Optional[Deadline] = None,
         question_timeout: Optional[float] = None,
         escalation: Optional[EscalationPolicy] = None,
-        journal=None,
-        resume=None,
         cache=None,
     ) -> None:
         self.proc = proc
@@ -445,13 +438,11 @@ class FormADEngine:
             escalation=escalation or NO_ESCALATION,
         )
         # Run state, deliberately outside the frozen config: the
-        # deadline is a live clock and the journal/resume handles are
-        # I/O seams (see docs/RESILIENCE.md). They can only ever turn
+        # deadline is a live clock and the run-state store is an I/O
+        # seam (see docs/RESILIENCE.md). They can only ever turn
         # verdicts into UNKNOWN or replay identical ones, so the
         # per-loop result cache stays sound.
         self._deadline = deadline
-        self._journal = journal
-        self._resume = resume
         self._vcache = cache
         self._loop_keys: Dict[int, str] = {
             loop.uid: f"{ordinal}:{loop.var}"
@@ -504,44 +495,38 @@ class FormADEngine:
     def deadline(self) -> Optional[Deadline]:
         return self._deadline
 
-    def attach_run_state(self, *, journal=None, resume=None,
-                         cache=None, deadline=None) -> None:
-        """Late-bind the journal writer, resume state, cross-run
-        verdict cache, and/or run deadline.
+    def attach_run_state(self, *, cache=None, deadline=None) -> None:
+        """Late-bind the run-state store and/or run deadline.
 
-        The CLI needs this ordering seam: the journal and cache
-        fingerprints are computed from :meth:`fingerprint_flags`, which
-        needs a constructed engine. All four are run state, not
-        configuration (see ``__init__``), so binding them late cannot
-        invalidate the per-loop result cache — but attach them before
-        the first ``analyze_loop`` call or early loops go unjournaled.
-        The serve workers of ``--backend process`` rebind ``deadline``
-        per shard request: the parent ships the remaining run budget
-        with every request, and a fresh :class:`Deadline` anchors it to
-        the worker's own clock.
+        The CLI needs this ordering seam: the store's fingerprint is
+        computed from :meth:`fingerprint_flags`, which needs a
+        constructed engine. Both are run state, not configuration (see
+        ``__init__``), so binding them late cannot invalidate the
+        per-loop result cache — but attach the store before the first
+        ``analyze_loop`` call or early loops go unrecorded. The serve
+        workers of ``--backend process`` rebind ``deadline`` per shard
+        request: the parent ships the remaining run budget with every
+        request, and a fresh :class:`Deadline` anchors it to the
+        worker's own clock.
         """
-        if journal is not None:
-            self._journal = journal
-        if resume is not None:
-            self._resume = resume
         if cache is not None:
             self._vcache = cache
         if deadline is not None:
             self._deadline = deadline
 
     def loop_key(self, loop: Loop) -> str:
-        """The structural journal key of *loop* (``"<ordinal>:<var>"``
-        — stable across processes, unlike ``loop.uid``)."""
+        """The structural store key of *loop* (``"<ordinal>:<var>"`` —
+        stable across processes, unlike ``loop.uid``)."""
         return self._loop_keys[loop.uid]
 
     def fingerprint_flags(self) -> Dict[str, object]:
         """The configuration flags that shape the question stream —
-        folded into the journal fingerprint so a journal is only ever
-        replayed into an identically-configured analysis. Deadlines,
-        timeouts, and escalation are deliberately excluded: resuming
-        an interrupted run with a *longer* deadline is the intended
-        recovery flow, and replayed SAT/UNSAT answers stay sound under
-        any resource configuration."""
+        folded into the store fingerprint so stored records are only
+        ever replayed into an identically-configured analysis.
+        Deadlines, timeouts, and escalation are deliberately excluded:
+        rerunning an interrupted run with a *longer* deadline is the
+        intended recovery flow, and replayed SAT/UNSAT answers stay
+        sound under any resource configuration."""
         return {
             "max_theory_checks": self.max_theory_checks,
             "node_budget": self.node_budget,
@@ -571,49 +556,19 @@ class FormADEngine:
         with self._cache_lock:
             cached = self._cache.get(loop.uid)
         if cached is None:
-            analysis = self._replay_settled(loop)
-            if analysis is None:
-                analysis = self._replay_cached(loop)
+            analysis = self._replay_cached(loop)
             if analysis is None:
                 analysis = self._analyze(loop)
             with self._cache_lock:
                 cached = self._cache.setdefault(loop.uid, analysis)
         return cached
 
-    def _replay_settled(self, loop: Loop) -> Optional[LoopAnalysis]:
-        """The ``--resume`` fast path: rebuild a loop the journal
-        records as fully settled instead of re-analyzing it."""
-        if self._resume is None:
-            return None
-        key = self.loop_key(loop)
-        done = self._resume.loop_done(key)
-        if done is None or done.get("degraded"):
-            # A degraded record is a safeguard fallback, not settled
-            # knowledge — the resumed run re-analyzes that loop (its
-            # individual SAT/UNSAT question records still replay).
-            return None
-        from ..resilience.journal import rebuild_analysis
-        analysis = rebuild_analysis(loop, done, self._resume.verdicts(key))
-        logger.info("loop over %r: replayed settled verdicts from the "
-                    "resume journal", loop.var)
-        if self.tracer.enabled:
-            self.tracer.emit("resumed", loop=loop.var)
-        # ``appending`` is part of the journal writer contract (see
-        # JournalWriter) — a writer that cannot answer it is a bug, so
-        # no duck-typed default here.
-        if self._journal is not None and not self._journal.appending:
-            # Resuming into a *fresh* journal: re-emit the settled
-            # records so the new journal is itself resumable.
-            self._journal_loop(key, analysis)
-        return analysis
-
     def _replay_cached(self, loop: Loop) -> Optional[LoopAnalysis]:
-        """The ``--cache-dir`` fast path: rebuild a loop the cross-run
-        verdict cache holds as fully settled *and clean*. Unlike the
-        resume path the rebuilt analysis is not marked ``resumed`` —
-        the cache stores only clean loops with their complete counters,
-        so the replay is presented (and JSON-serialized) exactly as the
-        cold analysis was (docs/SCALING.md)."""
+        """The ``--cache-dir`` fast path: rebuild a loop the run-state
+        store holds as fully settled *and clean*. The store keeps only
+        clean loops with their complete counters, so the replay is
+        presented (and JSON-serialized) exactly as the cold analysis
+        was (docs/SCALING.md)."""
         if self._vcache is None:
             return None
         key = self.loop_key(loop)
@@ -621,8 +576,7 @@ class FormADEngine:
         if done is None or done.get("degraded"):
             return None
         from ..resilience.journal import rebuild_analysis
-        analysis = rebuild_analysis(loop, done, self._vcache.verdicts(key),
-                                    resumed=False)
+        analysis = rebuild_analysis(loop, done, self._vcache.verdicts(key))
         # The cache stores only clean loops, so the replay *is* settled
         # clean knowledge: mark it cacheable so run-level consumers
         # (the serve daemon's memo) treat warm and cold runs alike.
@@ -632,37 +586,7 @@ class FormADEngine:
                     "cross-run cache", loop.var)
         if self.tracer.enabled:
             self.tracer.emit("cached", loop=loop.var)
-        if self._journal is not None:
-            # The journal describes *this* run, which never asked these
-            # questions — record the settled result so the journal
-            # stays resumable on its own.
-            self._journal_loop(key, analysis)
         return analysis
-
-    def _loop_records(self, key: str, analysis: LoopAnalysis,
-                      ) -> List[Tuple[str, dict]]:
-        """*analysis* as journal-shaped ``(kind, fields)`` records —
-        the shared serialization of the journal, the worker reply
-        channel, and the verdict cache."""
-        records: List[Tuple[str, dict]] = []
-        for verdict in analysis.verdicts.values():
-            records.append(("verdict", {
-                "loop": key, "array": verdict.array, "safe": verdict.safe,
-                "pairs_total": verdict.pairs_total,
-                "pairs_proven": verdict.pairs_proven,
-                "reason": verdict.reason}))
-        stats = {name: getattr(analysis.stats, name)
-                 for name in AnalysisStats.__dataclass_fields__}
-        records.append(("loop_done", {
-            "loop": key, "stats": stats,
-            "safe_writes": list(analysis.safe_write_expressions),
-            "offending": list(analysis.offending_expressions),
-            "degraded": analysis.degraded}))
-        return records
-
-    def _journal_loop(self, key: str, analysis: LoopAnalysis) -> None:
-        for kind, fields in self._loop_records(key, analysis):
-            self._journal.record(kind, **fields)
 
     def knowledge(self, loop: Loop) -> Tuple[FAtom, KnowledgeBase]:
         """Phase-1 output for *loop*: the root axiom and the knowledge
@@ -805,16 +729,11 @@ class FormADEngine:
                               and health["failures"] == 0
                               and health["cached"] == 0
                               and stats.timed_out_questions == 0
-                              and stats.solver_unknown == 0
-                              and stats.resumed_questions == 0)
-        key = self.loop_key(loop)
-        if self._journal is not None:
-            self._journal_loop(key, analysis)
+                              and stats.solver_unknown == 0)
         if self._vcache is not None and analysis.cacheable:
-            records = self._loop_records(key, analysis)
-            self._vcache.store_loop(
-                key, next(f for k, f in records if k == "loop_done"),
-                [f for k, f in records if k == "verdict"])
+            from ..resilience.journal import serialize_analysis
+            key = self.loop_key(loop)
+            self._vcache.store_loop(key, **serialize_analysis(key, analysis))
         return analysis
 
     def _candidate_arrays(self, refs: RegionReferences) -> List[str]:
@@ -1059,11 +978,8 @@ class FormADEngine:
         stats.unique_exprs = len(seen)
         stats.region_loc = max(0, len(format_stmt(loop)) - 2)
         stats.time_seconds = time.perf_counter() - start
-        analysis = LoopAnalysis(loop, verdicts, stats, safe_writes, [],
-                                degraded=True)
-        if self._journal is not None:
-            self._journal_loop(self.loop_key(loop), analysis)
-        return analysis
+        return LoopAnalysis(loop, verdicts, stats, safe_writes, [],
+                            degraded=True)
 
     def _test_array(
         self,
@@ -1102,43 +1018,30 @@ class FormADEngine:
             failure: Optional[str] = None
             reason: Optional[str] = None
             attempts = 0
-            resumed = False
             cached = False
             if memo_hit:
                 stats.memo_hits += 1
                 result, witness = entry
             else:
-                settled = (self._resume.question(loop_key, ctx.path(),
-                                                 str(question))
-                           if self._resume is not None else None)
-                if settled is not None:
-                    # Replay a decided answer from the resume journal
-                    # (only SAT/UNSAT records are ever settled; an
-                    # UNKNOWN is always re-asked).
-                    result = SAT if settled[0] == "sat" else UNSAT
-                    witness = settled[1]
-                    resumed = True
-                    stats.resumed_questions += 1
+                hit = (self._vcache.question(loop_key, ctx.path(),
+                                             str(question))
+                       if self._vcache is not None else None)
+                if hit is not None:
+                    # Decided in an earlier run with the same
+                    # fingerprint: answer from the store (SAT/UNSAT
+                    # only; an UNKNOWN is always re-asked).
+                    result = SAT if hit[0] == "sat" else UNSAT
+                    witness = hit[1]
+                    cached = True
+                    if health is not None:
+                        health["cached"] += 1
                 else:
-                    hit = (self._vcache.question(loop_key, ctx.path(),
-                                                 str(question))
-                           if self._vcache is not None else None)
-                    if hit is not None:
-                        # Decided in an earlier run with the same
-                        # fingerprint: answer from the cross-run cache
-                        # (SAT/UNSAT only, like the resume journal).
-                        result = SAT if hit[0] == "sat" else UNSAT
-                        witness = hit[1]
-                        cached = True
-                        if health is not None:
-                            health["cached"] += 1
-                    else:
-                        asked = time.perf_counter()
-                        result, witness, reason, failure, attempts = \
-                            self._ask_escalating(model, ctx, question, stats,
-                                                 f"{loop_key}/{array}/"
-                                                 f"{question}", array)
-                        asked = time.perf_counter() - asked
+                    asked = time.perf_counter()
+                    result, witness, reason, failure, attempts = \
+                        self._ask_escalating(model, ctx, question, stats,
+                                             f"{loop_key}/{array}/"
+                                             f"{question}", array)
+                    asked = time.perf_counter() - asked
                 if failure is not None and health is not None:
                     health["failures"] += 1
                 if memo is not None and failure is None and \
@@ -1146,22 +1049,12 @@ class FormADEngine:
                     # Timeout UNKNOWNs are never memoized: a later
                     # identical question may still have time to run.
                     memo[key] = (result, witness)
-                if self._vcache is not None and not resumed and not cached \
+                if self._vcache is not None and not cached \
                         and failure is None and result is not UNKNOWN:
                     self._vcache.store_question(
                         loop_key, array, ctx.path(), str(question),
                         result.name.lower(),
                         witness if result is SAT else None)
-                if self._journal is not None and not resumed \
-                        and failure is None:
-                    record = {"loop": loop_key, "array": array,
-                              "ctx": ctx.path(), "q": str(question),
-                              "result": result.name.lower()}
-                    if result is SAT and witness is not None:
-                        record["witness"] = witness
-                    if result is UNKNOWN and reason is not None:
-                        record["reason"] = reason
-                    self._journal.record("question", **record)
             if result is UNKNOWN and reason == "timeout":
                 stats.timed_out_questions += 1
             if tracer.enabled:
@@ -1176,8 +1069,6 @@ class FormADEngine:
                     extra["reason"] = reason
                 if attempts > 1:
                     extra["attempts"] = attempts
-                if resumed:
-                    extra["resumed"] = True
                 if cached:
                     extra["cached"] = True
                 tracer.emit("question", loop=loop.var, array=array,

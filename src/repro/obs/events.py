@@ -1,7 +1,7 @@
-"""The trace event schema (version 1) and its validator.
+"""The trace event schema (version 2) and its validator.
 
 Every trace is a JSONL stream: one JSON object per line. The first
-line is a ``meta`` event naming the schema (``repro-trace/1``); the
+line is a ``meta`` event naming the schema (``repro-trace/2``); the
 ``v`` field on every event carries the same version number so
 consumers can reject traces they do not understand (bump
 :data:`SCHEMA_VERSION` on any incompatible change and keep readers for
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 #: Version number stamped on every event (and the meta line's schema).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: The schema name written into the ``meta`` event.
 SCHEMA_NAME = f"repro-trace/{SCHEMA_VERSION}"
@@ -59,20 +59,13 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     # One shard request completed (``--backend process``); status is
     # "ok", "crash", or "timeout" (docs/RESILIENCE.md, docs/SCALING.md).
     "worker": ("loop", "status", "dur_s"),
-    # One loop's settled verdicts were replayed from a resume journal
-    # instead of being analyzed (``--resume``).
-    "resumed": ("loop",),
-    # One loop's settled verdicts were replayed from the cross-run
-    # verdict cache (``--cache-dir``, docs/SCALING.md).
+    # One loop's settled verdicts were replayed from the run-state
+    # store (``--cache-dir``, docs/SCALING.md).
     "cached": ("loop",),
     # One work item left the scheduler queue: how long it sat there.
     "queue_wait": ("loop", "wait_s"),
     # A feeder pulled a loop off another worker's round-robin share.
     "steal": ("loop", "worker_id"),
-    # A SAT answer cancelled the rest of an array's question block.
-    # Only the retired question-sharding runtime emitted it; the type
-    # stays so traces recorded by earlier builds still validate.
-    "cancel": ("loop", "count"),
     # One worker's clock-offset handshake settled (repro.obs.clock):
     # worker timestamps re-emitted after this are normalized by it.
     "clock_sync": ("worker_id", "offset_s", "rtt_s"),
@@ -91,17 +84,12 @@ OPTIONAL_FIELDS: Dict[str, Tuple[str, ...]] = {
     # question (the result is then recorded as UNKNOWN); ``reason`` the
     # structured UNKNOWN reason (timeout / budget / solver-unknown);
     # ``attempts`` the escalation-ladder retry count when > 1;
-    # ``resumed`` marks an answer replayed from a resume journal;
-    # ``cached`` one answered from the cross-run verdict cache.
-    "question": ("witness", "failure", "reason", "attempts", "resumed",
-                 "cached"),
+    # ``cached`` marks an answer replayed from the run-state store.
+    "question": ("witness", "failure", "reason", "attempts", "cached"),
     # Structured reason of an UNKNOWN check (docs/RESILIENCE.md).
     "solver_check": ("reason",),
     # The worker's crash/timeout detail (exit status, signal, stderr).
     "worker": ("detail",),
-    # The question position a question-sharding steal reached (traces
-    # recorded by earlier builds; see ``cancel`` above).
-    "steal": ("position",),
     # Per-kind miss counts and the damaged-line tally of the cache file.
     "cache_summary": ("loop_misses", "question_misses", "dropped_lines",
                       "hits", "conflicts"),

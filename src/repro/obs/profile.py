@@ -114,8 +114,8 @@ def context_table(events: Sequence[dict]) -> List[Tuple[str, int, int, float]]:
 def resilience_table(events: Sequence[dict]) -> List[Tuple[str, int]]:
     """Resilience tallies of one trace, empty when nothing happened:
     UNKNOWN questions by structured reason (timeout / budget /
-    solver-unknown — docs/RESILIENCE.md), escalation retries, resumed
-    and cache-answered questions/loops, degraded loops, and worker
+    solver-unknown — docs/RESILIENCE.md), escalation retries,
+    store-answered questions/loops, degraded loops, and worker
     outcomes."""
     counts: Dict[str, int] = {}
 
@@ -129,16 +129,12 @@ def resilience_table(events: Sequence[dict]) -> List[Tuple[str, int]]:
                 bump(f"unknown[{event['reason']}]")
             if event.get("attempts", 1) > 1:
                 bump("escalated questions")
-            if event.get("resumed"):
-                bump("resumed questions")
             if event.get("cached"):
                 bump("cached questions")
         elif etype == "degraded":
             bump(f"degraded loops[{event.get('phase', '?')}]")
         elif etype == "worker" and event.get("status") != "ok":
             bump(f"workers[{event.get('status', '?')}]")
-        elif etype == "resumed":
-            bump("resumed loops")
         elif etype == "cached":
             bump("cached loops")
     return sorted(counts.items())

@@ -1,4 +1,4 @@
-"""Resilience runtime: deadlines, escalation, crash containment, resume.
+"""Resilience runtime: deadlines, escalation, crash containment, recovery.
 
 The analysis must degrade, never fail (docs/RESILIENCE.md):
 
@@ -8,28 +8,27 @@ The analysis must degrade, never fail (docs/RESILIENCE.md):
   which FormAD already treats as "keep the safeguard".
 * :class:`EscalationPolicy` — retry timed-out / budget-exhausted
   questions with exponentially enlarged budgets before giving up.
-* :mod:`~repro.resilience.journal` — an append-only, checksummed
-  verdict journal (schema ``repro-journal/1``) that survives ``kill
-  -9`` and lets ``analyze --resume`` skip settled work.
+* :mod:`~repro.resilience.journal` — the append-only, checksummed,
+  fsync'd JSONL record codec that survives ``kill -9``, shared by the
+  run-state store and the campaign journal.
 * :mod:`~repro.resilience.shards` — the ``--backend process`` shard
   scheduler: persistent worker processes pulling loop shards off a
   work queue, sidestepping the GIL-bound ``--jobs`` thread fan-out
   (docs/SCALING.md). It is also the crash-containment runtime: each
   shard request has a hard kill timeout, and a crashed or hung worker
   becomes a per-loop *degraded* result instead of a failed run.
-* :mod:`~repro.resilience.cache` — the ``--cache-dir`` cross-run
-  verdict cache (schema ``repro-cache/1``): decided SAT/UNSAT answers
-  and clean settled loops persist across invocations, keyed by the
-  journal fingerprint.
+* :mod:`~repro.resilience.cache` — the ``--cache-dir`` run-state
+  store (schema ``repro-cache/1``): decided SAT/UNSAT answers and
+  clean settled loops persist across invocations, keyed by the
+  journal fingerprint, so rerunning an interrupted command recovers.
 """
 
 from .cache import (CACHE_SCHEMA, CacheConflictError, CacheStore,
                     CacheStoreError, VerdictCache)
 from .deadline import Deadline
 from .escalate import EscalationPolicy
-from .journal import (JOURNAL_SCHEMA, JournalError, JournalWriter,
-                      ResumeState, journal_fingerprint, read_journal,
-                      rebuild_analysis)
+from .journal import (JournalError, JournalWriter, journal_fingerprint,
+                      read_journal, rebuild_analysis)
 from .shards import (ShardConfig, WorkerClient, WorkerGone, WorkerOutcome,
                      WorkerPool, analyze_program_remote, analyze_sharded,
                      resolve_backend)
@@ -38,8 +37,8 @@ __all__ = [
     "CACHE_SCHEMA", "CacheConflictError", "CacheStore", "CacheStoreError",
     "VerdictCache",
     "Deadline", "EscalationPolicy",
-    "JOURNAL_SCHEMA", "JournalError", "JournalWriter", "ResumeState",
-    "journal_fingerprint", "read_journal", "rebuild_analysis",
+    "JournalError", "JournalWriter", "journal_fingerprint",
+    "read_journal", "rebuild_analysis",
     "ShardConfig", "WorkerClient", "WorkerGone", "WorkerOutcome",
     "WorkerPool", "analyze_program_remote", "analyze_sharded",
     "resolve_backend",

@@ -1,10 +1,13 @@
-"""The disk-backed cross-run verdict cache (schema ``repro-cache/1``),
-managed as a real store.
+"""The ``--cache-dir`` run-state store (schema ``repro-cache/1``):
+the cross-run verdict cache and the crash-recovery record of
+``analyze``.
 
 ``analyze --cache-dir DIR`` persists settled analysis results *across*
 invocations: run the same analysis twice and the second run answers
-its questions from disk instead of the solver. The cache is a
-directory of per-invocation journal files —
+its questions from disk instead of the solver. A run that was killed,
+timed out, or degraded recovers the same way — rerun the same command
+with the same ``--cache-dir``. The store is a directory of
+per-invocation journal files —
 
     <cache_dir>/<fingerprint>.jsonl
 
@@ -15,8 +18,8 @@ cache sound: an edited source, a different head, or any flag change
 produces a different fingerprint, so a stale entry can never be
 replayed into a mismatched analysis. Resource flags (deadline,
 question timeout, escalation) are deliberately outside the
-fingerprint, exactly as for ``--resume``: a SAT/UNSAT answer is valid
-under any resource budget.
+fingerprint: a SAT/UNSAT answer is valid under any resource budget,
+so rerunning with a longer budget is the recovery flow.
 
 Each cache file reuses the journal codec (CRC-per-line JSONL, torn
 tails dropped on read) and the journal record shapes:
@@ -24,18 +27,20 @@ tails dropped on read) and the journal record shapes:
 ``meta``       schema ``repro-cache/1`` + the invocation fingerprint.
 ``question``   one *decided* exploitation question (SAT/UNSAT only —
                a timeout or budget UNKNOWN may resolve on a retry and
-               is therefore never cached, mirroring the resume
-               journal's replay rules).
+               is therefore never stored).
 ``verdict`` /  a fully settled, *clean* loop: not degraded, no
 ``loop_done``  timeouts, no UNKNOWNs, no solver failures, and no
-               answers itself replayed from a journal or cache. Clean
-               loops replay wholesale — full counters restored — so a
-               cache-warm ``analyze --json`` is byte-identical (modulo
+               answers itself replayed from the store. Clean loops
+               replay wholesale — full counters restored — so a
+               warm ``analyze --json`` is byte-identical (modulo
                wall-clock timers) to the cold run that populated it.
 
 Question records are the insurance layer: a run that crashes mid-loop
 still leaves its decided questions behind, and the next run answers
-those from disk even though the loop never settled.
+those from disk even though the loop never settled. Degraded or
+timed-out loops are never stored wholesale, so the next run analyzes
+them again. Every record is fsync'd as it is written, so a ``kill -9``
+loses at most the record in flight.
 
 **Writers are exclusive.** A writable :class:`VerdictCache` takes an
 advisory ``flock`` on ``<fingerprint>.jsonl.lock`` for its whole
@@ -44,8 +49,9 @@ append (it degrades to read-only lookups with a warning) — two
 processes can therefore never interleave contradictory records into
 one file. ``--backend process`` serve workers open the file
 ``readonly`` for question lookups (no lock — the CRC codec drops any
-torn tail they race against) and ship new results back to the parent,
-the single writer, which stores them.
+torn tail they race against); the decided answers a read-only store
+receives are kept in :attr:`VerdictCache.received` and shipped back
+to the parent, the single writer, which stores them.
 
 **The loader never takes a side.** Files written before the lock
 existed (or through byte corruption) can carry two records for the
@@ -72,7 +78,7 @@ import logging
 import os
 from typing import Dict, List, Optional, Tuple
 
-from .journal import (JournalWriter, ResumeState, _encode_line, read_journal)
+from .journal import JournalWriter, _encode_line, read_journal
 
 try:  # advisory locking is POSIX-only; elsewhere writers go unlocked
     import fcntl
@@ -217,18 +223,18 @@ def reconcile_records(records: List[dict], *, path: str = "<cache>",
 
 
 class VerdictCache:
-    """One invocation's slice of the cross-run verdict cache.
+    """One invocation's slice of the run-state store.
 
     ``readonly=True`` opens the file for lookups only (the serve-worker
-    mode): ``record``/``store_*`` become no-ops, and a missing or
-    damaged file is simply an empty cache. A writable cache creates
-    ``cache_dir`` on demand, takes the fingerprint's advisory writer
-    lock — if another writer holds it, this cache degrades to
+    mode): nothing is written, ``store_question`` keeps its decided
+    records in :attr:`received` for the caller to forward, and a
+    missing or damaged file is simply an empty cache. A writable cache
+    creates ``cache_dir`` on demand, takes the fingerprint's advisory
+    writer lock — if another writer holds it, this cache degrades to
     read-only lookups (``lock_contended``) instead of corrupting the
     file — and appends through a
-    :class:`~repro.resilience.journal.JournalWriter` (fsync off — the
-    cache is an accelerator, not the durability layer; a torn tail is
-    dropped by the CRC codec on the next load).
+    :class:`~repro.resilience.journal.JournalWriter`, which fsyncs
+    every record: the store is the crash-recovery layer of ``analyze``.
     """
 
     def __init__(self, cache_dir: str, fingerprint: str, *,
@@ -261,17 +267,23 @@ class VerdictCache:
                 self.lock_contended = True
                 readonly = True
         self.readonly = readonly
-        state, valid = self._load()
-        self._state = state
+        #: Decided question records a read-only store was asked to
+        #: keep; a serve worker ships them to the parent, which stores
+        #: them.
+        self.received: List[dict] = []
+        self._loops: Dict[str, dict] = {}
+        self._verdicts: Dict[str, List[dict]] = {}
+        self._questions: Dict[Tuple[str, str, str],
+                              Tuple[str, Optional[Dict[str, int]]]] = {}
         #: CRC-damaged lines the loader truncated away on read.
-        self.dropped_lines = state.dropped
+        self.dropped_lines = 0
+        valid = self._load()
         self._writer: Optional[JournalWriter] = None
-        self.appending = valid
         if not readonly:
             # A damaged/foreign file is abandoned (truncated), not
             # appended to: its records failed validation above.
             self._writer = JournalWriter(
-                self.path, append=valid, fsync=False,
+                self.path, append=valid,
                 meta={"schema": CACHE_SCHEMA, "fingerprint": fingerprint})
         elif valid:
             # LRU recency for the store's size budget: any valid open
@@ -281,56 +293,73 @@ class VerdictCache:
             except OSError:  # pragma: no cover - unwritable directory
                 pass
 
-    def _load(self) -> Tuple[ResumeState, bool]:
-        """Index the existing cache file; ``valid`` is False when the
-        file is absent or its meta does not match this invocation.
+    def _load(self) -> bool:
+        """Index the existing cache file; returns False when the file
+        is absent or its meta does not match this invocation.
         Duplicate records squash; conflicting keys are logged and
         dropped (:func:`reconcile_records`) — never last-writer-wins.
         """
         self.conflicts = 0
         self.duplicate_records = 0
         if not os.path.exists(self.path):
-            return ResumeState(None, []), False
+            return False
         meta, records, dropped = read_journal(self.path)
         if meta is None or meta.get("schema") != CACHE_SCHEMA \
                 or meta.get("fingerprint") != self.fingerprint:
             logger.warning("verdict cache %s has a bad or foreign header; "
                            "ignoring its contents", self.path)
-            return ResumeState(None, []), False
+            return False
+        self.dropped_lines = dropped
         if dropped:
             logger.info("verdict cache %s: dropped %d damaged line(s)",
                         self.path, dropped)
         records, self.duplicate_records, conflict_keys = \
             reconcile_records(records, path=self.path)
         self.conflicts = len(conflict_keys)
-        return ResumeState(meta, records, dropped), True
+        for record in records:
+            kind = record.get("kind")
+            loop = record.get("loop")
+            if not isinstance(loop, str):
+                continue
+            if kind == "loop_done":
+                self._loops[loop] = record
+            elif kind == "verdict":
+                self._verdicts.setdefault(loop, []).append(record)
+            elif kind == "question" \
+                    and record.get("result") in ("sat", "unsat"):
+                # Only decided answers are settled; an UNKNOWN may
+                # resolve on a retry and is therefore always re-asked.
+                key = (loop, str(record.get("ctx")), str(record.get("q")))
+                self._questions[key] = (record["result"],
+                                        record.get("witness"))
+        return True
 
     # ------------------------------------------------------------ lookups
     @property
     def settled_loops(self) -> int:
-        return self._state.settled_loops
+        return len(self._loops)
 
     @property
     def settled_questions(self) -> int:
-        return self._state.settled_questions
+        return len(self._questions)
 
     def loop_done(self, loop_key: str) -> Optional[dict]:
         """The settled record of a clean cached loop, or None (counted
         as a loop miss — the engine probes exactly once per open
         loop)."""
-        done = self._state.loop_done(loop_key)
+        done = self._loops.get(loop_key)
         if done is None:
             self.loop_misses += 1
         return done
 
     def verdicts(self, loop_key: str) -> List[dict]:
-        return self._state.verdicts(loop_key)
+        return self._verdicts.get(loop_key, [])
 
     def question(self, loop_key: str, ctx_path: str, question: str,
                  ) -> Optional[Tuple[str, Optional[Dict[str, int]]]]:
         """A decided (SAT/UNSAT) answer, or None. Bumps the hit
         counter — call only when the answer will actually be used."""
-        hit = self._state.question(loop_key, ctx_path, question)
+        hit = self._questions.get((loop_key, ctx_path, question))
         if hit is not None:
             self.question_hits += 1
         else:
@@ -339,7 +368,7 @@ class VerdictCache:
 
     # ------------------------------------------------------------- stores
     def record(self, kind: str, **fields) -> None:
-        """Journal-writer contract entry point (no-op when readonly)."""
+        """Append one record (no-op when readonly)."""
         if self._writer is not None:
             self._writer.record(kind, **fields)
 
@@ -348,18 +377,22 @@ class VerdictCache:
                        witness: Optional[Dict[str, int]] = None) -> None:
         """Persist one decided answer. UNKNOWNs are rejected here, not
         at the call site: *never* caching an undecided answer is the
-        cache's soundness rule, so it is enforced centrally."""
-        if self.readonly or result not in ("sat", "unsat"):
+        cache's soundness rule, so it is enforced centrally. A
+        read-only store keeps the record in :attr:`received` instead."""
+        if result not in ("sat", "unsat"):
             return
-        if self._state.question(loop_key, ctx_path, question) is not None:
+        key = (loop_key, ctx_path, question)
+        if key in self._questions:
             return
         record = {"loop": loop_key, "array": array, "ctx": ctx_path,
                   "q": question, "result": result}
         if result == "sat" and witness is not None:
             record["witness"] = witness
+        if self.readonly:
+            self.received.append(record)
+            return
         self.record("question", **record)
-        self._state._questions[(loop_key, ctx_path, question)] = (
-            result, witness)
+        self._questions[key] = (result, witness)
         self.question_stores += 1
 
     def store_loop(self, loop_key: str, done: dict,
@@ -370,7 +403,7 @@ class VerdictCache:
         fallback is not settled knowledge."""
         if self.readonly or done.get("degraded"):
             return
-        if self._state.loop_done(loop_key) is not None:
+        if loop_key in self._loops:
             return
         verdict_records = [
             dict({k: v for k, v in verdict.items() if k != "kind"},
@@ -381,9 +414,8 @@ class VerdictCache:
         for record in verdict_records:
             self.record("verdict", **record)
         self.record("loop_done", **done_record)
-        self._state._loops[loop_key] = dict(done_record, kind="loop_done")
-        self._state._verdicts.setdefault(loop_key, []).extend(
-            verdict_records)
+        self._loops[loop_key] = dict(done_record, kind="loop_done")
+        self._verdicts.setdefault(loop_key, []).extend(verdict_records)
         self.loop_stores += 1
 
     # ------------------------------------------------------------ summary

@@ -1,32 +1,23 @@
-"""The crash-safe verdict journal (schema ``repro-journal/1``).
+"""The CRC'd JSONL record codec and its append-only writer.
 
-An append-only JSONL file: one record per line, each line carrying a
-CRC-32 of its canonically-serialized payload, so every line is
-independently verifiable. The writer flushes and ``fsync``\\ s each
-record before returning — a ``kill -9`` therefore loses at most the
-one record being written, and that half-line fails its checksum on
-recovery instead of poisoning the file.
-
-Record kinds (all carry the structural loop key ``"<ordinal>:<var>"``,
-never a process-local uid — uids are not stable across runs):
-
-``meta``       header: schema, fingerprint of (source, head, in/out
-               variables, engine flags). Resume refuses a journal whose
-               fingerprint does not match the current invocation.
-``question``   one settled exploitation question: context path,
-               rendered question, result, SAT witness. Resume seeds
-               the engine's question memo with the SAT/UNSAT ones.
-``verdict``    FormAD's per-(loop, array) answer.
-``loop_done``  the loop is fully analyzed: serialized counters,
-               safe-write expressions. Resume skips such loops
-               entirely and rebuilds the :class:`LoopAnalysis`.
+Two stores share this module: the ``--cache-dir`` run-state store
+(:mod:`~repro.resilience.cache`, schema ``repro-cache/1``) and the
+campaign stream journal (:mod:`~repro.audit.campaign`, schema
+``repro-campaign/1``). Each line carries a CRC-32 of its
+canonically-serialized payload, so every line is independently
+verifiable. The writer flushes and ``fsync``\\ s each record before
+returning — a ``kill -9`` therefore loses at most the one record being
+written, and that half-line fails its checksum on recovery instead of
+poisoning the file.
 
 Recovery (:func:`read_journal`) keeps every line that parses *and*
 checksums, drops damaged ones, and reports how many were dropped; a
 trailing partial line is additionally truncated before appending so a
-resumed journal stays line-aligned. Rotation (:meth:`JournalWriter.
-rotate`) compacts settled loops into their ``verdict``/``loop_done``
-records via write-temp / fsync / atomic rename.
+continued file stays line-aligned.
+
+The store's loop records come from :func:`serialize_analysis` and go
+back through its inverse :func:`rebuild_analysis`; the shard workers
+and the ``repro serve`` daemon ship the same shape over the wire.
 """
 
 from __future__ import annotations
@@ -36,9 +27,7 @@ import json
 import os
 import threading
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
-
-JOURNAL_SCHEMA = "repro-journal/1"
+from typing import List, Optional, Sequence, Tuple
 
 
 class JournalError(ValueError):
@@ -130,34 +119,24 @@ def _truncate_partial_tail(path: str) -> None:
 
 
 class JournalWriter:
-    """Thread-safe append-only writer with per-record durability.
+    """Thread-safe append-only writer with per-record durability: every
+    record is flushed and ``fsync``\\ ed before :meth:`record` returns.
 
-    **Writer contract** (also implemented by the worker-side record
-    collector in :mod:`~repro.resilience.worker` and the verdict
-    cache's writer in :mod:`~repro.resilience.cache`): a journal-like
-    object exposes ``record(kind, **fields)``, ``close()``, and the
-    boolean attribute ``appending`` — True when the writer continues an
-    existing file, False when it started a fresh one. The engine's
-    resume path *requires* ``appending`` (no duck-typed default): a
-    settled loop replayed into a fresh journal must be re-emitted so
-    the new journal is itself resumable, and a writer that cannot
-    answer the question is a bug, not a "probably appending" guess.
+    ``append=True`` continues an existing file after its last intact
+    record (a torn tail is truncated first); otherwise the file starts
+    fresh. The writer is the file's only writer — shard workers ship
+    their records back for the parent to write here.
     """
 
     def __init__(self, path: str, *, meta: Optional[dict] = None,
-                 append: bool = False, fsync: bool = True) -> None:
+                 append: bool = False) -> None:
         self.path = path
-        self.appending = append
-        self._fsync = fsync
         self._lock = threading.Lock()
         if append:
             if os.path.exists(path):
                 _truncate_partial_tail(path)
         else:
             open(path, "w").close()  # truncate
-        # Append mode: a resumed journal continues after its last intact
-        # record. This writer is the file's only writer — shard workers
-        # ship their records back for the parent to write here.
         self._fh = open(path, "a", encoding="utf-8")
         if meta is not None and os.path.getsize(path) == 0:
             self._write(dict(meta, kind="meta"))
@@ -166,41 +145,11 @@ class JournalWriter:
     def _write(self, record: dict) -> None:
         self._fh.write(_encode_line(record))
         self._fh.flush()
-        if self._fsync:
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
 
     def record(self, kind: str, **fields) -> None:
         with self._lock:
             self._write(dict(fields, kind=kind))
-
-    def rotate(self) -> None:
-        """Compact in place: settled loops keep only their ``verdict``
-        and ``loop_done`` records. Write-temp + fsync + atomic rename,
-        so a crash during rotation leaves the old journal intact."""
-        with self._lock:
-            self._fh.flush()
-            meta, records, _ = read_journal(self.path)
-            done = {r["loop"] for r in records if r.get("kind") == "loop_done"}
-            kept = [r for r in records
-                    if not (r.get("kind") == "question"
-                            and r.get("loop") in done)]
-            tmp = self.path + ".rotate.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                if meta is not None:
-                    fh.write(_encode_line(meta))
-                for record in kept:
-                    fh.write(_encode_line(record))
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._fh.close()
-            os.replace(tmp, self.path)
-            dirfd = os.open(os.path.dirname(os.path.abspath(self.path)),
-                            os.O_RDONLY)
-            try:
-                os.fsync(dirfd)
-            finally:
-                os.close(dirfd)
-            self._fh = open(self.path, "a", encoding="utf-8")
 
     def close(self) -> None:
         with self._lock:
@@ -209,82 +158,37 @@ class JournalWriter:
                 self._fh.close()
 
 
-class ResumeState:
-    """Indexed view of a recovered journal, keyed structurally."""
+def serialize_analysis(loop_key: str, analysis) -> dict:
+    """One settled :class:`~repro.formad.engine.LoopAnalysis` as
+    ``{"done": ..., "verdicts": [...]}`` — the store's ``loop_done`` and
+    ``verdict`` record payloads, and the per-loop wire shape of shard
+    replies and the ``repro serve`` daemon. :func:`rebuild_analysis`
+    reverses it."""
+    from ..formad.engine import AnalysisStats
 
-    def __init__(self, meta: Optional[dict], records: List[dict],
-                 dropped: int = 0) -> None:
-        self.meta = meta
-        self.dropped = dropped
-        self._loops: Dict[str, dict] = {}
-        self._verdicts: Dict[str, List[dict]] = {}
-        self._questions: Dict[Tuple[str, str, str],
-                              Tuple[str, Optional[Dict[str, int]]]] = {}
-        for record in records:
-            kind = record.get("kind")
-            loop = record.get("loop")
-            if not isinstance(loop, str):
-                continue
-            if kind == "loop_done":
-                self._loops[loop] = record
-            elif kind == "verdict":
-                self._verdicts.setdefault(loop, []).append(record)
-            elif kind == "question":
-                # Only decided answers are settled; UNKNOWN may resolve
-                # on a retry and is therefore always re-asked.
-                if record.get("result") in ("sat", "unsat"):
-                    key = (loop, str(record.get("ctx")),
-                           str(record.get("q")))
-                    self._questions[key] = (record["result"],
-                                            record.get("witness"))
-
-    @classmethod
-    def load(cls, path: str) -> "ResumeState":
-        meta, records, dropped = read_journal(path)
-        return cls(meta, records, dropped)
-
-    def check_fingerprint(self, fingerprint: str) -> None:
-        """Refuse to resume a journal written by a different
-        invocation (other source, flags, or variable sets)."""
-        if self.meta is None:
-            raise JournalError("journal has no intact meta record; "
-                               "cannot verify it matches this invocation")
-        if self.meta.get("schema") != JOURNAL_SCHEMA:
-            raise JournalError(f"journal schema "
-                               f"{self.meta.get('schema')!r}, expected "
-                               f"{JOURNAL_SCHEMA}")
-        if self.meta.get("fingerprint") != fingerprint:
-            raise JournalError(
-                "journal fingerprint does not match this invocation "
-                "(different source file, head, variables, or analysis "
-                "flags); refusing to replay its verdicts")
-
-    # ------------------------------------------------------------------
-    @property
-    def settled_loops(self) -> int:
-        return len(self._loops)
-
-    @property
-    def settled_questions(self) -> int:
-        return len(self._questions)
-
-    def loop_done(self, loop_key: str) -> Optional[dict]:
-        return self._loops.get(loop_key)
-
-    def verdicts(self, loop_key: str) -> List[dict]:
-        return self._verdicts.get(loop_key, [])
-
-    def question(self, loop_key: str, ctx_path: str, question: str,
-                 ) -> Optional[Tuple[str, Optional[Dict[str, int]]]]:
-        return self._questions.get((loop_key, ctx_path, question))
+    stats = {name: getattr(analysis.stats, name)
+             for name in AnalysisStats.__dataclass_fields__}
+    return {
+        "done": {
+            "loop": loop_key,
+            "stats": stats,
+            "safe_writes": list(analysis.safe_write_expressions),
+            "offending": list(analysis.offending_expressions),
+            "degraded": analysis.degraded,
+        },
+        "verdicts": [
+            {"array": v.array, "safe": v.safe,
+             "pairs_total": v.pairs_total, "pairs_proven": v.pairs_proven,
+             "reason": v.reason}
+            for v in analysis.verdicts.values()
+        ],
+    }
 
 
-def rebuild_analysis(loop, done: dict, verdicts: List[dict], *,
-                     resumed: bool = True):
-    """Reconstruct a :class:`~repro.formad.engine.LoopAnalysis` from a
-    settled loop's journal records (the ``--resume`` fast path, and —
-    with ``resumed=False`` — the shard workers' and the daemon's result
-    channel, which reuse the same record shapes)."""
+def rebuild_analysis(loop, done: dict, verdicts: List[dict]):
+    """Reconstruct a :class:`~repro.formad.engine.LoopAnalysis` from the
+    ``done``/``verdicts`` payloads :func:`serialize_analysis` produced
+    (a store replay, a shard reply, or a daemon answer)."""
     from ..formad.engine import AnalysisStats, ArrayVerdict, LoopAnalysis
     stats = AnalysisStats()
     known = set(AnalysisStats.__dataclass_fields__)
@@ -301,5 +205,4 @@ def rebuild_analysis(loop, done: dict, verdicts: List[dict], *,
     return LoopAnalysis(loop, rebuilt, stats,
                         list(done.get("safe_writes", [])),
                         list(done.get("offending", [])),
-                        degraded=bool(done.get("degraded", False)),
-                        resumed=resumed)
+                        degraded=bool(done.get("degraded", False)))

@@ -11,18 +11,17 @@ one slow region never idles the rest of the pool).
 
 Division of labor (docs/SCALING.md):
 
-* **Workers** analyze. They never write the parent's journal, trace
-  stream, or verdict cache; each reply carries the journal-shaped
-  records, buffered trace events, and cache metadata of one loop.
-* **The parent** owns all I/O: it is the single journal writer, the
-  single cache writer, and the single trace sink. Each shard's feeder
-  thread (named ``shard-<k>`` — the name trace events inherit) applies
-  its worker's replies under one lock, so per-loop record blocks stay
-  contiguous in the journal.
-* **Replay stays parental**: settled loops from a ``--resume`` journal
-  and clean loops from the ``--cache-dir`` verdict cache are replayed
-  in the parent *before* sharding; only genuinely open loops are
-  queued.
+* **Workers** analyze. They never write the parent's trace stream or
+  run-state store; each reply carries one loop's serialized analysis,
+  buffered trace events, and the decided answers the worker's
+  read-only store received.
+* **The parent** owns all I/O: it is the single store writer and the
+  single trace sink. Each shard's feeder thread (named ``shard-<k>``
+  — the name trace events inherit) applies its worker's replies under
+  one lock, so per-loop record blocks stay contiguous in the store.
+* **Replay stays parental**: clean loops from the ``--cache-dir``
+  store are replayed in the parent *before* sharding; only genuinely
+  open loops are queued.
 
 This is also the crash-containment runtime (docs/RESILIENCE.md): a
 crashed, hung, or killed worker degrades the loop it was holding
@@ -65,9 +64,8 @@ class WorkerOutcome:
     """What happened to one loop's shard."""
 
     loop_key: str
-    #: ``ok`` | ``crash`` | ``timeout`` | ``resumed`` (no worker ran:
-    #: the loop was settled in the resume journal) | ``cached`` (no
-    #: worker ran: the loop replayed from the cross-run verdict cache).
+    #: ``ok`` | ``crash`` | ``timeout`` | ``cached`` (no worker ran:
+    #: the loop replayed from the ``--cache-dir`` store).
     status: str
     detail: str = ""
     elapsed: float = 0.0
@@ -296,8 +294,9 @@ class WorkerPool:
     stale is re-initialized (cheap — engine construction, no model
     build) before serving its first request of the run. The re-init is
     mandatory even for a repeated identical run: serve workers memoize
-    per-loop results and drain their record buffers per reply, so a
-    stale engine would answer a repeat dispatch with empty records.
+    per-loop results and drain their store's received answers per
+    reply, so a stale engine would answer a repeat dispatch without
+    its question records.
 
     Thread-safety: feeders touch disjoint slots (slot ``k`` belongs to
     feeder ``k``), so per-slot state needs no lock; ``begin_run`` /
@@ -377,7 +376,6 @@ class WorkerPool:
 
 def _init_request(engine, source: str, head: str,
                   independents: Sequence[str], dependents: Sequence[str], *,
-                  resume_path: Optional[str],
                   cache_dir: Optional[str],
                   fingerprint: Optional[str]) -> dict:
     return {
@@ -394,7 +392,6 @@ def _init_request(engine, source: str, head: str,
             "max_scale": engine.escalation.max_scale,
             "jitter": engine.escalation.jitter,
         },
-        "resume": resume_path,
         "cache_dir": cache_dir,
         "fingerprint": fingerprint,
         "trace": engine.tracer.enabled,
@@ -403,45 +400,38 @@ def _init_request(engine, source: str, head: str,
 
 def _apply_reply(engine, cache, loop, key: str, reply: dict, *,
                  worker_id=None, clock=None, window=None):
-    """Apply one shard reply in the parent: journal its records, store
-    its decided questions (and, if clean, the whole loop) in the
-    verdict cache, re-emit its trace events, and rebuild the
-    :class:`~repro.formad.engine.LoopAnalysis`. Callers hold the
-    scheduler's apply lock, so one loop's records stay contiguous.
+    """Apply one shard reply in the parent: store its decided questions
+    (and, if clean, the whole loop) in the run-state store, re-emit its
+    trace events, and rebuild the :class:`~repro.formad.engine.
+    LoopAnalysis`. Callers hold the scheduler's apply lock, so one
+    loop's records stay contiguous.
 
-    A structurally broken reply (no ``loop_done``) still folds whatever
-    trace events *did* arrive — marked ``partial`` — before raising;
-    silently dropping telemetry that made it across the wire hides
-    exactly the failures the trace exists to explain."""
-    journal = engine._journal
+    A structurally broken reply (no serialized analysis) still folds
+    whatever trace events *did* arrive — marked ``partial`` — before
+    raising; silently dropping telemetry that made it across the wire
+    hides exactly the failures the trace exists to explain."""
     tracer = engine.tracer
-    done: Optional[dict] = None
-    verdicts: List[dict] = []
-    for item in reply.get("records", []):
-        kind, fields = str(item[0]), dict(item[1])
-        if journal is not None:
-            journal.record(kind, **fields)
-        if kind == "loop_done":
-            done = fields
-        elif kind == "verdict":
-            verdicts.append(fields)
-        elif kind == "question" and cache is not None:
+    serialized = reply.get("analysis")
+    if not isinstance(serialized, dict) \
+            or not isinstance(serialized.get("done"), dict):
+        _fold_worker_events(tracer, reply.get("events"),
+                            worker_id=worker_id, clock=clock,
+                            window=window, partial=True)
+        raise WorkerGone("crash", "worker reply missing its loop analysis")
+    done = serialized["done"]
+    verdicts = list(serialized.get("verdicts") or [])
+    if cache is not None:
+        for fields in reply.get("questions") or []:
             cache.store_question(
                 str(fields.get("loop", key)), str(fields.get("array", "")),
                 str(fields.get("ctx", "")), str(fields.get("q", "")),
                 str(fields.get("result", "")), fields.get("witness"))
-    if done is None:
-        _fold_worker_events(tracer, reply.get("events"),
-                            worker_id=worker_id, clock=clock,
-                            window=window, partial=True)
-        raise WorkerGone("crash", "worker reply missing its loop_done record")
-    if cache is not None:
         cache.question_hits += int(reply.get("cache_hits") or 0)
         if reply.get("cacheable"):
             cache.store_loop(key, done, verdicts)
     _fold_worker_events(tracer, reply.get("events"), worker_id=worker_id,
                         clock=clock, window=window)
-    analysis = rebuild_analysis(loop, done, verdicts, resumed=False)
+    analysis = rebuild_analysis(loop, done, verdicts)
     analysis.cacheable = bool(reply.get("cacheable"))
     return analysis
 
@@ -454,7 +444,6 @@ def analyze_sharded(
     dependents: Sequence[str],
     *,
     config: Optional[ShardConfig] = None,
-    resume_path: Optional[str] = None,
     cache_dir: Optional[str] = None,
     fingerprint: Optional[str] = None,
     pool: Optional[WorkerPool] = None,
@@ -463,8 +452,8 @@ def analyze_sharded(
     pool of persistent worker processes.
 
     Returns ``(analyses, outcomes)`` in loop order; loops the parent
-    replayed without dispatching a shard get a ``resumed``/``cached``
-    outcome.
+    replayed from the store without dispatching a shard get a
+    ``cached`` outcome.
 
     *pool* is the caller-owned worker pool; when omitted, a throwaway
     pool is built and torn down inside this call (the one-shot CLI
@@ -482,11 +471,6 @@ def analyze_sharded(
     pending: "queue.Queue" = queue.Queue()
     for index, loop in enumerate(loops):
         key = engine.loop_key(loop)
-        replayed = engine._replay_settled(loop)
-        if replayed is not None:
-            slots[index] = replayed
-            outcomes[index] = WorkerOutcome(key, "resumed")
-            continue
         replayed = engine._replay_cached(loop)
         if replayed is not None:
             slots[index] = replayed
@@ -497,8 +481,8 @@ def analyze_sharded(
         return list(slots), list(outcomes)
 
     init_request = _init_request(engine, source, head, independents,
-                                 dependents, resume_path=resume_path,
-                                 cache_dir=cache_dir, fingerprint=fingerprint)
+                                 dependents, cache_dir=cache_dir,
+                                 fingerprint=fingerprint)
     owned_pool = pool is None
     if pool is None:
         pool = WorkerPool(config, max(1, min(config.jobs, pending.qsize())))

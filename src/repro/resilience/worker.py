@@ -6,13 +6,12 @@ newline-delimited JSON loop. The parent sends one ``init`` request
 naming the program and engine flags, then any number of ``analyze``
 requests — one per loop shard pulled from the parent's
 work queue — and finally ``shutdown``. The worker never writes the
-parent's journal, trace stream, or verdict cache: every record the
-engine would journal is buffered by a :class:`_RecordCollector`,
-every trace event by a :class:`~repro.obs.tracer.BufferTracer`, and
-both travel back in the ``analyze`` reply for the parent — the single
-writer — to apply (:mod:`~repro.resilience.shards`). The verdict
-cache, when configured, is opened **readonly** here: lookups answer
-questions locally, stores are the parent's job.
+parent's trace stream or run-state store: each ``analyze`` reply
+carries the serialized loop analysis, the trace events buffered by a
+:class:`~repro.obs.tracer.BufferTracer`, and the decided answers the
+worker's **readonly** store received, for the parent — the single
+writer — to apply (:mod:`~repro.resilience.shards`). The store, when
+configured, answers questions locally; storing is the parent's job.
 
 The serve loop also backs ``repro campaign``: an ``init`` with
 ``"mode": "audit"`` puts the worker in campaign mode, and each
@@ -43,7 +42,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 def _inject_fault(loop_key: str) -> None:
@@ -63,34 +62,7 @@ def _inject_fault(loop_key: str) -> None:
         raise RuntimeError(f"injected worker fault on loop {loop_key!r}")
 
 
-class _RecordCollector:
-    """Journal-writer contract implementation that buffers instead of
-    writing: the serve worker's engine journals into one of these, and
-    the buffered ``(kind, fields)`` records ship back to the parent in
-    each reply. ``appending`` is False — this collector never holds
-    prior records, so a settled loop replayed worker-side re-emits its
-    records (the parent then journals them; a duplicate in an
-    append-mode parent journal is idempotent under the resume index).
-    """
-
-    appending = False
-
-    def __init__(self) -> None:
-        self.records: List[Tuple[str, dict]] = []
-
-    def record(self, kind: str, **fields) -> None:
-        self.records.append((kind, fields))
-
-    def drain(self) -> List[Tuple[str, dict]]:
-        out = self.records
-        self.records = []
-        return out
-
-    def close(self) -> None:
-        return None
-
-
-def _build_engine(request: dict, *, journal, tracer=None):
+def _build_engine(request: dict, *, tracer=None):
     """The engine an ``init`` request describes."""
     from ..analysis.activity import ActivityAnalysis
     from ..formad.engine import FormADEngine
@@ -98,7 +70,6 @@ def _build_engine(request: dict, *, journal, tracer=None):
     from ..obs.tracer import NULL_TRACER
     from .deadline import Deadline
     from .escalate import EscalationPolicy
-    from .journal import ResumeState
 
     program = parse_program(request["source"])
     proc = program[request["head"]]
@@ -110,9 +81,6 @@ def _build_engine(request: dict, *, journal, tracer=None):
     escalation = None
     if request.get("escalation"):
         escalation = EscalationPolicy(**request["escalation"])
-    resume = None
-    if request.get("resume"):
-        resume = ResumeState.load(request["resume"])
     cache = None
     if request.get("cache_dir") and request.get("fingerprint"):
         from .cache import VerdictCache
@@ -120,37 +88,9 @@ def _build_engine(request: dict, *, journal, tracer=None):
                              readonly=True)
     return FormADEngine(proc, activity, deadline=deadline,
                         question_timeout=request.get("question_timeout"),
-                        escalation=escalation, journal=journal,
-                        resume=resume, cache=cache,
+                        escalation=escalation, cache=cache,
                         tracer=tracer or NULL_TRACER,
                         **(request.get("flags") or {}))
-
-
-def serialize_analysis(engine, loop_key: str, analysis) -> dict:
-    """One settled :class:`~repro.formad.engine.LoopAnalysis` as the
-    wire shape ``{"done": ..., "verdicts": [...]}`` that
-    :func:`~repro.resilience.journal.rebuild_analysis` reverses — the
-    per-loop serialization of the ``repro serve`` daemon's analyze
-    reply."""
-    from ..formad.engine import AnalysisStats
-
-    stats = {name: getattr(analysis.stats, name)
-             for name in AnalysisStats.__dataclass_fields__}
-    return {
-        "done": {
-            "loop": loop_key,
-            "stats": stats,
-            "safe_writes": list(analysis.safe_write_expressions),
-            "offending": list(analysis.offending_expressions),
-            "degraded": analysis.degraded,
-        },
-        "verdicts": [
-            {"array": v.array, "safe": v.safe,
-             "pairs_total": v.pairs_total, "pairs_proven": v.pairs_proven,
-             "reason": v.reason}
-            for v in analysis.verdicts.values()
-        ],
-    }
 
 
 def serve() -> int:
@@ -158,9 +98,9 @@ def serve() -> int:
     from ..obs.tracer import BufferTracer
     from ..smt.clausify import clausify_cache_clear
     from .deadline import Deadline
+    from .journal import serialize_analysis
 
     engine = None
-    collector: Optional[_RecordCollector] = None
     tracer: Optional[BufferTracer] = None
     loops_by_key = {}
     cache = None
@@ -193,7 +133,6 @@ def serve() -> int:
             # across modes starts cold.
             clausify_cache_clear()
             engine = None
-            collector = None
             tracer = None
             loops_by_key = {}
             reply({"ok": True, "loops": []})
@@ -218,10 +157,8 @@ def serve() -> int:
             # process for another run) starts from cold caches so
             # counters stay run-deterministic.
             clausify_cache_clear()
-            collector = _RecordCollector()
             tracer = BufferTracer() if request.get("trace") else None
-            engine = _build_engine(request, journal=collector,
-                                   tracer=tracer)
+            engine = _build_engine(request, tracer=tracer)
             cache = engine._vcache
             loops_by_key = {engine.loop_key(loop): loop
                             for loop in engine.proc.parallel_loops()}
@@ -251,14 +188,17 @@ def serve() -> int:
                    "error": {"type": "PrimalRaceError",
                              "message": str(exc)}})
             continue
-        payload = {
+        questions: List[dict] = []
+        if cache is not None:
+            questions, cache.received = cache.received, []
+        reply({
             "loop": loop_key,
-            "records": collector.drain(),
+            "analysis": serialize_analysis(loop_key, analysis),
             "cacheable": analysis.cacheable,
+            "questions": questions,
             "cache_hits": (cache.question_hits - hits_before
                            if cache is not None else 0),
-        }
-        reply(payload)
+        })
     return 0
 
 

@@ -122,8 +122,7 @@ def analyze_connected(engine, source: str, head: str,
                 f"daemon answered for loop {key!r}, which this source "
                 f"does not contain — server/client source desync")
         analysis = rebuild_analysis(loop, dict(item.get("done") or {}),
-                                    list(item.get("verdicts") or []),
-                                    resumed=False)
+                                    list(item.get("verdicts") or []))
         # The daemon judged cleanliness against the real run; the
         # rebuilt object carries its verdict rather than guessing.
         analysis.cacheable = bool(item.get("cacheable"))

@@ -188,7 +188,7 @@ class AnalysisService:
         from ..ir import parse_program
         from ..resilience.deadline import Deadline
         from ..resilience.escalate import EscalationPolicy
-        from ..resilience.worker import serialize_analysis
+        from ..resilience.journal import serialize_analysis
         from ..smt.clausify import clausify_cache_clear
 
         source = str(request["source"])
@@ -252,7 +252,7 @@ class AnalysisService:
             for analysis in analyses:
                 key = engine.loop_key(analysis.loop)
                 loops.append(dict(
-                    serialize_analysis(engine, key, analysis), key=key,
+                    serialize_analysis(key, analysis), key=key,
                     cacheable=bool(getattr(analysis, "cacheable",
                                            False))))
             clean = bool(analyses) and all(
@@ -265,7 +265,7 @@ class AnalysisService:
                      "fingerprint": fingerprint, "procedure": head,
                      "loops": loops}
             if outcomes is not None and any(
-                    o.status not in ("ok", "resumed", "cached")
+                    o.status not in ("ok", "cached")
                     for o in outcomes):
                 reply["workers"] = [
                     {"loop": o.loop_key, "status": o.status,

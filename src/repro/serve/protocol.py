@@ -20,7 +20,8 @@ Requests::
 Every reply carries ``ok`` (bool) and, on failure, ``error``
 (``{"type", "message"}``). An ``analyze`` reply's payload is
 ``loops``: one ``{"key", "done", "verdicts"}`` record per parallel
-loop in loop order — exactly the journal record shapes
+loop in loop order — exactly the store's record shapes
+(:func:`~repro.resilience.journal.serialize_analysis`), which
 :func:`~repro.resilience.journal.rebuild_analysis` reverses, so the
 client reconstructs full :class:`~repro.formad.engine.LoopAnalysis`
 objects and reuses the ordinary CLI rendering (that construction is

@@ -110,3 +110,22 @@ class TestProfile:
     def test_missing_trace_file(self, capsys):
         assert main(["profile", "/no/such/file.jsonl"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestOlderTraceSchema:
+    def test_v1_trace_still_replays_with_a_warning(self, stencil_trace,
+                                                    tmp_path, capsys):
+        old = tmp_path / "v1.jsonl"
+        with open(stencil_trace) as src, open(old, "w") as dst:
+            for line in src:
+                event = dict(json.loads(line), v=1)
+                if event["type"] == "meta":
+                    event["schema"] = "repro-trace/1"
+                dst.write(json.dumps(event) + "\n")
+        capsys.readouterr()
+        assert main(["explain", str(old), "--array", "uoldb"]) == 0
+        captured = capsys.readouterr()
+        assert "schema violation" in captured.err
+        assert "SAFE" in captured.out and "UNSAT" in captured.out
+        assert main(["profile", str(old)]) == 0
+        assert "analysis.loop" in capsys.readouterr().out

@@ -13,7 +13,9 @@ What must hold (docs/SCALING.md, "The verdict cache"):
 * the cache file is keyed on the invocation fingerprint: foreign or
   damaged files are ignored and abandoned, and different engine flags
   never share entries;
-* ``readonly`` mode (serve workers) never writes.
+* ``readonly`` mode (serve workers) never writes;
+* it is the crash-recovery store: a rerun on the same store recovers
+  loops that timed out or never finished.
 """
 
 import os
@@ -21,10 +23,11 @@ import os
 import pytest
 
 from repro.analysis.activity import ActivityAnalysis
+from repro.audit.campaign import CAMPAIGN_SCHEMA
 from repro.formad import FormADEngine
 from repro.ir import parse_program
 from repro.resilience.cache import CACHE_SCHEMA, VerdictCache
-from repro.resilience.journal import (JOURNAL_SCHEMA, JournalWriter,
+from repro.resilience.journal import (JournalWriter, _decode_line,
                                       journal_fingerprint, read_journal)
 
 TWO_LOOPS = """
@@ -72,7 +75,6 @@ class TestStoreRules:
         cache.close()
 
         again = VerdictCache(str(tmp_path), "fp")
-        assert again.appending
         assert again.settled_questions == 2
         assert again.question("0:i", "[root]", "q1") == ("unsat", None)
         assert again.question("0:i", "[root]", "q2") == ("sat", {"i": 3})
@@ -140,16 +142,16 @@ class TestStoreRules:
 
 class TestFileIdentity:
     def test_foreign_meta_is_ignored_and_abandoned(self, tmp_path):
-        # a journal (different schema) parked at the cache's path
+        # a campaign journal (different schema) parked at the path
         path = str(tmp_path / "fp.jsonl")
-        writer = JournalWriter(path, meta={"schema": JOURNAL_SCHEMA,
+        writer = JournalWriter(path, meta={"schema": CAMPAIGN_SCHEMA,
                                            "fingerprint": "fp"})
         writer.record("question", loop="0:i", ctx="[root]", q="q",
                       result="unsat")
         writer.close()
 
         cache = VerdictCache(str(tmp_path), "fp")
-        assert not cache.appending
+        assert cache.settled_questions == 0
         assert cache.question("0:i", "[root]", "q") is None
         cache.close()
         # the foreign file was truncated, not appended to
@@ -164,7 +166,7 @@ class TestFileIdentity:
         os.rename(stale.path, os.path.join(str(tmp_path), "fp-new.jsonl"))
 
         cache = VerdictCache(str(tmp_path), "fp-new")
-        assert not cache.appending
+        assert cache.settled_questions == 0
         assert cache.question("0:i", "[root]", "q") is None
         cache.close()
 
@@ -202,9 +204,6 @@ class TestEngineWarmReplay:
         assert warm_cache.loop_hits == 2
         assert warm_cache.loop_stores == 0  # nothing new to store
         for again, honest in zip(replayed, baseline):
-            # cache replay is not --resume: the analysis presents as a
-            # normal (non-resumed) result with canonical cold counters
-            assert not again.resumed
             assert {n: v.safe for n, v in again.verdicts.items()} \
                 == {n: v.safe for n, v in honest.verdicts.items()}
             assert again.safe_write_expressions \
@@ -227,3 +226,73 @@ class TestEngineWarmReplay:
         again = VerdictCache(str(tmp_path), fingerprint)
         assert again.settled_loops == 0
         again.close()
+
+    def test_missing_loop_done_replays_decided_questions(self, tmp_path):
+        proc = parse_program(TWO_LOOPS)["two"]
+        engine = _engine(proc)
+        fingerprint = _fingerprint(engine)
+        cold = VerdictCache(str(tmp_path), fingerprint)
+        engine.attach_run_state(cache=cold)
+        baseline = engine.analyze_all()
+        cold.close()
+
+        # drop the second loop's loop_done record (as if the run had
+        # been killed before finishing it); its questions survive
+        lines = open(cold.path).read().splitlines(keepends=True)
+        kept = [ln for ln in lines
+                if (_decode_line(ln) or {}).get("kind") != "loop_done"
+                or (_decode_line(ln) or {}).get("loop") != "1:j"]
+        assert len(kept) == len(lines) - 1
+        with open(cold.path, "w") as fh:
+            fh.writelines(kept)
+
+        store = VerdictCache(str(tmp_path), fingerprint)
+        assert store.settled_loops == 1
+        rerun = _engine(proc, cache=store).analyze_all()
+        store.close()
+
+        # loop 0:i replays wholesale; loop 1:j is analyzed again but
+        # answers its decided questions from the store, lands on the
+        # same verdicts, and is not stored wholesale (its counters are
+        # not the cold counters)
+        assert store.loop_hits == 1
+        assert store.question_hits > 0
+        assert rerun[0].cacheable and not rerun[1].cacheable
+        assert store.loop_stores == 0
+        for again, honest in zip(rerun, baseline):
+            assert {n: v.safe for n, v in again.verdicts.items()} \
+                == {n: v.safe for n, v in honest.verdicts.items()}
+
+
+class TestRecovery:
+    def test_rerun_after_question_timeouts_recovers(self, tmp_path):
+        """A run whose questions all timed out leaves no settled loop
+        behind, so a rerun on the same store without the timeout
+        analyzes again and matches a store-less run exactly."""
+        proc = parse_program(TWO_LOOPS)["two"]
+        plain = _engine(proc).analyze_all()
+        fingerprint = _fingerprint(_engine(proc))
+
+        store = VerdictCache(str(tmp_path), fingerprint)
+        timed_out = _engine(proc, question_timeout=0.0,
+                            cache=store).analyze_all()
+        store.close()
+        assert sum(a.stats.timed_out_questions for a in timed_out) > 0
+        assert not any(a.all_safe for a in timed_out)
+        assert store.loop_stores == 0
+
+        store = VerdictCache(str(tmp_path), fingerprint)
+        recovered = _engine(proc, cache=store).analyze_all()
+        store.close()
+        assert store.loop_hits == 0
+        assert store.loop_stores == 2
+        for again, honest in zip(recovered, plain):
+            assert again.stats.timed_out_questions == 0
+            assert again.cacheable
+            assert {n: v.safe for n, v in again.verdicts.items()} \
+                == {n: v.safe for n, v in honest.verdicts.items()}
+            assert again.stats.queries == honest.stats.queries
+            assert again.stats.region_loc == honest.stats.region_loc
+            for name in COUNTERS:
+                assert getattr(again.stats, name) \
+                    == getattr(honest.stats, name), name

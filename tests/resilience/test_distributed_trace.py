@@ -4,7 +4,7 @@ The tentpole contract (docs/OBSERVABILITY.md "Distributed tracing &
 metrics v2"):
 
 * a ``--backend process`` run produces ONE merged trace that validates
-  under repro-trace/1 — worker-buffered events re-emitted by the
+  under repro-trace/2 — worker-buffered events re-emitted by the
   parent, each carrying its ``worker_id`` and a timestamp normalized
   onto the parent's timeline via the clock-offset handshake;
 * normalized worker timestamps are clamped into the carrying request's

@@ -5,8 +5,8 @@ loop-shard pool of one worker (``--backend process --jobs 1``).  The
 fault-independence contract: a crashed, hung, or raising worker
 degrades exactly its own loop (safeguards everywhere, planned question
 counts preserved), and the respawned worker serves the other loop as
-if nothing had happened.  The kill -9 + ``--resume`` smoke test lives
-in ``test_shards.py``.
+if nothing had happened.  The kill -9 + ``--cache-dir`` recovery test
+lives in ``test_shards.py``.
 """
 
 import time

@@ -1,25 +1,25 @@
-"""The crash-safe verdict journal: recovery, rotation, engine resume.
+"""The crash-safe record codec and recovery from the ``--cache-dir``
+store.
 
 The durability story under test: every line checksums independently,
 damage (a truncated tail from ``kill -9``, flipped bytes from a bad
-disk) drops only the damaged records, and a resumed analysis replays
-the surviving SAT/UNSAT answers to reproduce the uninterrupted
-verdicts and counts.
+disk) drops only the damaged records, the store indexes only settled
+knowledge from what survives, and an engine rerun on the store replays
+it to reproduce the uninterrupted verdicts and counts.
 """
 
 import json
 import os
 import zlib
 
-import pytest
-
 from repro.analysis.activity import ActivityAnalysis
 from repro.formad import FormADEngine
 from repro.ir import parse_program
-from repro.resilience.journal import (JOURNAL_SCHEMA, JournalError,
-                                      JournalWriter, ResumeState,
-                                      _decode_line, _encode_line,
-                                      journal_fingerprint, read_journal)
+from repro.resilience import Deadline
+from repro.resilience.cache import CACHE_SCHEMA, VerdictCache
+from repro.resilience.journal import (JournalWriter, _decode_line,
+                                      _encode_line, journal_fingerprint,
+                                      read_journal)
 
 TWO_LOOPS = """
 subroutine two(x, y, z, n)
@@ -40,7 +40,7 @@ end subroutine two
 
 
 def _meta(fingerprint="fp"):
-    return {"schema": JOURNAL_SCHEMA, "fingerprint": fingerprint}
+    return {"schema": CACHE_SCHEMA, "fingerprint": fingerprint}
 
 
 class TestLineCodec:
@@ -122,8 +122,10 @@ class TestReadJournal:
         assert [r["q"] for r in records] == ["a", "c"]
 
     def test_fresh_mode_truncates_but_appends(self, tmp_path):
-        # the handle itself must be O_APPEND even in fresh mode so a
-        # worker subprocess can interleave its own appends
+        # the handle is O_APPEND even in fresh mode, so every record
+        # lands at the current end of file: a second, unlocked writer
+        # (the case reconcile_records repairs) can interleave records
+        # with this one but never overwrite them
         path = str(tmp_path / "j.jsonl")
         writer = JournalWriter(path, meta=_meta())
         with open(path, "a") as other:
@@ -136,103 +138,18 @@ class TestReadJournal:
         assert [r["kind"] for r in records] == ["question", "verdict"]
 
 
-class TestRotate:
-    def test_rotation_compacts_settled_loops(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        writer = JournalWriter(path, meta=_meta())
-        writer.record("question", loop="0:i", q="a", result="unsat")
-        writer.record("verdict", loop="0:i", array="y", safe=True)
-        writer.record("loop_done", loop="0:i", stats={}, safe_writes=[],
-                      offending=[], degraded=False)
-        writer.record("question", loop="1:j", q="b", result="sat",
-                      witness={"i": 1})
-        writer.rotate()
-        # the writer still works after rotation
-        writer.record("question", loop="1:j", q="c", result="unsat")
-        writer.close()
-        meta, records, dropped = read_journal(path)
-        assert meta is not None and dropped == 0
-        kinds = [(r["kind"], r["loop"]) for r in records]
-        assert ("question", "0:i") not in kinds       # compacted
-        assert ("verdict", "0:i") in kinds
-        assert ("loop_done", "0:i") in kinds
-        assert kinds.count(("question", "1:j")) == 2  # unsettled: kept
-
-
-class TestAppendingContract:
-    """``appending`` is a *required* attribute of anything passed as a
-    journal: the engine decides whether to re-emit resume-settled loops
-    by reading it directly, without a duck-typed ``getattr`` default
-    that would silently pick a wrong behavior for a new writer kind."""
-
-    def test_journal_like_without_appending_is_rejected(self, tmp_path):
-        class Recorder:  # record()/close() but no `appending`
-            def __init__(self):
-                self.rows = []
-
-            def record(self, kind, **fields):
-                self.rows.append((kind, fields))
-
-            def close(self):
-                pass
-
-        proc = parse_program(TWO_LOOPS)["two"]
-        path = str(tmp_path / "j.jsonl")
-        _journaled_run(proc, path)
-        state = ResumeState.load(path)
-        engine = _engine(proc, resume=state)
-        engine.attach_run_state(journal=Recorder())
-        with pytest.raises(AttributeError, match="appending"):
-            engine.analyze_all()
-
-    def test_resume_into_fresh_journal_reemits_settled_loops(self, tmp_path):
-        """Resuming from journal A while writing journal B afresh must
-        copy A's settled verdicts into B — otherwise B claims to
-        describe the run but is missing its loops."""
-        proc = parse_program(TWO_LOOPS)["two"]
-        old = str(tmp_path / "old.jsonl")
-        new = str(tmp_path / "new.jsonl")
-        baseline, fingerprint = _journaled_run(proc, old)
-
-        state = ResumeState.load(old)
-        writer = JournalWriter(new, meta=_meta(fingerprint))
-        assert not writer.appending
-        resumed = _engine(proc, resume=state, journal=writer).analyze_all()
-        writer.close()
-        assert all(a.resumed for a in resumed)
-
-        fresh_state = ResumeState.load(new)
-        assert fresh_state.settled_loops == 2
-        for key in ("0:i", "1:j"):
-            assert fresh_state.loop_done(key) is not None
-        # the new journal resumes exactly like the old one
-        again = _engine(proc, resume=fresh_state).analyze_all()
-        for a, b in zip(again, baseline):
-            assert a.resumed
-            assert {n: v.safe for n, v in a.verdicts.items()} \
-                == {n: v.safe for n, v in b.verdicts.items()}
-
-    def test_appending_journal_does_not_duplicate_settled_loops(self, tmp_path):
-        """Resuming *into the same journal* (append mode) must not
-        re-emit: the records are already there."""
-        proc = parse_program(TWO_LOOPS)["two"]
-        path = str(tmp_path / "j.jsonl")
-        _journaled_run(proc, path)
-        before = len(read_journal(path)[1])
-
-        state = ResumeState.load(path)
-        writer = JournalWriter(path, append=True)
-        assert writer.appending
-        resumed = _engine(proc, resume=state, journal=writer).analyze_all()
-        writer.close()
-        assert all(a.resumed for a in resumed)
-        assert len(read_journal(path)[1]) == before
+def _store_file(tmp_path, fingerprint="fp"):
+    """A raw writer on the store file of *fingerprint*: the records a
+    killed run left behind, written without the store's own rules."""
+    path = str(tmp_path / f"{fingerprint}.jsonl")
+    return JournalWriter(path, meta=_meta(fingerprint))
 
 
 class TestResumeState:
+    """What the store indexes from a recovered file."""
+
     def test_only_decided_questions_settle(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        writer = JournalWriter(path, meta=_meta())
+        writer = _store_file(tmp_path)
         writer.record("question", loop="0:i", ctx="[root]", q="a",
                       result="unsat")
         writer.record("question", loop="0:i", ctx="[root]", q="b",
@@ -240,7 +157,7 @@ class TestResumeState:
         writer.record("question", loop="0:i", ctx="[root]", q="c",
                       result="unknown", reason="timeout")
         writer.close()
-        state = ResumeState.load(path)
+        state = VerdictCache(str(tmp_path), "fp", readonly=True)
         assert state.settled_questions == 2
         assert state.question("0:i", "[root]", "a") == ("unsat", None)
         assert state.question("0:i", "[root]", "b") == ("sat", {"i": 3})
@@ -248,30 +165,15 @@ class TestResumeState:
         assert state.question("0:i", "[other]", "a") is None
 
     def test_loop_indexing(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        writer = JournalWriter(path, meta=_meta())
+        writer = _store_file(tmp_path)
         writer.record("verdict", loop="0:i", array="y", safe=True)
         writer.record("loop_done", loop="0:i", stats={}, degraded=False)
         writer.close()
-        state = ResumeState.load(path)
+        state = VerdictCache(str(tmp_path), "fp", readonly=True)
         assert state.settled_loops == 1
         assert state.loop_done("0:i")["kind"] == "loop_done"
         assert state.loop_done("1:j") is None
         assert [v["array"] for v in state.verdicts("0:i")] == ["y"]
-
-    def test_fingerprint_refusal(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        JournalWriter(path, meta=_meta("good")).close()
-        state = ResumeState.load(path)
-        state.check_fingerprint("good")  # matching: no raise
-        with pytest.raises(JournalError, match="fingerprint"):
-            state.check_fingerprint("other")
-        with pytest.raises(JournalError, match="meta"):
-            ResumeState(None, []).check_fingerprint("good")
-        bad_schema = ResumeState({"kind": "meta", "schema": "v0",
-                                  "fingerprint": "good"}, [])
-        with pytest.raises(JournalError, match="schema"):
-            bad_schema.check_fingerprint("good")
 
     def test_fingerprint_is_sensitive_to_inputs(self):
         base = journal_fingerprint("src", "two", ["x"], ["y"], {"f": 1})
@@ -290,81 +192,57 @@ def _engine(proc, **kwargs):
     return FormADEngine(proc, activity, **kwargs)
 
 
-def _journaled_run(proc, path):
+def _stored_run(proc, tmp_path):
     engine = _engine(proc)
     fingerprint = journal_fingerprint(
         TWO_LOOPS, "two", ["x"], ["y", "z"], engine.fingerprint_flags())
-    writer = JournalWriter(path, meta=_meta(fingerprint))
-    engine.attach_run_state(journal=writer)
+    store = VerdictCache(str(tmp_path), fingerprint)
+    engine.attach_run_state(cache=store)
     analyses = engine.analyze_all()
-    writer.close()
+    store.close()
     return analyses, fingerprint
 
 
 class TestEngineResume:
     def test_settled_loops_replay_without_reanalysis(self, tmp_path):
         proc = parse_program(TWO_LOOPS)["two"]
-        path = str(tmp_path / "j.jsonl")
-        baseline, fingerprint = _journaled_run(proc, path)
+        baseline, fingerprint = _stored_run(proc, tmp_path)
 
-        state = ResumeState.load(path)
-        state.check_fingerprint(fingerprint)
-        assert state.settled_loops == 2
-        resumed = _engine(proc, resume=state).analyze_all()
+        # an already-expired run deadline would degrade any loop that
+        # had to be analyzed: settled loops never reach the solver
+        store = VerdictCache(str(tmp_path), fingerprint)
+        assert store.settled_loops == 2
+        rerun = _engine(proc, deadline=Deadline(0.0), cache=store)
+        replayed = rerun.analyze_all()
+        store.close()
 
-        assert len(resumed) == len(baseline) == 2
-        for again, honest in zip(resumed, baseline):
-            assert again.resumed
+        assert store.loop_hits == 2
+        assert len(replayed) == len(baseline) == 2
+        for again, honest in zip(replayed, baseline):
+            assert not again.degraded
             assert {n: v.safe for n, v in again.verdicts.items()} \
                 == {n: v.safe for n, v in honest.verdicts.items()}
             assert again.stats.exploitation_checks \
                 == honest.stats.exploitation_checks
 
-    def test_damaged_journal_falls_back_to_question_replay(self, tmp_path):
-        proc = parse_program(TWO_LOOPS)["two"]
-        path = str(tmp_path / "j.jsonl")
-        baseline, fingerprint = _journaled_run(proc, path)
-
-        # destroy the second loop's loop_done record (as if the run had
-        # been killed before finishing it); its questions survive
-        lines = open(path).read().splitlines(keepends=True)
-        kept = [ln for ln in lines
-                if not (_decode_line(ln) or {}).get("kind") == "loop_done"
-                or (_decode_line(ln) or {}).get("loop") != "1:j"]
-        assert len(kept) == len(lines) - 1
-        with open(path, "w") as fh:
-            fh.writelines(kept)
-
-        state = ResumeState.load(path)
-        state.check_fingerprint(fingerprint)
-        assert state.settled_loops == 1
-        resumed = _engine(proc, resume=state).analyze_all()
-
-        assert resumed[0].resumed
-        assert not resumed[1].resumed
-        # the re-analyzed loop replays its settled answers instead of
-        # re-asking the solver, and lands on identical verdicts
-        assert resumed[1].stats.resumed_questions > 0
-        for again, honest in zip(resumed, baseline):
-            assert {n: v.safe for n, v in again.verdicts.items()} \
-                == {n: v.safe for n, v in honest.verdicts.items()}
-
     def test_degraded_loop_done_is_not_replayed(self, tmp_path):
         proc = parse_program(TWO_LOOPS)["two"]
-        path = str(tmp_path / "j.jsonl")
         engine = _engine(proc)
         loops = list(proc.parallel_loops())
-        writer = JournalWriter(path, meta=_meta("fp"))
-        engine.attach_run_state(journal=writer)
-        engine.degraded_analysis(loops[0], "worker crash")
+        degraded = engine.degraded_analysis(loops[0], "worker crash")
+        # store_loop refuses degraded records, so plant one directly
+        writer = _store_file(tmp_path)
+        writer.record("loop_done", loop="0:i", stats={},
+                      safe_writes=degraded.safe_write_expressions,
+                      offending=[], degraded=True)
         writer.close()
 
-        state = ResumeState.load(path)
-        done = state.loop_done("0:i")
+        store = VerdictCache(str(tmp_path), "fp", readonly=True)
+        done = store.loop_done("0:i")
         assert done is not None and done["degraded"]
-        fresh = _engine(proc, resume=state).analyze_all()
+        fresh = _engine(proc, cache=store).analyze_all()
         # the degraded record is a fallback, not settled knowledge:
-        # the resumed run re-analyzes and proves the loop honestly
-        assert not fresh[0].resumed
+        # the rerun re-analyzes and proves the loop honestly
+        assert store.loop_hits == 0
         assert not fresh[0].degraded
         assert fresh[0].safe_arrays() == {"y"}

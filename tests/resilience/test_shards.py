@@ -9,11 +9,11 @@ The contract under test (docs/SCALING.md):
   accounting stays fault-independent;
 * a :class:`PrimalRaceError` in a worker re-raises in the parent like
   the inline analysis would;
-* loops the parent can replay (``--resume`` journal, warm verdict
-  cache) never reach a worker at all;
-* the parent is the single journal writer: a sharded run's journal
-  resumes exactly like an inline run's, including after the whole run
-  is SIGKILLed mid-flight;
+* loops the parent can replay from the ``--cache-dir`` store never
+  reach a worker at all;
+* the parent is the single store writer: a sharded run's store replays
+  exactly like an inline run's, including after the whole run is
+  SIGKILLed mid-flight;
 * ``--backend auto`` only starts a pool when the fan-out is real.
 """
 
@@ -30,12 +30,12 @@ from repro.analysis.activity import ActivityAnalysis
 from repro.cli import main
 from repro.formad import FormADEngine, PrimalRaceError
 from repro.ir import parse_program
+from repro.obs.metrics import TIMER_KEYS
 from repro.obs.tracer import load_trace
-from repro.resilience import (JournalWriter, ResumeState, ShardConfig,
-                              VerdictCache, analyze_program_remote,
-                              analyze_sharded, read_journal,
-                              resolve_backend)
-from repro.resilience.journal import JOURNAL_SCHEMA, journal_fingerprint
+from repro.resilience import (ShardConfig, VerdictCache,
+                              analyze_program_remote, analyze_sharded,
+                              read_journal, resolve_backend)
+from repro.resilience.journal import journal_fingerprint
 
 SAFE_TWO_LOOPS = """
 subroutine two(x, y, z, n)
@@ -76,13 +76,12 @@ def _engine(proc, **kwargs):
     return FormADEngine(proc, activity, **kwargs)
 
 
-def _sharded(proc, *, engine=None, resume_path=None, cache_dir=None,
-             fingerprint=None, **config_kwargs):
+def _sharded(proc, *, engine=None, cache_dir=None, fingerprint=None,
+             **config_kwargs):
     engine = engine or _engine(proc)
     return analyze_sharded(engine, SAFE_TWO_LOOPS, "two", ["x"], ["y", "z"],
                            config=ShardConfig(**config_kwargs),
-                           resume_path=resume_path, cache_dir=cache_dir,
-                           fingerprint=fingerprint)
+                           cache_dir=cache_dir, fingerprint=fingerprint)
 
 
 class TestShardIdentity:
@@ -95,7 +94,6 @@ class TestShardIdentity:
         assert len(sharded) == len(inline) == 2
         for remote, local in zip(sharded, inline):
             assert not remote.degraded
-            assert not remote.resumed
             assert remote.cacheable
             assert {n: v.safe for n, v in remote.verdicts.items()} \
                 == {n: v.safe for n, v in local.verdicts.items()}
@@ -181,33 +179,6 @@ class TestFaultContainment:
 
 
 class TestParentalReplay:
-    def test_resume_settled_loops_never_reach_a_worker(self, tmp_path):
-        proc = parse_program(SAFE_TWO_LOOPS)["two"]
-        engine = _engine(proc)
-        fingerprint = journal_fingerprint(
-            SAFE_TWO_LOOPS, "two", ["x"], ["y", "z"],
-            engine.fingerprint_flags())
-        path = str(tmp_path / "run.jsonl")
-        writer = JournalWriter(path, meta={"schema": JOURNAL_SCHEMA,
-                                           "fingerprint": fingerprint})
-        engine.attach_run_state(journal=writer)
-        baseline = engine.analyze_all()
-        writer.close()
-
-        state = ResumeState.load(path)
-        resumed_engine = _engine(proc)
-        resumed_engine.attach_run_state(resume=state)
-        # a crashing fault is armed for every loop: if any shard were
-        # dispatched, its outcome would be "crash", not "resumed"
-        sharded, outcomes = _sharded(
-            proc, engine=resumed_engine, resume_path=path,
-            extra_env={"REPRO_WORKER_FAULT": "exit:3"})
-        assert [o.status for o in outcomes] == ["resumed", "resumed"]
-        for again, honest in zip(sharded, baseline):
-            assert again.resumed
-            assert {n: v.safe for n, v in again.verdicts.items()} \
-                == {n: v.safe for n, v in honest.verdicts.items()}
-
     def test_cache_warm_loops_never_reach_a_worker(self, tmp_path):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
         engine = _engine(proc)
@@ -228,6 +199,8 @@ class TestParentalReplay:
         warm_cache = VerdictCache(cache_dir, fingerprint)
         warm_engine = _engine(proc)
         warm_engine.attach_run_state(cache=warm_cache)
+        # a crashing fault is armed for every loop: if any shard were
+        # dispatched, its outcome would be "crash", not "cached"
         warm, warm_outcomes = _sharded(
             proc, engine=warm_engine, cache_dir=cache_dir,
             fingerprint=fingerprint,
@@ -236,7 +209,6 @@ class TestParentalReplay:
         assert [o.status for o in warm_outcomes] == ["cached", "cached"]
         assert warm_cache.loop_hits == 2
         for again, honest in zip(warm, cold):
-            assert not again.resumed
             assert {n: v.safe for n, v in again.verdicts.items()} \
                 == {n: v.safe for n, v in honest.verdicts.items()}
             for name in COUNTERS:
@@ -244,27 +216,33 @@ class TestParentalReplay:
                     == getattr(honest.stats, name), name
 
     def test_sharded_journal_resumes_like_an_inline_one(self, tmp_path):
+        """The store file a sharded run's parent writes replays inline
+        exactly like the one an inline run writes."""
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
         engine = _engine(proc)
         fingerprint = journal_fingerprint(
             SAFE_TWO_LOOPS, "two", ["x"], ["y", "z"],
             engine.fingerprint_flags())
-        path = str(tmp_path / "run.jsonl")
-        writer = JournalWriter(path, meta={"schema": JOURNAL_SCHEMA,
-                                           "fingerprint": fingerprint})
-        engine.attach_run_state(journal=writer)
-        sharded, outcomes = _sharded(proc, engine=engine, jobs=2)
-        writer.close()
+        cache_dir = str(tmp_path / "cache")
+        cache = VerdictCache(cache_dir, fingerprint)
+        engine.attach_run_state(cache=cache)
+        sharded, outcomes = _sharded(
+            proc, engine=engine, cache_dir=cache_dir,
+            fingerprint=fingerprint, jobs=2)
+        cache.close()
         assert [o.status for o in outcomes] == ["ok", "ok"]
+        # the decided answers the workers' read-only stores received
+        # reach the parent's store, as an inline run's answers do
+        inline_cold = VerdictCache(str(tmp_path / "inline"), fingerprint)
+        _engine(proc, cache=inline_cold).analyze_all()
+        inline_cold.close()
+        assert cache.question_stores == inline_cold.question_stores > 0
 
-        state = ResumeState.load(path)
-        state.check_fingerprint(fingerprint)
-        assert state.settled_loops == 2
-        resumed_engine = _engine(proc)
-        resumed_engine.attach_run_state(resume=state)
-        resumed = resumed_engine.analyze_all()
-        for again, honest in zip(resumed, sharded):
-            assert again.resumed
+        replay_cache = VerdictCache(cache_dir, fingerprint)
+        replayed = _engine(proc, cache=replay_cache).analyze_all()
+        replay_cache.close()
+        assert replay_cache.loop_hits == 2
+        for again, honest in zip(replayed, sharded):
             assert {n: v.safe for n, v in again.verdicts.items()} \
                 == {n: v.safe for n, v in honest.verdicts.items()}
             for name in COUNTERS:
@@ -282,9 +260,13 @@ def _cli(tmp_path, src_path, *extra, env=None, check=True):
     return proc
 
 
-def _loop_views(doc):
-    return [(entry["loop"], entry["all_safe"], entry["verdicts"])
-            for entry in doc["loops"]]
+def _zero_timers(doc):
+    if isinstance(doc, dict):
+        return {k: 0.0 if k in TIMER_KEYS else _zero_timers(v)
+                for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_zero_timers(v) for v in doc]
+    return doc
 
 
 def _env():
@@ -299,9 +281,17 @@ def _env():
 POOL = ("--backend", "process", "--jobs", "1")
 
 
+def _loop_settled(store, key):
+    """Whether a store file under *store* holds *key*'s loop_done."""
+    return any(record.get("kind") == "loop_done"
+               and record.get("loop") == key
+               for path in store.glob("*.jsonl")
+               for record in read_journal(str(path))[1])
+
+
 class TestKillParentResume:
-    """SIGKILL the whole process group mid-run; ``--resume`` must
-    reproduce the uninterrupted verdicts and question counts."""
+    """SIGKILL the whole process group mid-run; rerunning the same
+    ``--cache-dir`` command must reproduce the uninterrupted run."""
 
     @pytest.mark.slow
     def test_sigkill_then_resume_reproduces_counts(self, tmp_path):
@@ -315,50 +305,35 @@ class TestKillParentResume:
         # interrupted run: the one pool worker settles loop 0:i, then
         # hangs on 1:j; the parent would wait out the generous kill
         # timeout, but we SIGKILL the whole group (parent and worker)
-        # as soon as loop 0:i's verdicts are durable
-        journal = tmp_path / "run.jsonl"
+        # as soon as loop 0:i's verdicts are durable in the store
+        store = tmp_path / "vcache"
         hang_env = dict(env, REPRO_WORKER_FAULT="hang:120@1:j")
         victim = subprocess.Popen(
             [sys.executable, "-m", "repro", "analyze", str(src),
              "-i", "x", "-o", "y,z", "--json", *POOL,
-             "--kill-timeout", "120", "--journal", str(journal)],
+             "--kill-timeout", "120", "--cache-dir", str(store)],
             cwd=str(tmp_path), env=hang_env, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
             deadline = time.monotonic() + 60.0
-            settled = False
-            while time.monotonic() < deadline:
-                if journal.exists():
-                    _, records, _ = read_journal(str(journal))
-                    if any(r.get("kind") == "loop_done"
-                           and r.get("loop") == "0:i" for r in records):
-                        settled = True
-                        break
+            while not _loop_settled(store, "0:i"):
+                assert time.monotonic() < deadline, \
+                    "first loop never settled in the store"
                 time.sleep(0.1)
-            assert settled, "first loop never settled in the journal"
         finally:
             os.killpg(victim.pid, signal.SIGKILL)
             victim.wait()
 
-        # the journal survived the kill: loop 0:i is settled, 1:j not
-        state = ResumeState.load(str(journal))
-        assert state.loop_done("0:i") is not None
-        assert state.loop_done("1:j") is None
+        rerun = _cli(tmp_path, src, *POOL, "--cache-dir", str(store),
+                     env=env)
+        doc = json.loads(rerun.stdout)
+        cache = doc.pop("cache")
 
-        resumed = _cli(tmp_path, src, *POOL,
-                       "--journal", str(journal),
-                       "--resume", str(journal), env=env)
-        doc = json.loads(resumed.stdout)
-
-        assert _loop_views(doc) == _loop_views(base_doc)
-        assert doc["all_safe"] == base_doc["all_safe"]
-        for key in ("exploitation_checks", "consistency_checks",
-                    "solver_sat", "solver_unsat"):
-            assert doc["totals"][key] == base_doc["totals"][key], key
-        assert doc["resilience"]["resumed_loops"] == 1
-        assert doc["resilience"]["degraded_loops"] == 0
-        # an all-healthy pool run carries no per-shard outcome list
-        assert "workers" not in doc
+        # loop 0:i replays from the store, loop 1:j is analyzed anew;
+        # together they are the uninterrupted run, timers aside (an
+        # all-healthy run carries no "resilience" or "workers" key)
+        assert cache["loop_hits"] == 1
+        assert _zero_timers(doc) == _zero_timers(base_doc)
 
     def test_strict_flags_degraded_runs(self, tmp_path):
         src = tmp_path / "two.f"

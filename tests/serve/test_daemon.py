@@ -283,7 +283,7 @@ class TestConnectedAnalysis:
                                    ["y", "z"], address=address)
         assert len(remote) == len(local)
         for ours, theirs in zip(local, remote):
-            assert not theirs.resumed and not theirs.degraded
+            assert not theirs.degraded
             assert theirs.cacheable
             assert {n: v.safe for n, v in theirs.verdicts.items()} \
                 == {n: v.safe for n, v in ours.verdicts.items()}
@@ -390,8 +390,7 @@ class TestCliConnect:
         address, _ = daemon
         src = tmp_path / "two.f90"
         src.write_text(TWO_LOOPS)
-        for extra in (["--journal", str(tmp_path / "j.jsonl")],
-                      ["--cache-dir", str(tmp_path / "c")],
+        for extra in (["--cache-dir", str(tmp_path / "c")],
                       ["--backend", "process"]):
             assert main(["analyze", str(src), "-i", "x", "-o", "y,z",
                          "--connect", address, *extra]) == 1
