@@ -162,11 +162,13 @@ MIN_BACKEND_SPEEDUP = 2.0
 BACKEND_REPEATS = 1 if QUICK else 2
 
 #: Shape of the generated backend workload: loops per region count and
-#: write statements per loop. 23 writes puts one loop's analysis at
-#: seconds-scale — far above worker start-up cost, so the measured
-#: speedup reflects solving, not process spawning.
+#: write statements per loop. 39 writes puts the GIL-bound thread run at
+#: 5-7 s per loop on 2 CPUs — far above worker start-up cost, so the
+#: measured speedup reflects solving, not process spawning. (At 23
+#: writes, level-tagged model evaluation cut a loop to well under a
+#: second, and the pool gained only about 0.8-1.3x.)
 BACKEND_LOOPS = 4
-BACKEND_WRITES = 23
+BACKEND_WRITES = 39
 
 #: Deterministic per-loop counters that must not depend on the backend.
 BACKEND_INVARIANT = ("consistency_checks", "exploitation_checks",

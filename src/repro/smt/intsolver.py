@@ -79,7 +79,7 @@ def check_int(
         assert outcome.model is not None
         full = reduced.reconstruct(outcome.model)
         # Validate against the *original* constraints, not the reduced ones.
-        assert all(c.holds(_total(full, c)) for c in constraints)
+        assert all(c.holds(full) for c in constraints)
         outcome.model = full
     return outcome
 
@@ -116,7 +116,7 @@ def _branch(
             int_model = {n: int(v) for n, v in model.items()}
             # Defensive re-validation: the simplex is exact arithmetic,
             # but a cheap double-check keeps soundness obvious.
-            assert all(c.holds(_total(int_model, c)) for c in constraints)
+            assert all(c.holds(int_model) for c in constraints)
             outcome.model = int_model
             return Result.SAT
         lo_branch = node.copy()
@@ -137,11 +137,3 @@ def _first_fractional(model: Dict[str, Fraction]) -> tuple[Optional[str], Fracti
         if value.denominator != 1:
             return name, value
     return None, Fraction(0)
-
-
-def _total(model: Dict[str, int], constraint: Constraint) -> Dict[str, int]:
-    """Extend *model* with zeros for variables the LP never saw."""
-    full = dict(model)
-    for name in constraint.form.variables():
-        full.setdefault(name, 0)
-    return full

@@ -145,7 +145,12 @@ class Constraint:
             raise ValueError("canonical constraint form must have zero constant")
 
     def holds(self, assignment: Mapping[str, int]) -> bool:
-        value = self.form.evaluate(assignment)
+        """Evaluate under *assignment*, reading an absent variable as 0
+        (a model omits the variables its solver never constrained)."""
+        get = assignment.get
+        value = 0
+        for name, coeff in self.form.coeffs:
+            value += coeff * get(name, 0)
         return value <= self.bound if self.rel is Rel.LE else value == self.bound
 
     def __str__(self) -> str:

@@ -15,6 +15,7 @@ can be reconstructed from any model of the reduced system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linform import Constraint, LinForm, TrivialConstraint
@@ -23,6 +24,10 @@ from .terms import Rel
 
 class PresolveInfeasible(Exception):
     """The presolve proved the conjunction unsatisfiable."""
+
+
+#: Outcomes of :func:`literal_status`.
+INFEASIBLE, ENTAILED, KEPT = "infeasible", "entailed", "kept"
 
 
 @dataclass
@@ -48,33 +53,70 @@ class PresolveResult:
         return full
 
 
+def _substitute_coeffs(coeffs: Dict[str, int], rel: Rel, bound: int,
+                       var: str, form: LinForm) -> Optional[int]:
+    """The substitution core: replace *var* (a key of *coeffs*) by *form*
+    in ``coeffs·x REL bound``, updating *coeffs* in place.
+
+    Returns the new bound, or None if the constraint became trivial (and
+    true). Raises :class:`PresolveInfeasible` if trivially false. A
+    non-trivial result is GCD-tightened: an EQ with a bound the content
+    does not divide is infeasible, an LE bound is floored.
+    """
+    c = coeffs.pop(var)
+    for name, k in form.coeffs:
+        value = coeffs.get(name, 0) + c * k
+        if value:
+            coeffs[name] = value
+        else:
+            del coeffs[name]  # c·k != 0, so a zero sum had a term here
+    # `form` may carry a constant; fold it into the bound.
+    bound -= c * form.const
+    if not coeffs:
+        if (0 <= bound) if rel is Rel.LE else (bound == 0):
+            return None
+        raise PresolveInfeasible(f"0 {rel.value} {bound}")
+    g = gcd(*coeffs.values())
+    if g > 1:
+        if rel is Rel.EQ and bound % g != 0:
+            raise PresolveInfeasible(f"content {g} does not divide {bound}")
+        for name in coeffs:
+            coeffs[name] //= g
+        bound //= g  # exact for EQ; the floor tightening for LE
+    return bound
+
+
+def _reduce(constraint: Constraint, substitutions: Sequence[Substitution]
+            ) -> Optional[Tuple[Dict[str, int], int]]:
+    """Apply a substitution chain to *constraint* on a plain coefficient
+    dict, building no :class:`LinForm` on the way.
+
+    Returns ``(coeffs, bound)`` of the reduced constraint, or None when
+    it reduced to a trivially true statement. Raises
+    :class:`PresolveInfeasible` when it reduced to a trivially false one.
+    """
+    coeffs = dict(constraint.form.coeffs)
+    bound = constraint.bound
+    for sub in substitutions:
+        if sub.var in coeffs:
+            bound = _substitute_coeffs(coeffs, constraint.rel, bound,
+                                       sub.var, sub.form)
+            if bound is None:
+                return None
+    return coeffs, bound
+
+
 def _substitute(constraint: Constraint, var: str, form: LinForm) -> Optional[Constraint]:
     """Replace *var* by *form* in *constraint*; None if it became trivial
     (and true). Raises :class:`PresolveInfeasible` if trivially false."""
     coeffs = constraint.form.coeff_dict()
-    c = coeffs.pop(var, 0)
-    if c == 0:
+    if var not in coeffs:
         return constraint
-    combined = LinForm.from_dict(coeffs) + form.scale(c)
-    # combined includes a constant from `form`; fold it into the bound.
-    bound = constraint.bound - combined.const
-    reduced = LinForm(combined.coeffs, 0)
-    if reduced.is_constant:
-        ok = (0 <= bound) if constraint.rel is Rel.LE else (bound == 0)
-        if not ok:
-            raise PresolveInfeasible(str(constraint))
+    bound = _substitute_coeffs(coeffs, constraint.rel, constraint.bound,
+                               var, form)
+    if bound is None:
         return None
-    g = reduced.content()
-    if g > 1:
-        if constraint.rel is Rel.EQ:
-            if bound % g != 0:
-                raise PresolveInfeasible(f"{reduced} = {bound} has no integer solution")
-            reduced = LinForm(tuple((n, k // g) for n, k in reduced.coeffs), 0)
-            bound //= g
-        else:
-            reduced = LinForm(tuple((n, k // g) for n, k in reduced.coeffs), 0)
-            bound = bound // g  # floor: valid integer tightening
-    return Constraint(reduced, constraint.rel, bound)
+    return Constraint(LinForm.from_dict(coeffs), constraint.rel, bound)
 
 
 def _find_unit_equality(constraints: Sequence[Constraint]) -> Optional[Tuple[int, str, int]]:
@@ -187,18 +229,28 @@ def reduce_constraint(
 
     Raises :class:`PresolveInfeasible` if the constraint reduces to a
     trivially false statement and :class:`ConstraintEntailed` if it
-    reduces to a trivially true one. This is the cheap (pure-arithmetic)
-    entailment test the clause filter uses: a disequality literal whose
-    two sides are unified by the substitutions collapses here without a
-    simplex call.
+    reduces to a trivially true one. For callers that need the reduced
+    constraint itself; the clause filter needs only the outcome and
+    calls :func:`literal_status`, which shares the arithmetic.
     """
-    current = constraint
-    for sub in substitutions:
-        reduced = _substitute(current, sub.var, sub.form)
-        if reduced is None:
-            raise ConstraintEntailed()
-        current = reduced
-    return current
+    reduced = _reduce(constraint, substitutions)
+    if reduced is None:
+        raise ConstraintEntailed()
+    coeffs, bound = reduced
+    return Constraint(LinForm.from_dict(coeffs), constraint.rel, bound)
+
+
+def literal_status(constraint: Constraint,
+                   substitutions: Sequence[Substitution]) -> str:
+    """What a substitution chain makes of one clause literal's
+    constraint: :data:`INFEASIBLE`, :data:`ENTAILED` or :data:`KEPT`.
+    The clause filter needs only this outcome, never the reduced
+    constraint, so nothing is built beyond a coefficient dict."""
+    try:
+        reduced = _reduce(constraint, substitutions)
+    except PresolveInfeasible:
+        return INFEASIBLE
+    return ENTAILED if reduced is None else KEPT
 
 
 def presolve(constraints: Sequence[Constraint], *, max_rounds: int = 10_000) -> PresolveResult:

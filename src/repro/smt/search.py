@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .clausify import Clause
 from .intsolver import Result, check_int
 from .linform import Constraint, TrivialConstraint, canonicalize
-from .presolve import (ConstraintEntailed, PresolveInfeasible,
-                       presolve, reduce_constraint)
+from .presolve import (ENTAILED, INFEASIBLE, KEPT, PresolveInfeasible,
+                       literal_status, presolve)
 from .terms import FAtom
 
 
@@ -95,115 +95,159 @@ def _atom_constraints(atom: FAtom) -> Optional[Tuple[Constraint, ...]]:
 
 def _atom_holds(atom: FAtom, model: Dict[str, int]) -> bool:
     cons = _atom_constraints(atom)
-    if cons is None:
-        return False
-    full_model = dict(model)
-    for c in cons:
-        for name in c.form.variables():
-            full_model.setdefault(name, 0)
-    return all(c.holds(full_model) for c in cons)
+    return cons is not None and all(c.holds(model) for c in cons)
 
 
-def _model_satisfies(model: Dict[str, int], base: Sequence[Constraint],
-                     clauses: Sequence[Clause]) -> bool:
-    """Pure evaluation: does *model* (0-defaulted) satisfy everything?"""
-    full = dict(model)
+class Level:
+    """The constraints asserted at one push level of an assertion stack:
+    unit constraints (``base``) and multi-literal ``clauses``. Both lists
+    only ever grow while the level is alive.
 
-    def constraint_holds(c: Constraint) -> bool:
-        for name in c.form.variables():
-            full.setdefault(name, 0)
-        return c.holds(full)
+    The level also keeps the variable names of its base and of its
+    clauses in first-appearance order, extended lazily (only when a
+    search needs the spread assignment) from where the last extension
+    stopped. The names live in insertion-ordered dicts, never in sets:
+    set order follows the interpreter's hash seed, and the order decides
+    which value each variable gets in :func:`_spread_model`.
+    """
 
-    if not all(constraint_holds(c) for c in base):
-        return False
-    for clause in clauses:
-        if not any(_atom_holds(atom, full) for atom in clause):
-            return False
+    __slots__ = ("base", "clauses", "_base_names", "_clause_names",
+                 "_named")
+
+    def __init__(self, base: Optional[List[Constraint]] = None,
+                 clauses: Optional[List[Clause]] = None) -> None:
+        self.base: List[Constraint] = [] if base is None else base
+        self.clauses: List[Clause] = [] if clauses is None else clauses
+        self._base_names: Dict[str, None] = {}
+        self._clause_names: Dict[str, None] = {}
+        self._named = (0, 0)  # prefixes of base/clauses already named
+
+    def mark(self) -> Tuple[int, int]:
+        """How much of the level exists now: ``(len(base), len(clauses))``."""
+        return len(self.base), len(self.clauses)
+
+    def names(self) -> Tuple[Dict[str, None], Dict[str, None]]:
+        """The base's and the clauses' variable names, each in
+        first-appearance order."""
+        nbase, nclauses = self._named
+        if nbase < len(self.base):
+            names = self._base_names
+            for c in self.base[nbase:]:
+                for n, _ in c.form.coeffs:
+                    names[n] = None
+        if nclauses < len(self.clauses):
+            names = self._clause_names
+            for clause in self.clauses[nclauses:]:
+                for atom in clause:
+                    for c in _atom_constraints(atom) or ():
+                        for n, _ in c.form.coeffs:
+                            names[n] = None
+        self._named = self.mark()
+        return self._base_names, self._clause_names
+
+
+def _model_satisfies(model: Dict[str, int], levels: Sequence[Level],
+                     marks: Sequence[Tuple[int, int]] = ()) -> bool:
+    """Pure evaluation: does *model* (absent variables read as 0) satisfy
+    every constraint and clause of *levels* past *marks*?
+
+    ``marks[i]`` is level *i*'s :meth:`Level.mark` when *model* was
+    minted; levels without a mark are evaluated whole. Skipping the
+    marked prefixes is exact when *model* satisfied them at minting time
+    and they have not changed since (levels only grow).
+    """
+    starts = list(marks) + [(0, 0)] * (len(levels) - len(marks))
+    for level, (nbase, _) in zip(levels, starts):
+        for c in level.base[nbase:]:
+            if not c.holds(model):
+                return False
+    for level, (_, nclauses) in zip(levels, starts):
+        for clause in level.clauses[nclauses:]:
+            if not any(_atom_holds(atom, model) for atom in clause):
+                return False
     return True
 
 
-def _spread_model(base: Sequence[Constraint], clauses: Sequence[Clause]) -> Dict[str, int]:
+def _spread_model(levels: Sequence[Level]) -> Dict[str, int]:
     """A heuristic all-distinct, widely-spaced assignment.
 
     Disjointness-dominated problems (FormAD's buildModel consistency
     checks) are almost always satisfied by giving every variable a
     distinct huge value; evaluating this guess costs no simplex calls.
 
-    Variables are enumerated through ``form.coeffs`` (sorted by name)
-    rather than ``form.variables()`` (a set): which value each variable
-    receives decides whether this guess already satisfies the query,
-    and set iteration order varies with the interpreter's hash seed —
-    the answer must not differ between the parent and a worker process.
+    Variables are numbered in first-appearance order over every level's
+    base, then every level's clauses (each constraint's ``form.coeffs``,
+    sorted by name). Which value each variable receives decides whether
+    this guess already satisfies the query, so the order must not follow
+    the interpreter's hash seed: the answer must not differ between the
+    parent and a worker process.
     """
-    names: List[str] = []
-    seen = set()
-    for c in base:
-        for n, _ in c.form.coeffs:
-            if n not in seen:
-                seen.add(n)
-                names.append(n)
-    for clause in clauses:
-        for atom in clause:
-            cons = _atom_constraints(atom) or ()
-            for c in cons:
-                for n, _ in c.form.coeffs:
-                    if n not in seen:
-                        seen.add(n)
-                        names.append(n)
+    names: Dict[str, None] = {}
+    per_level = [level.names() for level in levels]
+    for base_names, _ in per_level:
+        names.update(base_names)
+    for _, clause_names in per_level:
+        names.update(clause_names)
     return {n: (k + 1) * 1_000_003 for k, n in enumerate(names)}
 
 
 def search(
-    base: Sequence[Constraint],
-    clauses: Sequence[Clause],
+    levels: Sequence[Level],
     *,
     max_theory_checks: int = 20000,
     node_budget: int = 2000,
     initial_model: Optional[Dict[str, int]] = None,
+    marks: Sequence[Tuple[int, int]] = (),
     deadline=None,
 ) -> SearchOutcome:
-    """Decide ``∧base ∧ ∧clauses`` over the integers.
+    """Decide the conjunction of every level's base and clauses over the
+    integers.
 
     ``initial_model`` is an optional warm-start guess (e.g. the model of
     the previous check on an incrementally-grown assertion set); if it
     or the spread heuristic satisfies everything, no search runs.
-    ``deadline`` bounds the search in wall-clock time: it is polled
-    before every theory check and inside the integer layer's branch &
-    bound, and expiry yields UNKNOWN with ``reason="timeout"``.
+    ``marks`` are the levels' :meth:`Level.mark` at the time
+    ``initial_model`` was minted as a SAT model of them: the guess is
+    then evaluated only against what was asserted after the marks, plus
+    levels past the last mark. ``deadline`` bounds the search in
+    wall-clock time: it is polled before every theory check and inside
+    the integer layer's branch & bound, and expiry yields UNKNOWN with
+    ``reason="timeout"``.
     """
     stats = SearchStats()
     budget = _Budget(max_theory_checks, deadline)
-    for guess in ([initial_model] if initial_model else []):
-        if _model_satisfies(guess, base, clauses):
-            return SearchOutcome(Result.SAT, dict(guess), stats)
-    spread = _spread_model(base, clauses)
-    if _model_satisfies(spread, base, clauses):
+    if initial_model and _model_satisfies(initial_model, levels, marks):
+        return SearchOutcome(Result.SAT, dict(initial_model), stats)
+    spread = _spread_model(levels)
+    if _model_satisfies(spread, levels):
         return SearchOutcome(Result.SAT, spread, stats)
 
     # Preprocess clauses: drop trivially-true ones, strip trivially
-    # false literals, and promote unit clauses into the base.
-    base_list: List[Constraint] = list(base)
-    pending: List[Clause] = []
-    for clause in clauses:
-        literals: List[FAtom] = []
-        trivially_true = False
-        for atom in clause:
-            cons = _atom_constraints(atom)
-            if cons is None:
-                continue  # literal is false, drop it
-            if cons == ():
-                trivially_true = True
-                break
-            literals.append(atom)
-        if trivially_true:
-            continue
-        if not literals:
-            return SearchOutcome(Result.UNSAT, stats=stats)
-        if len(literals) == 1:
-            stats.propagations += 1
-            base_list.extend(_atom_constraints(literals[0]) or ())
-        else:
-            pending.append(tuple(literals))
+    # false literals, and promote unit clauses into the base. Each
+    # surviving literal keeps its constraints for the filter below.
+    base_list: List[Constraint] = [c for level in levels for c in level.base]
+    stripped: List[List[Tuple[FAtom, Tuple[Constraint, ...]]]] = []
+    for level in levels:
+        for clause in level.clauses:
+            literals: List[Tuple[FAtom, Tuple[Constraint, ...]]] = []
+            trivially_true = False
+            for atom in clause:
+                cons = _atom_constraints(atom)
+                if cons is None:
+                    continue  # literal is false, drop it
+                if cons == ():
+                    trivially_true = True
+                    break
+                literals.append((atom, cons))
+            if trivially_true:
+                continue
+            if not literals:
+                return SearchOutcome(Result.UNSAT, stats=stats)
+            if len(literals) == 1:
+                stats.propagations += 1
+                base_list.extend(literals[0][1])
+            else:
+                stripped.append(literals)
 
     # Cheap substitution-based unit propagation: run the equality
     # presolve on the base once, then push every clause literal through
@@ -218,25 +262,22 @@ def search(
     except PresolveInfeasible:
         return SearchOutcome(Result.UNSAT, stats=stats)
     filtered: List[Clause] = []
-    for clause in pending:
+    for literals in stripped:
         kept: List[FAtom] = []
         entailed = False
-        for atom in clause:
-            cons = _atom_constraints(atom)
-            assert cons  # trivial literals already stripped
-            try:
-                for c in cons:
-                    reduce_constraint(c, pres.substitutions)
-            except PresolveInfeasible:
+        for atom, cons in literals:
+            status = KEPT
+            for c in cons:
+                status = literal_status(c, pres.substitutions)
+                if status is not KEPT:
+                    break
+            if status is INFEASIBLE:
                 continue  # literal is false under the base equalities
-            except ConstraintEntailed:
+            if status is ENTAILED and len(cons) == 1:
                 # Conservative: only single-constraint literals are
                 # certainly entailed when their constraint is.
-                if len(cons) == 1:
-                    entailed = True
-                    break
-                kept.append(atom)
-                continue
+                entailed = True
+                break
             kept.append(atom)
         if entailed:
             continue

@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..obs.tracer import NULL_TRACER, NullTracer
 from .ackermann import Ackermannizer, ackermannize
@@ -32,7 +32,7 @@ from .clausify import (DEFAULT_MAX_CLAUSES, Clause,
                        ClausifyBudgetError, clausify_probe)
 from .intsolver import Result
 from .linform import Constraint, TrivialConstraint, canonicalize
-from .search import SearchOutcome, SearchStats, search
+from .search import Level, SearchOutcome, SearchStats, search
 from .terms import FAtom, Formula, TApp, Term
 
 SAT = Result.SAT
@@ -131,18 +131,19 @@ class SolverStats:
             setattr(other, name, getattr(other, name) + getattr(self, name))
 
 
-class _Level:
-    """Translated state of one assertion-stack level."""
+class _Level(Level):
+    """Translated state of one assertion-stack level: the search's
+    :class:`Level` (canonical unit constraints in ``base``,
+    multi-literal ``clauses``) plus what produced it."""
 
-    __slots__ = ("formulas", "translated", "apps", "base", "clauses",
-                 "nclauses", "falsified", "poisoned")
+    __slots__ = ("formulas", "translated", "apps", "nclauses",
+                 "falsified", "poisoned")
 
     def __init__(self) -> None:
+        super().__init__()
         self.formulas: List[Formula] = []
         self.translated = 0              # prefix of `formulas` translated
         self.apps: List[TApp] = []       # Ackermann apps owned by level
-        self.base: List[Constraint] = [] # canonical unit constraints
-        self.clauses: List[Clause] = []  # multi-literal clauses
         self.nclauses = 0                # raw clause count (budget)
         self.falsified = False           # a unit clausified to false
         self.poisoned = False            # clausify budget blown
@@ -164,7 +165,8 @@ class Solver:
         self._levels: List[_Level] = [_Level()]
         self._model: Optional[Dict[str, int]] = None
         self._warm_model: Optional[Dict[str, int]] = None
-        self._warm_level = 0             # stack depth the hint came from
+        # Level.mark() of every level the hint was minted over.
+        self._warm_marks: Tuple[Tuple[int, int], ...] = ()
         self._ack = Ackermannizer()
         self._app_names: Dict[TApp, str] = {}
         self.stats = SolverStats()
@@ -208,8 +210,13 @@ class Solver:
             # let a hint derived from popped state seed future checks.
             # Invalidate on reaching the minting depth, not only below.
             self._warm_model = None
-            self._warm_level = 0
+            self._warm_marks = ()
         self._model = None
+
+    @property
+    def _warm_level(self) -> int:
+        """Stack depth the warm-start hint was minted at (0: no hint)."""
+        return len(self._warm_marks)
 
     def assertions(self) -> List[Formula]:
         return [f for level in self._levels for f in level.formulas]
@@ -283,9 +290,13 @@ class Solver:
         if outcome.model is not None:
             # Warm start for the next check on a grown assertion set
             # (the buildModel pattern: add one fact, re-check). Tagged
-            # with the stack depth so pop() can invalidate it.
+            # with the stack depth so pop() can invalidate it, and with
+            # each level's size so the next search evaluates it only
+            # against what was asserted since: the model satisfies
+            # everything this check saw, and while pop() keeps the hint
+            # every marked level is alive and has only grown.
             self._warm_model = outcome.model
-            self._warm_level = len(self._levels)
+            self._warm_marks = tuple(level.mark() for level in self._levels)
         return outcome.result
 
     def model(self) -> Dict[str, int]:
@@ -375,13 +386,12 @@ class Solver:
             logger.warning("check is UNKNOWN: clause store exceeds "
                            "max_clauses=%d", self.max_clauses)
             return SearchOutcome(UNKNOWN, reason="budget")
-        base = [c for level in self._levels for c in level.base]
-        pending = [c for level in self._levels for c in level.clauses]
         t0 = time.perf_counter()
-        outcome = search(base, pending,
+        outcome = search(self._levels,
                          max_theory_checks=theory_budget,
                          node_budget=node_budget,
                          initial_model=self._warm_model,
+                         marks=self._warm_marks,
                          deadline=deadline)
         self.stats.search_seconds += time.perf_counter() - t0
         return outcome
@@ -427,7 +437,8 @@ class Solver:
         self.stats.clausify_seconds += t2 - t1
         if falsified:
             return SearchOutcome(UNSAT)
-        outcome = search(base, pending,
+        # One level with no marks: the warm model is evaluated whole.
+        outcome = search([Level(base, pending)],
                          max_theory_checks=theory_budget,
                          node_budget=node_budget,
                          initial_model=self._warm_model,

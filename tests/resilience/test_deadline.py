@@ -21,7 +21,7 @@ from repro.resilience.escalate import (NO_ESCALATION, RETRYABLE_REASONS,
 from repro.smt import Int, Solver
 from repro.smt.intsolver import Result, check_int
 from repro.smt.linform import canonicalize
-from repro.smt.search import SearchStats, search
+from repro.smt.search import Level, SearchStats, search
 
 
 class TestDeadline:
@@ -112,19 +112,19 @@ def _interval(name):
 class TestSearchDeadline:
     def test_expired_deadline_yields_timeout_reason(self):
         base = [c for a in _interval("sd1") for c in canonicalize(a)]
-        outcome = search(base, [], deadline=Deadline(0.0))
+        outcome = search([Level(base)], deadline=Deadline(0.0))
         assert outcome.result is Result.UNKNOWN
         assert outcome.reason == "timeout"
 
     def test_budget_exhaustion_is_distinct_from_timeout(self):
         base = [c for a in _interval("sd2") for c in canonicalize(a)]
-        outcome = search(base, [], max_theory_checks=0)
+        outcome = search([Level(base)], max_theory_checks=0)
         assert outcome.result is Result.UNKNOWN
         assert outcome.reason == "budget"
 
     def test_no_deadline_no_reason_on_sat(self):
         base = [c for a in _interval("sd3") for c in canonicalize(a)]
-        outcome = search(base, [])
+        outcome = search([Level(base)])
         assert outcome.result is Result.SAT
         assert outcome.reason is None
 

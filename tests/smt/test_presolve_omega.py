@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.smt import Int, Result, canonicalize, check_int
 from repro.smt.linform import Constraint, LinForm
-from repro.smt.presolve import (PresolveInfeasible, _mod_hat, presolve,
+from repro.smt.presolve import (ENTAILED, INFEASIBLE, KEPT,
+                                PresolveInfeasible, _mod_hat, presolve,
                                 reduce_constraint, ConstraintEntailed,
-                                Substitution)
+                                Substitution, literal_status)
 from repro.smt.terms import Rel
 
 x, y, z = Int("x"), Int("y"), Int("z")
@@ -120,3 +121,97 @@ class TestOmegaProperty:
             # Solutions may exist outside the box only if the box bounds
             # don't actually constrain... they do (|v| <= 6), so:
             assert out.result is Result.UNSAT
+
+
+VARS = ("x", "y", "z")
+BOX = range(-5, 6)
+eq_coef = st.integers(min_value=-5, max_value=5)
+
+
+def _constraint(coeffs, rel, bound):
+    return Constraint(LinForm.from_dict(dict(zip(VARS, coeffs))), rel, bound)
+
+
+@st.composite
+def equality_systems(draw):
+    """One or two equalities over x, y, z; non-unit coefficients make
+    presolve take Omega steps (fresh σ variables) and GCD tests."""
+    eqs = []
+    for _ in range(draw(st.integers(1, 2))):
+        coeffs = draw(st.tuples(eq_coef, eq_coef, eq_coef))
+        assume(any(coeffs))
+        eqs.append(_constraint(coeffs, Rel.EQ, draw(rhs)))
+    return eqs
+
+
+@st.composite
+def constraints(draw):
+    coeffs = draw(st.tuples(coef, coef, coef))
+    assume(any(coeffs))
+    return _constraint(coeffs, draw(st.sampled_from([Rel.LE, Rel.EQ])),
+                       draw(st.integers(-12, 12)))
+
+
+def _points(substitutions):
+    """Every integer point whose free (never substituted) coordinates lie
+    in BOX, with the substituted ones computed from the chain — i.e. all
+    points of the box that satisfy the substitutions, and more."""
+    eliminated = {sub.var for sub in substitutions}
+    names = set(VARS)
+    for sub in substitutions:
+        names |= sub.form.variables()
+    free = sorted(names - eliminated)
+    points = []
+    for values in itertools.product(BOX, repeat=len(free)):
+        point = dict(zip(free, values))
+        for sub in reversed(substitutions):
+            point[sub.var] = sub.form.evaluate(point)
+        assert all(point[sub.var] == sub.form.evaluate(point)
+                   for sub in substitutions)
+        points.append(point)
+    return points
+
+
+class TestSubstitutionCoreProperty:
+    """The dict-arithmetic substitution core (``literal_status``, the
+    clause filter's entry, and ``reduce_constraint``) against brute force
+    over the points that satisfy a presolve substitution chain."""
+
+    @given(equality_systems(), st.lists(constraints(), min_size=1,
+                                        max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_core_agrees_with_brute_force(self, eqs, targets):
+        try:
+            subs = presolve(eqs).substitutions
+        except PresolveInfeasible:
+            return
+        points = _points(subs)
+        for c in targets:
+            truth = [c.holds(p) for p in points]
+            status = literal_status(c, subs)
+            if status == INFEASIBLE:
+                assert not any(truth)
+                with pytest.raises(PresolveInfeasible):
+                    reduce_constraint(c, subs)
+            elif status == ENTAILED:
+                assert all(truth)
+                with pytest.raises(ConstraintEntailed):
+                    reduce_constraint(c, subs)
+            else:
+                assert status == KEPT
+                reduced = reduce_constraint(c, subs)
+                assert not reduced.form.variables() & {s.var for s in subs}
+                assert [reduced.holds(p) for p in points] == truth
+
+    def test_chains_take_omega_steps_with_gcd_tightening(self):
+        """A deterministic instance of what the property draws: 3x + 5y
+        = 7 needs Omega steps (σ variables), and the target's reduced
+        coefficients share a factor that tightens its bound."""
+        subs = presolve([_constraint((3, 5, 0), Rel.EQ, 7)]).substitutions
+        assert any(n.startswith("!sigma") for s in subs
+                   for n in s.form.variables())
+        target = _constraint((2, 0, 0), Rel.LE, 5)
+        reduced = reduce_constraint(target, subs)
+        points = _points(subs)
+        assert [reduced.holds(p) for p in points] \
+            == [target.holds(p) for p in points]
