@@ -156,33 +156,6 @@ def _compare_guarded_speedup(section: str, cur: dict, base: dict,
                      f"(floor {floor:.2f}x) ok")
 
 
-def _compare_serving(current: dict, failures: List[str],
-                     notes: List[str]) -> None:
-    """The serving bar is absolute, not baseline-relative: a warm
-    daemon repeat must cost under ``bar`` (25%) of a cold CLI
-    invocation on the machine that measured it, whatever the baseline
-    machine looked like. Present only when benchmarks/test_serving.py
-    ran (it writes the section after enforcing the bar itself — the
-    gate re-checks so a hand-edited document cannot sneak through)."""
-    section = current.get("serving")
-    if not isinstance(section, dict):
-        return
-    bar = section.get("bar")
-    worst = section.get("warm_over_cold_max")
-    if not (isinstance(bar, (int, float))
-            and isinstance(worst, (int, float))):
-        failures.append("serving: section lacks numeric bar / "
-                        "warm_over_cold_max")
-        return
-    if worst >= bar:
-        failures.append(
-            f"serving: warm repeat costs {worst:.1%} of a cold "
-            f"invocation (bar {bar:.0%})")
-    else:
-        notes.append(f"serving: warm/cold {worst:.2%} "
-                     f"(bar {bar:.0%}) ok")
-
-
 def _compare_strategies(current: dict, baseline: dict,
                         failures: List[str], notes: List[str]) -> None:
     """Per-strategy codegen counters (``benchmarks/test_strategies.py``)
@@ -245,7 +218,6 @@ def compare(current: dict, baseline: dict,
                         tolerance, failures, notes)
     _compare_guarded_speedup("backend", current, baseline, tolerance,
                              failures, notes)
-    _compare_serving(current, failures, notes)
     _compare_strategies(current, baseline, failures, notes)
     return failures, notes
 

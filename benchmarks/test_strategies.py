@@ -10,9 +10,8 @@ loops, preaccumulation temporaries. The counts are machine-independent
 baseline (key ``strategies``). A drift means the code generator
 changed behavior, not that the machine was slow.
 
-Alphabetically after ``test_serving.py``: loads the existing
-``BENCH_ANALYSIS.json`` (written fresh by ``test_analysis_perf.py``)
-and updates it in place.
+Alphabetically after ``test_analysis_perf.py``: loads the existing
+``BENCH_ANALYSIS.json`` it writes fresh and updates it in place.
 """
 
 import json

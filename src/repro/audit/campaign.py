@@ -425,9 +425,8 @@ def run_campaign(config: CampaignConfig, *,
             budget = max(budget, config.case_timeout + _DEADLINE_GRACE)
         shard_config = ShardConfig(jobs=config.jobs, kill_timeout=budget,
                                    extra_env=config.extra_env)
-        pool = WorkerPool(shard_config,
-                          max(1, min(config.jobs, open_units)))
-        pool.begin_run({"op": "init", "mode": "audit"})
+        pool = WorkerPool(shard_config, min(config.jobs, open_units),
+                          {"op": "init", "mode": "audit"})
         n = pool.size
         threads = [threading.Thread(
             target=_feed, name=f"campaign-{k}",

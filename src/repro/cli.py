@@ -161,14 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "solver, which is also how a killed or timed-out "
                         "run recovers")
     p.add_argument("--cache-max-bytes", type=int, default=None, metavar="N",
-                   help="size budget for --cache-dir: after the run, "
-                        "evict least-recently-used fingerprint files "
-                        "until the store fits N bytes (docs/SCALING.md)")
-    p.add_argument("--connect", default=None, metavar="ADDR",
-                   help="send the analysis to a running 'repro serve' "
-                        "daemon (unix-socket path or HOST:PORT) instead "
-                        "of analyzing in-process; output is byte-"
-                        "identical modulo wall-clock timers")
+                   help="size budget for --cache-dir (required with "
+                        "it): after the run, evict least-recently-used "
+                        "fingerprint files until the store fits N bytes "
+                        "(docs/SCALING.md)")
     p.add_argument("--trace", default=None, metavar="OUT.jsonl",
                    help="record the structured provenance/span event "
                         "stream (replay with 'repro explain/profile')")
@@ -207,34 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback", choices=FALLBACKS, default="atomic",
                    help="with --strategy formad: safeguard for arrays "
                         "FormAD cannot prove safe")
-
-    p = sub.add_parser("serve", parents=[common],
-                       help="run the long-lived analysis daemon "
-                            "(schema repro-serve/1; clients attach with "
-                            "'repro analyze --connect ADDR')")
-    p.add_argument("--socket", default=None, metavar="PATH",
-                   help="listen on this unix-domain socket path")
-    p.add_argument("--tcp", default=None, metavar="HOST:PORT",
-                   help="listen on this localhost TCP address instead "
-                        "of a unix socket")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker fan-out per analysis (threads, or the "
-                        "warm process pool size with --backend process)")
-    p.add_argument("--backend", choices=("thread", "process"),
-                   default="thread",
-                   help="in-process analysis per request ('thread', "
-                        "default) or a persistent worker-process pool "
-                        "kept warm across requests ('process')")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="answer repeat requests across daemon restarts "
-                        "from this repro-cache/1 store")
-    p.add_argument("--cache-max-bytes", type=int, default=None,
-                   metavar="N",
-                   help="size budget for --cache-dir, enforced by LRU "
-                        "eviction after every analysis that stores")
-    p.add_argument("--kill-timeout", type=float, default=60.0, metavar="S",
-                   help="hard wall-clock cap per worker request with "
-                        "--backend process (default 60)")
 
     p = sub.add_parser("cache", parents=[common],
                        help="manage a --cache-dir verdict-cache store: "
@@ -663,8 +631,6 @@ def _run_analyze(args, proc, independents, dependents) -> int:
     from .resilience import (EscalationPolicy, journal_fingerprint,
                              resolve_backend)
 
-    if args.connect:
-        return _run_analyze_connected(args, proc, independents, dependents)
     escalation = None
     if args.escalate and args.escalate > 1:
         escalation = EscalationPolicy(max_attempts=args.escalate)
@@ -732,7 +698,7 @@ def _run_analyze(args, proc, independents, dependents) -> int:
                 print(json.dumps(registry.snapshot(), sort_keys=True),
                       file=sys.stderr, flush=True)
         tracer.close()
-    if args.cache_dir and args.cache_max_bytes is not None:
+    if args.cache_max_bytes is not None:
         from .resilience import CacheStore
         evicted = CacheStore(args.cache_dir,
                              max_bytes=args.cache_max_bytes).evict()
@@ -753,15 +719,14 @@ def _run_analyze(args, proc, independents, dependents) -> int:
 
 def _finish_analyze(args, proc, analyses, outcomes=None,
                     cache_summary=None) -> int:
-    """The shared result tail of every analyze path — in-process,
-    sharded, and ``--connect`` — so daemon answers render through
-    exactly the code the local run uses (byte-identity by
-    construction)."""
+    """The result tail of ``analyze`` on either backend: verdicts and
+    stats (or the ``--json`` document), the ``--strategy`` selection,
+    and the ``--strict`` exit status."""
     degraded = sum(1 for a in analyses if a.degraded)
     timed_out = sum(a.stats.timed_out_questions for a in analyses)
     strict_failure = args.strict and (degraded or timed_out)
     strategy_doc = None
-    if getattr(args, "strategy", None):
+    if args.strategy:
         strategy_doc = _strategy_selection(
             proc, analyses, _names(args.independents),
             _names(args.dependents), args.strategy, args.fallback)
@@ -809,63 +774,6 @@ def _finish_analyze(args, proc, analyses, outcomes=None,
               f"timed-out question(s)", file=sys.stderr)
         return 3
     return 0
-
-
-def _run_analyze_connected(args, proc, independents, dependents) -> int:
-    """``analyze --connect ADDR``: ship the analysis to a running
-    ``repro serve`` daemon. Runtime flags that configure the
-    *in-process* engine are rejected — the daemon owns its runtime."""
-    from .analysis import ActivityAnalysis
-    from .formad import FormADEngine
-    from .serve import ServeError, analyze_connected
-
-    rejected = [name for name, live in (
-        ("--cache-dir", args.cache_dir),
-        ("--cache-max-bytes", args.cache_max_bytes is not None),
-        ("--trace", args.trace),
-        ("--progress", args.progress is not None),
-        ("--jobs", args.jobs),
-        ("--backend", args.backend != "thread"),
-    ) if live]
-    if rejected:
-        print(f"error: --connect sends the analysis to the daemon; "
-              f"{', '.join(rejected)} configure the in-process runtime "
-              f"— set them on 'repro serve' instead", file=sys.stderr)
-        return 1
-    activity = ActivityAnalysis(proc, independents, dependents)
-    # Never run locally: provides the loop keys the reply is matched
-    # against and the fingerprint flags the daemon keys the memo on.
-    engine = FormADEngine(proc, activity)
-    with open(args.file) as fh:
-        source = fh.read()
-    try:
-        analyses = analyze_connected(
-            engine, source, proc.name, independents, dependents,
-            address=args.connect, deadline=args.deadline,
-            question_timeout=args.question_timeout,
-            escalate=args.escalate or 1)
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _finish_analyze(args, proc, analyses)
-
-
-def _run_serve(args) -> int:
-    from .serve import ServeConfig, run_daemon
-    if bool(args.socket) == bool(args.tcp):
-        print("error: serve needs exactly one of --socket PATH or "
-              "--tcp HOST:PORT", file=sys.stderr)
-        return 2
-    config = ServeConfig(args.socket or args.tcp, jobs=args.jobs,
-                         backend=args.backend, cache_dir=args.cache_dir,
-                         cache_max_bytes=args.cache_max_bytes,
-                         kill_timeout=args.kill_timeout)
-    try:
-        return run_daemon(config)
-    except OSError as exc:
-        print(f"error: cannot serve on {config.address!r}: {exc}",
-              file=sys.stderr)
-        return 1
 
 
 def _run_cache(args) -> int:
@@ -937,10 +845,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "analyze" and args.cache_max_bytes is not None \
+            and not args.cache_dir:
+        parser.error("analyze: --cache-max-bytes needs --cache-dir")
     _configure_logging(getattr(args, "log_level", None))
-    if args.command == "serve":
-        return _run_serve(args)
     if args.command == "cache":
         return _run_cache(args)
     if args.command == "audit":

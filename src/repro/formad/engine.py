@@ -503,7 +503,7 @@ class FormADEngine:
         constructed engine. Both are run state, not configuration (see
         ``__init__``), so binding them late cannot invalidate the
         per-loop result cache — but attach the store before the first
-        ``analyze_loop`` call or early loops go unrecorded. The serve
+        ``analyze_loop`` call or early loops go unrecorded. The shard
         workers of ``--backend process`` rebind ``deadline`` per shard
         request: the parent ships the remaining run budget with every
         request, and a fresh :class:`Deadline` anchors it to the
@@ -578,8 +578,7 @@ class FormADEngine:
         from ..resilience.journal import rebuild_analysis
         analysis = rebuild_analysis(loop, done, self._vcache.verdicts(key))
         # The cache stores only clean loops, so the replay *is* settled
-        # clean knowledge: mark it cacheable so run-level consumers
-        # (the serve daemon's memo) treat warm and cold runs alike.
+        # clean knowledge: warm and cold runs report it alike.
         analysis.cacheable = True
         self._vcache.loop_hits += 1
         logger.info("loop over %r: replayed settled verdicts from the "

@@ -28,7 +28,7 @@ import json
 import logging
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .events import SCHEMA_NAME, SCHEMA_VERSION
 from .metrics import MetricsRegistry
@@ -96,12 +96,8 @@ class RegistryTracer(NullTracer):
     is still guarded behind ``if tracer.enabled:`` and never happens.
     """
 
-    def __init__(self, registry: "Optional[MetricsRegistry]" = None) -> None:
-        # A caller-provided registry accumulates across runs — the
-        # ``repro serve`` daemon threads one registry through every
-        # request's tracer so its /stats counters are daemon-lifetime.
-        self.registry = registry if registry is not None else \
-            MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
 
     def counter(self, name: str, value: int = 1) -> None:
         self.registry.counter(name, value)

@@ -62,13 +62,12 @@ disagreeing ``loop_done``/``verdict`` payloads — is logged and dropped
 entirely, so the affected question/loop is re-asked instead of
 silently trusting whichever record happened to land last.
 
-:class:`CacheStore` is the directory-level manager: it opens
-per-fingerprint caches, enforces a size budget with LRU eviction
-(recency = file mtime, bumped on every valid open), and compacts
-files offline — squashing duplicates and surfacing conflicts as
-:class:`CacheConflictError` — using the journal's
-write-temp + fsync + atomic-rename idiom so a crash mid-compaction
-leaves the original file intact.
+:class:`CacheStore` is the directory-level manager: it enforces a
+size budget with LRU eviction (recency = file mtime, bumped on every
+valid open), and compacts files offline — squashing duplicates and
+surfacing conflicts as :class:`CacheConflictError` — using the
+journal's write-temp + fsync + atomic-rename idiom so a crash
+mid-compaction leaves the original file intact.
 """
 
 from __future__ import annotations
@@ -463,8 +462,6 @@ class CacheStore:
     their writer-lock files. The store adds the lifecycle operations a
     bag of append-only files lacks:
 
-    * :meth:`open` — a (locked) :class:`VerdictCache` for one
-      fingerprint;
     * :meth:`evict` — LRU eviction by fingerprint file until the
       store fits ``max_bytes`` (recency = mtime; files whose writer
       lock is currently held are never evicted);
@@ -481,10 +478,6 @@ class CacheStore:
         self.max_bytes = max_bytes
 
     # ------------------------------------------------------------- access
-    def open(self, fingerprint: str, *,
-             readonly: bool = False) -> VerdictCache:
-        return VerdictCache(self.cache_dir, fingerprint, readonly=readonly)
-
     def usage(self) -> List[Tuple[str, int, float]]:
         """``(fingerprint, bytes, mtime)`` per cache file, least
         recently used first."""

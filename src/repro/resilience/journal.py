@@ -17,7 +17,7 @@ continued file stays line-aligned.
 
 The store's loop records come from :func:`serialize_analysis` and go
 back through its inverse :func:`rebuild_analysis`; the shard workers
-and the ``repro serve`` daemon ship the same shape over the wire.
+ship the same shape over the wire.
 """
 
 from __future__ import annotations
@@ -162,8 +162,7 @@ def serialize_analysis(loop_key: str, analysis) -> dict:
     """One settled :class:`~repro.formad.engine.LoopAnalysis` as
     ``{"done": ..., "verdicts": [...]}`` — the store's ``loop_done`` and
     ``verdict`` record payloads, and the per-loop wire shape of shard
-    replies and the ``repro serve`` daemon. :func:`rebuild_analysis`
-    reverses it."""
+    replies. :func:`rebuild_analysis` reverses it."""
     from ..formad.engine import AnalysisStats
 
     stats = {name: getattr(analysis.stats, name)
@@ -188,7 +187,7 @@ def serialize_analysis(loop_key: str, analysis) -> dict:
 def rebuild_analysis(loop, done: dict, verdicts: List[dict]):
     """Reconstruct a :class:`~repro.formad.engine.LoopAnalysis` from the
     ``done``/``verdicts`` payloads :func:`serialize_analysis` produced
-    (a store replay, a shard reply, or a daemon answer)."""
+    (a store replay or a shard reply)."""
     from ..formad.engine import AnalysisStats, ArrayVerdict, LoopAnalysis
     stats = AnalysisStats()
     known = set(AnalysisStats.__dataclass_fields__)

@@ -153,7 +153,6 @@ class WorkerClient:
     """
 
     def __init__(self, config: ShardConfig,
-                 init_request: Optional[dict] = None,
                  worker_id: Optional[str] = None) -> None:
         #: Stable pool-slot identity ("w0", "w1", ...) stamped onto
         #: every trace event this worker's replies carry.
@@ -163,11 +162,6 @@ class WorkerClient:
         #: The (send, recv) perf_counter bracket of the last request —
         #: the clamp window for its buffered event timestamps.
         self.last_window: Optional[Tuple[float, float]] = None
-        #: Wall-clock seconds this client spent serving requests.
-        self.busy_s = 0.0
-        #: The loop keys the worker sees (a cheap contract check),
-        #: populated by :meth:`init`.
-        self.loops: List[str] = []
         self._proc = subprocess.Popen(
             [config.python, "-m", "repro.resilience.worker", "--serve"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -177,18 +171,13 @@ class WorkerClient:
         self._stderr_tail: deque = deque(maxlen=20)
         threading.Thread(target=self._read_stdout, daemon=True).start()
         threading.Thread(target=self._read_stderr, daemon=True).start()
-        if init_request is not None:
-            self.init(init_request, timeout=config.kill_timeout)
 
     def init(self, init_request: dict, timeout: float) -> None:
-        """(Re-)initialize the worker for one analysis run. A serve
-        worker builds a fresh engine per init (and clears its clausify
-        cache), so re-initing an already-warm worker is the pool's way
-        of starting a new run without paying the process spawn."""
+        """Send the worker its one ``init`` request (the program and
+        engine flags of the run, or campaign mode)."""
         reply = self.request(init_request, timeout=timeout)
         if not reply.get("ok"):
             raise WorkerGone("crash", f"worker init failed: {reply!r}")
-        self.loops = list(reply.get("loops", []))
 
     # ------------------------------------------------------------ plumbing
     def _read_stdout(self) -> None:
@@ -250,7 +239,6 @@ class WorkerClient:
         if not isinstance(reply, dict):
             raise WorkerGone("crash", "worker produced a non-object reply")
         recv_pc = time.perf_counter()
-        self.busy_s += recv_pc - send_pc
         self.last_window = (send_pc, recv_pc)
         if isinstance(reply.get("clock"), (int, float)):
             self.clock.update(float(reply["clock"]), send_pc, recv_pc)
@@ -278,81 +266,46 @@ class WorkerClient:
 
 
 class WorkerPool:
-    """A caller-owned pool of persistent serve workers.
+    """The persistent worker processes of one run.
 
-    Historically the pool lived and died inside one
-    :func:`analyze_sharded` call, so every invocation paid the full
-    spawn + interpreter-boot cost. This class moves pool lifetime to
-    the caller: the ``repro serve`` daemon keeps one pool warm across
-    requests, while the one-shot CLI path builds a throwaway pool per
-    run (same behavior as before).
-
-    The pool is *lazily* populated: slot ``k`` spawns on its first
-    :meth:`client` call and stays alive until it dies
-    (:meth:`drop`) or the pool shuts down. Each analysis run starts
-    with :meth:`begin_run`, which bumps a run tag; a slot whose tag is
-    stale is re-initialized (cheap — engine construction, no model
-    build) before serving its first request of the run. The re-init is
-    mandatory even for a repeated identical run: serve workers memoize
-    per-loop results and drain their store's received answers per
-    reply, so a stale engine would answer a repeat dispatch without
-    its question records.
+    Slot ``k`` spawns on its first :meth:`client` call, receives the
+    pool's *init_request*, and stays alive until it dies (:meth:`drop`)
+    or the run ends (:meth:`shutdown`); the next :meth:`client` call
+    after a drop spawns a fresh worker. Every worker process therefore
+    receives exactly one ``init``.
 
     Thread-safety: feeders touch disjoint slots (slot ``k`` belongs to
-    feeder ``k``), so per-slot state needs no lock; ``begin_run`` /
-    ``shutdown`` must not race in-flight feeders (the daemon
-    serializes runs).
+    feeder ``k``), so per-slot state needs no lock; :meth:`shutdown`
+    runs after the feeders have joined.
     """
 
-    def __init__(self, config: ShardConfig, size: int) -> None:
+    def __init__(self, config: ShardConfig, size: int,
+                 init_request: dict) -> None:
         self.config = config
         self.size = max(1, size)
-        self._slots: List[Optional[WorkerClient]] = [None] * self.size
-        self._tags: List[int] = [0] * self.size
-        self._init_request: Optional[dict] = None
-        self._run_tag = 0
-        #: Total processes spawned over the pool's lifetime (the
-        #: daemon's warm-pool health signal: stops growing once warm).
-        self.spawns = 0
-
-    def begin_run(self, init_request: dict) -> None:
-        """Start a new analysis run: every slot re-inits with
-        *init_request* before serving its first request of the run."""
         self._init_request = init_request
-        self._run_tag += 1
+        self._slots: List[Optional[WorkerClient]] = [None] * self.size
 
     def is_live(self, k: int) -> bool:
         return self._slots[k] is not None
 
-    def peek(self, k: int) -> Optional[WorkerClient]:
-        """Slot *k*'s live client, or None — no spawn, no re-init (for
-        teardown paths that must not resurrect a dead worker)."""
-        return self._slots[k]
-
     def client(self, k: int, *, tracer=None) -> WorkerClient:
-        """The (spawned, run-initialized) worker of slot *k*. Emits the
-        ``clock_sync`` trace event on a fresh spawn, exactly as the
-        inline spawn path did. Raises :class:`WorkerGone` (with the
-        slot already dropped) when the spawn or init fails."""
-        if self._init_request is None:
-            raise RuntimeError("WorkerPool.begin_run() must run before "
-                               "client()")
+        """The worker of slot *k*, spawned and initialized on first use.
+        Emits the ``clock_sync`` trace event on a fresh spawn. Raises
+        :class:`WorkerGone` (with the slot already dropped) when the
+        spawn or init fails."""
         client = self._slots[k]
-        fresh = client is None
-        if fresh:
-            client = WorkerClient(self.config, worker_id=f"w{k}")
-            self._slots[k] = client
-            self._tags[k] = 0
-            self.spawns += 1
-        if self._tags[k] != self._run_tag:
-            try:
-                client.init(self._init_request,
-                            timeout=self.config.kill_timeout)
-            except WorkerGone:
-                self.drop(k)
-                raise
-            self._tags[k] = self._run_tag
-        if fresh and tracer is not None and tracer.enabled \
+        if client is not None:
+            return client
+        client = WorkerClient(self.config, worker_id=f"w{k}")
+        self._slots[k] = client
+        try:
+            client.init(self._init_request,
+                        timeout=self.config.kill_timeout)
+        except WorkerGone:
+            self.drop(k)
+            raise
+        if tracer is not None and tracer.enabled \
                 and client.clock.offset is not None:
             tracer.emit("clock_sync", worker_id=client.worker_id,
                         offset_s=client.clock.offset,
@@ -446,19 +399,13 @@ def analyze_sharded(
     config: Optional[ShardConfig] = None,
     cache_dir: Optional[str] = None,
     fingerprint: Optional[str] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> Tuple[List, List[WorkerOutcome]]:
     """Analyze every parallel loop of *engine*'s procedure across a
-    pool of persistent worker processes.
+    pool of persistent worker processes that lives for this call.
 
     Returns ``(analyses, outcomes)`` in loop order; loops the parent
     replayed from the store without dispatching a shard get a
     ``cached`` outcome.
-
-    *pool* is the caller-owned worker pool; when omitted, a throwaway
-    pool is built and torn down inside this call (the one-shot CLI
-    behavior). A provided pool is left alive for the next run — that
-    is the ``repro serve`` warm path.
     """
     from ..formad.engine import PrimalRaceError
 
@@ -480,13 +427,10 @@ def analyze_sharded(
     if pending.empty():
         return list(slots), list(outcomes)
 
-    init_request = _init_request(engine, source, head, independents,
-                                 dependents, cache_dir=cache_dir,
-                                 fingerprint=fingerprint)
-    owned_pool = pool is None
-    if pool is None:
-        pool = WorkerPool(config, max(1, min(config.jobs, pending.qsize())))
-    pool.begin_run(init_request)
+    pool = WorkerPool(config, min(config.jobs, pending.qsize()),
+                      _init_request(engine, source, head, independents,
+                                    dependents, cache_dir=cache_dir,
+                                    fingerprint=fingerprint))
     apply_lock = threading.Lock()
     race: List[PrimalRaceError] = []
     tracer.gauge("scheduler.queue_depth", pending.qsize())
@@ -614,15 +558,12 @@ def analyze_sharded(
                         f"worker error: {error.get('message', '')}",
                         elapsed, worker_id=wid)
         finally:
-            # The pool (not the feeder) owns worker lifetime now; a
-            # caller-provided pool keeps its workers warm for the next
-            # run, a throwaway pool shuts down below.
             wall = time.perf_counter() - started
             tracer.counter(f"worker.{wid}.busy_seconds", busy)
             tracer.counter(f"worker.{wid}.idle_seconds",
                            max(wall - busy, 0.0))
 
-    n = max(1, min(pool.size, pending.qsize()))
+    n = pool.size
     threads = [threading.Thread(target=shard, args=(k,), name=f"shard-{k}")
                for k in range(n)]
     try:
@@ -631,8 +572,7 @@ def analyze_sharded(
         for thread in threads:
             thread.join()
     finally:
-        if owned_pool:
-            pool.shutdown()
+        pool.shutdown()
     if race:
         raise race[0]
     return list(slots), list(outcomes)

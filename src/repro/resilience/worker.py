@@ -96,7 +96,6 @@ def _build_engine(request: dict, *, tracer=None):
 def serve() -> int:
     """The ``--serve`` request loop (one line in, one line out)."""
     from ..obs.tracer import BufferTracer
-    from ..smt.clausify import clausify_cache_clear
     from .deadline import Deadline
     from .journal import serialize_analysis
 
@@ -129,12 +128,6 @@ def serve() -> int:
         if op == "init" and request.get("mode") == "audit":
             # Campaign mode: no program to parse — every audit_case
             # request is self-contained (it ships its own CaseSpec).
-            # Reset any prior analysis-run state so a pool reused
-            # across modes starts cold.
-            clausify_cache_clear()
-            engine = None
-            tracer = None
-            loops_by_key = {}
             reply({"ok": True, "loops": []})
             continue
         if op == "audit_case":
@@ -153,10 +146,6 @@ def serve() -> int:
             reply(payload)
             continue
         if op == "init":
-            # One engine per init; a re-init (a parent reusing the
-            # process for another run) starts from cold caches so
-            # counters stay run-deterministic.
-            clausify_cache_clear()
             tracer = BufferTracer() if request.get("trace") else None
             engine = _build_engine(request, tracer=tracer)
             cache = engine._vcache

@@ -151,10 +151,9 @@ def clausify_cache_info() -> CacheInfo:
 
 
 def clausify_cache_clear() -> None:
-    """Drop the per-formula clause cache. Benchmarks use this to keep
-    mode-vs-mode comparisons fair, and long-lived multi-run processes
-    (the ``--backend process`` serve workers) call it at every run
-    boundary so entries from a previous program never accumulate."""
+    """Drop the per-formula clause cache. Benchmarks and tests use this
+    to keep mode-vs-mode comparisons fair and to give back-to-back
+    in-process runs the cold cache a fresh process starts with."""
     global _hits, _misses
     with _cache_lock:
         _cache.clear()

@@ -4,18 +4,15 @@
 timers — whether the loops are analyzed
 
 * inline in the parent (default ``--backend thread``),
-* across persistent worker processes (``--backend process``),
-* replayed from a warm ``--cache-dir`` verdict cache, or
-* served by a ``repro serve`` daemon (``--connect``), cold *and* from
-  its memo,
+* across persistent worker processes (``--backend process``), or
+* replayed from a warm ``--cache-dir`` verdict cache,
 
-on all four paper kernels. This is what lets ``--backend process``,
-``--cache-dir``, and ``--connect`` be adopted without re-validating
-any downstream consumer of the JSON: the bytes do not change.
+on all four paper kernels. This is what lets ``--backend process``
+and ``--cache-dir`` be adopted without re-validating any downstream
+consumer of the JSON: the bytes do not change.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -54,24 +51,6 @@ def _normalize(doc):
     return doc
 
 
-@pytest.fixture()
-def serve_addr(tmp_path):
-    """A live in-process ``repro serve`` daemon on a unix socket."""
-    from repro.serve import AnalysisService, ServeConfig, build_server
-
-    address = str(tmp_path / "serve.sock")
-    service = AnalysisService(ServeConfig(address))
-    server = build_server(service)
-    thread = threading.Thread(target=server.serve_forever,
-                              kwargs={"poll_interval": 0.05})
-    thread.start()
-    yield address
-    server.shutdown()
-    thread.join()
-    server.server_close()
-    service.close()
-
-
 def _analyze(capsys, src_path, ins, outs, *extra):
     # each real CLI invocation starts with a cold process-global clause
     # cache; in-process back-to-back main() calls must too, or the
@@ -90,8 +69,7 @@ def _analyze(capsys, src_path, ins, outs, *extra):
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
-def test_thread_process_and_cache_warm_are_identical(name, tmp_path, capsys,
-                                                     serve_addr):
+def test_thread_process_and_cache_warm_are_identical(name, tmp_path, capsys):
     builder, ins, outs = KERNELS[name]
     proc = builder()
     src = tmp_path / f"{name}.f90"
@@ -121,11 +99,3 @@ def test_thread_process_and_cache_warm_are_identical(name, tmp_path, capsys,
                                    "--cache-dir", cache_dir,
                                    "--backend", "process", "--jobs", "2")
     assert warm_process_doc == thread_doc
-
-    # ... and served by a daemon: cold, then from its in-memory memo
-    connect_doc, _ = _analyze(capsys, str(src), ins, outs,
-                              "--connect", serve_addr)
-    assert connect_doc == thread_doc
-    memo_doc, _ = _analyze(capsys, str(src), ins, outs,
-                           "--connect", serve_addr)
-    assert memo_doc == thread_doc

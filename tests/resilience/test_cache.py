@@ -15,10 +15,13 @@ What must hold (docs/SCALING.md, "The verdict cache"):
   never share entries;
 * ``readonly`` mode (serve workers) never writes;
 * it is the crash-recovery store: a rerun on the same store recovers
-  loops that timed out or never finished.
+  loops that timed out or never finished;
+* ``analyze --cache-max-bytes`` evicts least-recently-used fingerprint
+  files after the run, and needs ``--cache-dir``.
 """
 
 import os
+import time
 
 import pytest
 
@@ -296,3 +299,65 @@ class TestRecovery:
             for name in COUNTERS:
                 assert getattr(again.stats, name) \
                     == getattr(honest.stats, name), name
+
+
+def _one_loop(scale: str) -> str:
+    return f"""
+subroutine one(x, y, n)
+  real, intent(in) :: x(1000)
+  real, intent(out) :: y(1000)
+  integer, intent(in) :: n
+  !$omp parallel do
+  do i = 2, n
+    y(i) = x(i) * {scale}
+  end do
+end subroutine one
+"""
+
+
+class TestSizeBudget:
+    def test_size_budget_evicts_after_the_run(self, tmp_path, capsys):
+        """Three analyses of different sources share one store; the
+        last one's ``--cache-max-bytes`` budget fits only the two
+        newest files, so exactly the oldest is evicted after the run."""
+        from repro.cli import main
+
+        store = tmp_path / "store"
+
+        def analyze(name, text, outs, *extra):
+            src = tmp_path / f"{name}.f90"
+            src.write_text(text)
+            before = set(os.listdir(store)) if store.exists() else set()
+            assert main(["analyze", str(src), "-i", "x", "-o", outs,
+                         "--json", "--cache-dir", str(store),
+                         *extra]) == 0
+            new = [n for n in set(os.listdir(store)) - before
+                   if n.endswith(".jsonl")]
+            assert len(new) == 1
+            return store / new[0]
+
+        oldest = analyze("a", TWO_LOOPS, "y,z")
+        now = time.time()
+        os.utime(oldest, (now - 200, now - 200))
+        middle = analyze("b", _one_loop("2.0"), "y")
+        os.utime(middle, (now - 100, now - 100))
+        # The two-loop file outweighs a one-loop file, so the budget
+        # "oldest + middle - 1" holds the two newest but not all three.
+        budget = oldest.stat().st_size + middle.stat().st_size - 1
+        capsys.readouterr()
+        newest = analyze("c", _one_loop("3.0"), "y",
+                         "--cache-max-bytes", str(budget))
+        err = capsys.readouterr().err
+
+        assert not oldest.exists()
+        assert middle.exists() and newest.exists()
+        assert middle.stat().st_size + newest.stat().st_size <= budget
+        assert "evicted 1 least-recently-used fingerprint file(s)" in err
+
+        src = tmp_path / "c.f90"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(src), "-i", "x", "-o", "y",
+                  "--cache-max-bytes", str(budget)])
+        assert exc.value.code == 2
+        assert "--cache-max-bytes needs --cache-dir" in \
+            capsys.readouterr().err

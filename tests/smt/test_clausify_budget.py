@@ -16,7 +16,8 @@ knob. These tests pin them apart:
 * a budget blow-up is never cached, so a later probe with a larger
   budget succeeds;
 * ``clausify_cache_clear`` fully resets entries *and* counters — the
-  serve-worker run-boundary hygiene call.
+  call that gives back-to-back in-process runs a fresh process's cold
+  cache.
 """
 
 import importlib
@@ -157,8 +158,8 @@ class TestProbeLocking:
 
 class TestCacheClearResetsEverything:
     def test_entries_and_counters_reset(self):
-        """Long-lived serve workers call this at every run boundary;
-        both the entries and the hit/miss counters must go to zero so
+        """Back-to-back in-process runs call this between runs; both
+        the entries and the hit/miss counters must go to zero so
         per-run statistics start from a clean slate."""
         clausify_cache_clear()
         formula = Int("bclear").ge(0)

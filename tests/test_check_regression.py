@@ -148,36 +148,6 @@ def test_schema_mismatch_fails():
     assert any("schema mismatch" in f for f in failures)
 
 
-def test_serving_bar_is_absolute():
-    cur = _doc()
-    cur["serving"] = {"bar": 0.25, "warm_over_cold_max": 0.01,
-                     "cpus": 4, "kernels": {}}
-    failures, notes = gate.compare(cur, _doc())  # baseline has no section
-    assert failures == []
-    assert any("serving" in n for n in notes)
-
-
-def test_serving_over_bar_fails():
-    cur = _doc()
-    cur["serving"] = {"bar": 0.25, "warm_over_cold_max": 0.4,
-                     "cpus": 4, "kernels": {}}
-    failures, _ = gate.compare(cur, _doc())
-    assert any("serving" in f and "bar" in f for f in failures)
-
-
-def test_serving_without_numbers_fails():
-    cur = _doc()
-    cur["serving"] = {"kernels": {}}
-    failures, _ = gate.compare(cur, _doc())
-    assert any("serving" in f for f in failures)
-
-
-def test_absent_serving_section_is_not_gated():
-    failures, notes = gate.compare(_doc(), _doc())
-    assert failures == []
-    assert not any("serving" in n for n in notes)
-
-
 def test_main_exit_codes(tmp_path):
     base = tmp_path / "baseline.json"
     cur = tmp_path / "current.json"

@@ -1,8 +1,10 @@
 """Tests for the command-line front end."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 FIG2 = """
 subroutine fig2(x, y, c, n)
@@ -143,3 +145,31 @@ class TestAnalyzeStrategy:
         arrays = {a["array"]: a for loop in doc["loops"]
                   for a in loop["arrays"]}
         assert arrays["x"]["strategy"] == "shared"
+
+
+class TestSurface:
+    def test_analyze_options_and_subcommands_are_pinned(self, src_file):
+        """The CLI surface is exactly this; retired flags and the
+        retired ``serve`` subcommand are argparse errors (exit 2)."""
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == {
+            "analyze", "cache", "differentiate", "tangent", "experiments",
+            "audit", "campaign", "corpus", "explain", "profile"}
+        analyze = subparsers.choices["analyze"]
+        assert [tuple(a.option_strings) for a in analyze._actions
+                if a.option_strings] == [
+            ("-h", "--help"), ("--log-level",), ("-i", "--independents"),
+            ("-o", "--dependents"), ("--head",), ("--jobs",),
+            ("--backend",), ("--cache-dir",), ("--cache-max-bytes",),
+            ("--trace",), ("--progress",), ("--json",), ("--deadline",),
+            ("--question-timeout",), ("--escalate",), ("--kill-timeout",),
+            ("--strict",), ("--strategy",), ("--fallback",)]
+
+        base = ["analyze", src_file, "-i", "x", "-o", "y"]
+        for argv in ([*base, "--isolate"], [*base, "--shard-unit", "loop"],
+                     [*base, "--journal", "j"], [*base, "--resume"],
+                     [*base, "--connect", "a"], ["serve"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
