@@ -262,6 +262,16 @@ INTRINSICS: Mapping[str, int] = {
 }
 
 
+def int_div(a: int, b: int) -> int:
+    """Fortran integer division: the quotient truncated toward zero.
+
+    Shared by constant folding, the interpreter's ``/`` and ``mod``;
+    raises :class:`ZeroDivisionError` when ``b`` is zero.
+    """
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
 def as_expr(value) -> Expr:
     """Coerce a Python value or expression into an :class:`Expr`."""
     if isinstance(value, (Const, Var, ArrayRef, BinOp, UnOp, Call, Compare, Logical)):

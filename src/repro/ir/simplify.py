@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .expr import (ArrayRef, BinOp, Call, Compare, Const, Expr, Logical, Op,
-                   UnOp, Var)
+                   UnOp, Var, int_div)
 
 
 def _const(expr: Expr) -> Optional[float | int]:
@@ -119,8 +119,7 @@ def _fold(op: Op, a, b) -> Optional[Const]:
             if b == 0:
                 return None
             if isinstance(a, int) and isinstance(b, int):
-                q = abs(a) // abs(b)
-                return Const(q if (a >= 0) == (b >= 0) else -q)
+                return Const(int_div(a, b))
             return Const(a / b)
         if op is Op.POW:
             return Const(a ** b)

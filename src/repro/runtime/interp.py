@@ -6,11 +6,25 @@ interpreted adjoints against finite differences, and the parallel
 executor drives it iteration-by-iteration to attribute costs and detect
 races.
 
+Each :meth:`Interpreter.run` first compiles the procedure into nested
+closures, then calls the closure of its body. Compilation resolves
+everything that cannot change during one run: statement and expression
+kinds, operators, intrinsics, each array reference's storage, lower
+bounds, extents and row-major strides, and the tracer's bound
+callbacks. A callback the tracer inherits from :class:`Tracer`'s no-op
+is never called. Nothing is cached across runs: the closures bind one
+run's arrays and tracer, and statements are mutable. Errors (bounds,
+tape, unknown names, bad intrinsics) are raised when the offending node
+executes, never while compiling.
+
 Parallel loops are executed sequentially in iteration order (which is a
 valid schedule; correct parallel programs are schedule-independent).
 A :class:`Tracer` receives fine-grained events — operation counts,
 memory accesses with thread attribution, tape traffic — so cost models
 and race detectors can observe execution without touching semantics.
+The event stream (which callbacks, in which order, with which
+arguments) is the interface: ``ref`` is always the exact
+:class:`ArrayRef` node of the access.
 
 Tape semantics: ``push``/``pop`` operate on named channels. Inside a
 parallel loop every iteration owns an independent stack (keyed by the
@@ -22,14 +36,14 @@ stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.expr import (ArrayRef, BinOp, Call, CmpOp, Compare, Const, Expr,
-                       Logical, LogicOp, Op, UnOp, Var)
+                       Logical, LogicOp, Op, UnOp, Var, int_div)
 from ..ir.program import Procedure
 from ..ir.stmt import Assign, If, Loop, Pop, Push, Stmt
-from .memory import ArrayStorage, Memory
+from .memory import Memory
 
 
 class TapeError(RuntimeError):
@@ -96,11 +110,71 @@ def loop_iterations(start: int, stop: int, step: int) -> List[int]:
     return [start + k * step for k in range(trips)]
 
 
-_UNARY_INTRINSICS: Dict[str, Callable[[float], float]] = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
-    "tanh": math.tanh, "abs": abs,
+def _div(a, b):
+    """Fortran ``/``. Scalar types come from the bindings, so whether
+    the division truncates is decided per call, not at compile time."""
+    if isinstance(a, int) and isinstance(b, int):
+        return int_div(a, b)
+    return a / b
+
+
+def _mod(a, b):
+    """Fortran ``mod``: the remainder takes the sign of ``a``; exact on
+    integers, ``math.fmod`` on reals."""
+    if b == 0:
+        raise InterpreterError(f"mod({a}, {b}): zero divisor")
+    if isinstance(a, float) or isinstance(b, float):
+        try:
+            return math.fmod(a, b)
+        except ValueError as exc:
+            raise InterpreterError(f"mod({a}, {b}): {exc}") from exc
+    a, b = int(a), int(b)
+    return a - b * int_div(a, b)
+
+
+def _unary(name: str, fn: Callable):
+    def intrinsic(x, *_):
+        try:
+            return fn(x)
+        except ValueError as exc:
+            raise InterpreterError(f"{name}({x}): {exc}") from exc
+    return intrinsic
+
+
+#: Intrinsic implementations over the evaluated arguments (``size``,
+#: which takes an array name, is compiled separately).
+_INTRINSICS: Dict[str, Callable] = {
+    **{name: _unary(name, fn) for name, fn in (
+        ("sin", math.sin), ("cos", math.cos), ("tan", math.tan),
+        ("exp", math.exp), ("log", math.log), ("sqrt", math.sqrt),
+        ("tanh", math.tanh), ("abs", abs))},
+    "max": lambda *args: max(args),
+    "min": lambda *args: min(args),
+    "mod": _mod,
+    "int": lambda x, *_: int(x),
+    "real": lambda x, *_: float(x),
+    "sign": lambda a, b: abs(a) if b >= 0 else -abs(a),
 }
+
+_ARITH: Dict[Op, Callable] = {
+    Op.ADD: operator.add, Op.SUB: operator.sub, Op.MUL: operator.mul,
+    Op.DIV: _div, Op.POW: operator.pow,
+}
+
+_COMPARE: Dict[CmpOp, Callable] = {
+    CmpOp.EQ: operator.eq, CmpOp.NE: operator.ne, CmpOp.LT: operator.lt,
+    CmpOp.LE: operator.le, CmpOp.GT: operator.gt, CmpOp.GE: operator.ge,
+}
+
+
+def _nothing() -> None:
+    pass
+
+
+def _raiser(error: type, message: str) -> Callable:
+    def fail(*_):
+        raise error(message)
+    return fail
 
 
 class Interpreter:
@@ -112,222 +186,397 @@ class Interpreter:
         self.memory = memory
         self.tracer = tracer
         #: Optional :class:`repro.resilience.Deadline`-shaped object
-        #: (anything with ``expired()``), polled between loop
-        #: iterations; ``None`` (the default) costs nothing.
+        #: (anything with ``expired()``), polled once per loop
+        #: iteration; ``None`` (the default) is never polled.
         self.deadline = deadline
         self.tape: Dict[Tuple[str, Optional[int]], List[float]] = {}
         self._par_key: Optional[int] = None
         self._in_parallel: Optional[Loop] = None
 
-    def _check_deadline(self, loop: Loop) -> None:
-        if self.deadline is not None and self.deadline.expired():
-            raise InterpreterTimeout(
-                f"deadline expired inside loop over {loop.var!r} "
-                f"of {self.proc.name!r}")
-
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
     def run(self) -> Memory:
-        self.exec_body(self.proc.body)
+        """Compile the procedure for this run, then execute it."""
+        _Compiler(self).body(self.proc.body)()
         return self.memory
+
+
+class _Compiler:
+    """Turns one run's statements and expressions into closures."""
+
+    def __init__(self, interp: Interpreter) -> None:
+        self.interp = interp
+        self.memory = interp.memory
+        self.scalars = interp.memory.scalars
+        self.arrays = interp.memory.arrays
+        tracer = interp.tracer
+        # name -> bound callback, or None where the tracer inherits the
+        # no-op (then the call is compiled out).
+        self.cb: Dict[str, Optional[Callable]] = {}
+        for name, noop in vars(Tracer).items():
+            if name.startswith("on_"):
+                method = getattr(tracer, name)
+                inherited = getattr(method, "__func__", None) is noop
+                self.cb[name] = None if inherited else method
 
     # ------------------------------------------------------------------
     # Statements
     # ------------------------------------------------------------------
-    def exec_body(self, body: Sequence[Stmt]) -> None:
-        for stmt in body:
-            self.exec_stmt(stmt)
+    def body(self, stmts: Sequence[Stmt]) -> Callable[[], None]:
+        fns = tuple(self.stmt(s) for s in stmts)
+        if not fns:
+            return _nothing
+        if len(fns) == 1:
+            return fns[0]
 
-    def exec_stmt(self, stmt: Stmt) -> None:
+        def run_body():
+            for fn in fns:
+                fn()
+        return run_body
+
+    def stmt(self, stmt: Stmt) -> Callable[[], None]:
         if isinstance(stmt, Assign):
             if stmt.atomic and isinstance(stmt.target, ArrayRef):
-                self._exec_atomic_update(stmt)
-                return
-            value = self.eval(stmt.value)
-            self.store(stmt.target, value, atomic=stmt.atomic)
-        elif isinstance(stmt, If):
-            if self.eval(stmt.cond):
-                self.exec_body(stmt.then_body)
-            else:
-                self.exec_body(stmt.else_body)
-        elif isinstance(stmt, Loop):
-            if stmt.parallel:
-                self.exec_parallel_loop(stmt)
-            else:
-                self.exec_sequential_loop(stmt)
-        elif isinstance(stmt, Push):
-            value = self.eval(stmt.value)
-            self.tape.setdefault((stmt.channel, self._par_key), []).append(value)
-            self.tracer.on_push()
-        elif isinstance(stmt, Pop):
-            stack = self.tape.get((stmt.channel, self._par_key))
-            if not stack:
-                raise TapeError(
-                    f"pop from empty tape channel {stmt.channel!r} "
-                    f"(iteration key {self._par_key!r})")
-            self.tracer.on_pop()
-            self.store(stmt.target, stack.pop(), atomic=False)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"cannot execute {stmt!r}")
+                return self.atomic_update(stmt)
+            return self.assign(stmt.target, self.expr(stmt.value))
+        if isinstance(stmt, If):
+            cond = self.expr(stmt.cond)
+            then = self.body(stmt.then_body)
+            orelse = self.body(stmt.else_body)
 
-    def exec_sequential_loop(self, loop: Loop) -> None:
-        start = int(self.eval(loop.start))
-        stop = int(self.eval(loop.stop))
-        step = int(self.eval(loop.step))
-        values = loop_iterations(start, stop, step)
-        for v in values:
-            self._check_deadline(loop)
-            self.memory.set_scalar(loop.var, v)
-            self.exec_body(loop.body)
-        # Fortran: counter holds the first value past the last iteration.
-        self.memory.set_scalar(loop.var, start + len(values) * step)
+            def if_():
+                if cond():
+                    then()
+                else:
+                    orelse()
+            return if_
+        if isinstance(stmt, Loop):
+            return self.loop(stmt)
+        if isinstance(stmt, Push):
+            return self.push(stmt)
+        if isinstance(stmt, Pop):
+            return self.pop(stmt)
+        raise TypeError(f"cannot execute {stmt!r}")  # pragma: no cover
 
-    def exec_parallel_loop(self, loop: Loop) -> None:
-        if self._in_parallel is not None:
-            raise InterpreterError("nested parallel loops are not supported")
-        start = int(self.eval(loop.start))
-        stop = int(self.eval(loop.stop))
-        step = int(self.eval(loop.step))
-        values = loop_iterations(start, stop, step)
-        self.tracer.on_parallel_loop_begin(loop, values)
-        self._in_parallel = loop
-        try:
-            for v in values:
-                self._check_deadline(loop)
-                self._par_key = v
-                self.memory.set_scalar(loop.var, v)
-                self.tracer.on_parallel_iteration_begin(loop, v)
-                self.exec_body(loop.body)
-                self.tracer.on_parallel_iteration_end(loop, v)
-        finally:
-            self._par_key = None
-            self._in_parallel = None
-        self.tracer.on_parallel_loop_end(loop)
-
-    def _exec_atomic_update(self, stmt: Assign) -> None:
+    def atomic_update(self, stmt: Assign) -> Callable[[], None]:
         """An ``!$omp atomic`` array update: the load of the target
         location inside the RHS is part of the atomic read-modify-write,
         so tracers must not see it as an independent plain read."""
         target = stmt.target
-        assert isinstance(target, ArrayRef)
-        indices = [int(self.eval(i)) for i in target.indices]
-        storage = self.memory.array(target.name)
-        flat = storage.flat_index(indices)
-        self.tracer.on_atomic_begin(target.name, flat)
-        try:
-            value = self.eval(stmt.value)
-        finally:
-            self.tracer.on_atomic_end()
-        storage.set(indices, value)
-        self.tracer.on_write(target.name, flat, atomic=True, ref=target)
+        name, locate = target.name, self.locator(target)
+        flat, value = self.flat(name), self.expr(stmt.value)
+        begin, end = self.cb["on_atomic_begin"], self.cb["on_atomic_end"]
+        write = self.cb["on_write"]
+
+        def atomic():
+            off = locate()
+            if begin is not None:
+                begin(name, off)
+            try:
+                v = value()
+            finally:
+                if end is not None:
+                    end()
+            flat[off] = v
+            if write is not None:
+                write(name, off, atomic=True, ref=target)
+        return atomic
+
+    def loop(self, loop: Loop) -> Callable[[], None]:
+        interp, var = self.interp, loop.var
+        start, stop = self.expr(loop.start), self.expr(loop.stop)
+        step, body = self.expr(loop.step), self.body(loop.body)
+        set_counter = (self.scalars.__setitem__ if var in self.scalars
+                       else self.memory.set_scalar)
+        deadline = interp.deadline
+        expired = None if deadline is None else deadline.expired
+        message = (f"deadline expired inside loop over {var!r} "
+                   f"of {interp.proc.name!r}")
+
+        def bounds():
+            first, last, stride = int(start()), int(stop()), int(step())
+            return first, stride, loop_iterations(first, last, stride)
+
+        if not loop.parallel:
+            def sequential():
+                first, stride, values = bounds()
+                for v in values:
+                    if expired is not None and expired():
+                        raise InterpreterTimeout(message)
+                    set_counter(var, v)
+                    body()
+                # Fortran: the counter holds the first value past the
+                # last iteration.
+                set_counter(var, first + len(values) * stride)
+            return sequential
+
+        loop_begin = self.cb["on_parallel_loop_begin"]
+        it_begin = self.cb["on_parallel_iteration_begin"]
+        it_end = self.cb["on_parallel_iteration_end"]
+        loop_end = self.cb["on_parallel_loop_end"]
+
+        def parallel():
+            if interp._in_parallel is not None:
+                raise InterpreterError(
+                    "nested parallel loops are not supported")
+            _, _, values = bounds()
+            if loop_begin is not None:
+                loop_begin(loop, values)
+            interp._in_parallel = loop
+            try:
+                for v in values:
+                    if expired is not None and expired():
+                        raise InterpreterTimeout(message)
+                    interp._par_key = v
+                    set_counter(var, v)
+                    if it_begin is not None:
+                        it_begin(loop, v)
+                    body()
+                    if it_end is not None:
+                        it_end(loop, v)
+            finally:
+                interp._par_key = None
+                interp._in_parallel = None
+            if loop_end is not None:
+                loop_end(loop)
+        return parallel
+
+    def push(self, stmt: Push) -> Callable[[], None]:
+        interp, tape, channel = self.interp, self.interp.tape, stmt.channel
+        value, on_push = self.expr(stmt.value), self.cb["on_push"]
+
+        def push():
+            v = value()
+            tape.setdefault((channel, interp._par_key), []).append(v)
+            if on_push is not None:
+                on_push()
+        return push
+
+    def pop(self, stmt: Pop) -> Callable[[], None]:
+        interp, tape, channel = self.interp, self.interp.tape, stmt.channel
+        on_pop = self.cb["on_pop"]
+
+        def popped():
+            stack = tape.get((channel, interp._par_key))
+            if not stack:
+                raise TapeError(
+                    f"pop from empty tape channel {channel!r} "
+                    f"(iteration key {interp._par_key!r})")
+            if on_pop is not None:
+                on_pop()
+            return stack.pop()
+        return self.assign(stmt.target, popped)
 
     # ------------------------------------------------------------------
     # Loads and stores
     # ------------------------------------------------------------------
-    def store(self, target: Var | ArrayRef, value, *, atomic: bool) -> None:
+    def flat(self, name: str):
+        """The flat view of array *name*, or ``None`` when it does not
+        exist (its locator then raises ``KeyError``)."""
+        storage = self.arrays.get(name)
+        return None if storage is None else storage.flat
+
+    def locator(self, ref: ArrayRef) -> Callable[[], int]:
+        """A closure that evaluates *ref*'s subscripts in order, each
+        through ``int()``, and returns the location's flat offset; the
+        error case is handed to ``ArrayStorage._offset`` so that
+        ``BoundsError`` keeps its message."""
+        storage = self.arrays.get(ref.name)
+        names = [i.name for i in ref.indices
+                 if isinstance(i, Var) and i.name in self.scalars]
+        if (storage is not None and len(names) == len(ref.indices)
+                == len(storage.lowers) <= 2):
+            return self.name_locator(storage, names)
+        fns = [self.expr(i) for i in ref.indices]
+        if storage is None:
+            arrays, name = self.arrays, ref.name
+
+            def missing():
+                [int(f()) for f in fns]
+                return arrays[name]  # raises KeyError
+            return missing
+        check = storage._offset
+        if len(fns) != len(storage.lowers) or len(fns) > 2:
+            flat_index = storage.flat_index
+            return lambda: flat_index([int(f()) for f in fns])
+        if len(fns) == 1:
+            (f0,), (l0,), (n0,) = fns, storage.lowers, storage.shape
+
+            def locate1():
+                p0 = int(f0()) - l0
+                if 0 <= p0 < n0:
+                    return p0
+                check([p0 + l0])
+            return locate1
+        (f0, f1), (l0, l1) = fns, storage.lowers
+        (n0, n1), s0 = storage.shape, storage.strides[0]
+
+        def locate2():
+            p0 = int(f0()) - l0
+            p1 = int(f1()) - l1
+            if 0 <= p0 < n0 and 0 <= p1 < n1:
+                return p0 * s0 + p1
+            check([p0 + l0, p1 + l1])
+        return locate2
+
+    def name_locator(self, storage, names: List[str]) -> Callable[[], int]:
+        """:meth:`locator` for one or two subscripts that are all scalar
+        names, read inline instead of through their closures."""
+        scalars, read = self.scalars, self.cb["on_scalar_read"]
+        check = storage._offset
+        if len(names) == 1:
+            (n0,), (l0,), (e0,) = names, storage.lowers, storage.shape
+
+            def locate_name():
+                if read is not None:
+                    read(n0)
+                p0 = int(scalars[n0]) - l0
+                if 0 <= p0 < e0:
+                    return p0
+                check([p0 + l0])
+            return locate_name
+        (n0, n1), (l0, l1), (e0, e1) = names, storage.lowers, storage.shape
+        s0 = storage.strides[0]
+
+        def locate_names():
+            if read is not None:
+                read(n0)
+            p0 = int(scalars[n0]) - l0
+            if read is not None:
+                read(n1)
+            p1 = int(scalars[n1]) - l1
+            if 0 <= p0 < e0 and 0 <= p1 < e1:
+                return p0 * s0 + p1
+            check([p0 + l0, p1 + l1])
+        return locate_names
+
+    def assign(self, target: Var | ArrayRef,
+               value: Callable[[], object]) -> Callable[[], None]:
+        """A plain (non-atomic) store of ``value()`` into *target*; the
+        value is evaluated before the target's subscripts."""
+        name = target.name
         if isinstance(target, Var):
-            self.memory.set_scalar(target.name, value)
-            self.tracer.on_scalar_write(target.name)
-        else:
-            indices = [int(self.eval(i)) for i in target.indices]
-            storage = self.memory.array(target.name)
-            storage.set(indices, value)
-            self.tracer.on_write(target.name, storage.flat_index(indices),
-                                 atomic=atomic, ref=target)
+            scalars, write = self.scalars, self.cb["on_scalar_write"]
+            if name not in scalars:
+                set_scalar = self.memory.set_scalar
+                return lambda: set_scalar(name, value())  # raises KeyError
+            if write is None:
+                def assign_scalar():
+                    scalars[name] = value()
+                return assign_scalar
+
+            def assign_scalar_traced():
+                scalars[name] = value()
+                write(name)
+            return assign_scalar_traced
+        locate, flat = self.locator(target), self.flat(name)
+        write = self.cb["on_write"]
+        if write is None:
+            def assign_array():
+                v = value()
+                flat[locate()] = v
+            return assign_array
+
+        def assign_array_traced():
+            v = value()
+            off = locate()
+            flat[off] = v
+            write(name, off, atomic=False, ref=target)
+        return assign_array_traced
 
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
-    def eval(self, expr: Expr):
+    def expr(self, expr: Expr) -> Callable[[], object]:
         if isinstance(expr, Const):
-            return expr.value
+            value = expr.value
+            return lambda: value
         if isinstance(expr, Var):
-            self.tracer.on_scalar_read(expr.name)
-            return self.memory.get_scalar(expr.name)
+            name, scalars = expr.name, self.scalars
+            read = self.cb["on_scalar_read"]
+            if read is None:
+                return lambda: scalars[name]
+
+            def var():
+                read(name)
+                return scalars[name]
+            return var
         if isinstance(expr, ArrayRef):
-            indices = [int(self.eval(i)) for i in expr.indices]
-            storage = self.memory.array(expr.name)
-            self.tracer.on_read(expr.name, storage.flat_index(indices), ref=expr)
-            return storage.get(indices)
-        if isinstance(expr, BinOp):
-            left = self.eval(expr.left)
-            right = self.eval(expr.right)
-            self.tracer.on_flop()
-            if expr.op is Op.ADD:
-                return left + right
-            if expr.op is Op.SUB:
-                return left - right
-            if expr.op is Op.MUL:
-                return left * right
-            if expr.op is Op.DIV:
-                if isinstance(left, int) and isinstance(right, int):
-                    # Fortran integer division truncates toward zero.
-                    q = abs(left) // abs(right)
-                    return q if (left >= 0) == (right >= 0) else -q
-                return left / right
-            if expr.op is Op.POW:
-                return left ** right
-            raise InterpreterError(f"bad binary op {expr.op}")  # pragma: no cover
+            name, locate = expr.name, self.locator(expr)
+            flat, read = self.flat(name), self.cb["on_read"]
+            item = None if flat is None else flat.item
+            if read is None:
+                return lambda: item(locate())
+
+            def load():
+                off = locate()
+                read(name, off, ref=expr)
+                return item(off)
+            return load
+        if isinstance(expr, (BinOp, Compare)):
+            left, right = self.expr(expr.left), self.expr(expr.right)
+            table = _ARITH if isinstance(expr, BinOp) else _COMPARE
+            fn = table.get(expr.op) or _raiser(
+                InterpreterError, f"bad binary op {expr.op}")
+            flop = self.cb["on_flop"]
+            if flop is None:
+                return lambda: fn(left(), right())
+
+            def binop():
+                a = left()
+                b = right()
+                flop()
+                return fn(a, b)
+            return binop
         if isinstance(expr, UnOp):
-            self.tracer.on_flop()
-            return -self.eval(expr.operand)
+            operand, flop = self.expr(expr.operand), self.cb["on_flop"]
+            if flop is None:
+                return lambda: -operand()
+
+            def neg():
+                flop()
+                return -operand()
+            return neg
         if isinstance(expr, Call):
-            return self.eval_call(expr)
-        if isinstance(expr, Compare):
-            left = self.eval(expr.left)
-            right = self.eval(expr.right)
-            self.tracer.on_flop()
-            return {
-                CmpOp.EQ: left == right, CmpOp.NE: left != right,
-                CmpOp.LT: left < right, CmpOp.LE: left <= right,
-                CmpOp.GT: left > right, CmpOp.GE: left >= right,
-            }[expr.op]
+            return self.call(expr)
         if isinstance(expr, Logical):
+            a, *rest = [self.expr(e) for e in expr.operands]
             if expr.op is LogicOp.NOT:
-                return not self.eval(expr.operands[0])
-            left = self.eval(expr.operands[0])
+                return lambda: not a()
+            b, = rest
             if expr.op is LogicOp.AND:
-                return bool(left) and bool(self.eval(expr.operands[1]))
-            return bool(left) or bool(self.eval(expr.operands[1]))
+                return lambda: bool(a()) and bool(b())
+            return lambda: bool(a()) or bool(b())
         raise TypeError(f"cannot evaluate {expr!r}")  # pragma: no cover
 
-    def eval_call(self, call: Call):
-        self.tracer.on_intrinsic(call.func)
-        if call.func == "size":
+    def call(self, call: Call) -> Callable[[], object]:
+        func, on_intrinsic = call.func, self.cb["on_intrinsic"]
+        if func == "size":
             # size(a[, dim]) takes the array *name*, which must not be
             # evaluated as data.
-            name = call.args[0]
-            if not isinstance(name, (Var, ArrayRef)):
-                raise InterpreterError("size() expects an array name")
-            storage = self.memory.array(name.name)
-            if len(call.args) >= 2:
-                axis = int(self.eval(call.args[1])) - 1
-                return storage.shape[axis]
-            return storage.size
-        args = [self.eval(a) for a in call.args]
-        fn = _UNARY_INTRINSICS.get(call.func)
-        if fn is not None:
-            try:
-                return fn(args[0])
-            except ValueError as exc:
-                raise InterpreterError(f"{call.func}({args[0]}): {exc}") from exc
-        if call.func == "max":
-            return max(args)
-        if call.func == "min":
-            return min(args)
-        if call.func == "mod":
-            a, b = args
-            return math.fmod(a, b) if isinstance(a, float) or isinstance(b, float) \
-                else int(math.fmod(a, b))
-        if call.func == "int":
-            return int(args[0])
-        if call.func == "real":
-            return float(args[0])
-        if call.func == "sign":
-            a, b = args
-            return abs(a) if b >= 0 else -abs(a)
-        raise InterpreterError(f"unknown intrinsic {call.func!r}")
+            target = call.args[0] if call.args else None
+            if not isinstance(target, (Var, ArrayRef)):
+                impl = _raiser(InterpreterError,
+                               "size() expects an array name")
+            else:
+                arrays, name = self.arrays, target.name
+                dim = (self.expr(call.args[1]) if len(call.args) >= 2
+                       else None)
+
+                def impl():
+                    storage = arrays[name]
+                    if dim is not None:
+                        return storage.shape[int(dim()) - 1]
+                    return storage.size
+            fns: List[Callable] = []
+        else:
+            impl = _INTRINSICS.get(func) or _raiser(
+                InterpreterError, f"unknown intrinsic {func!r}")
+            fns = [self.expr(a) for a in call.args]
+
+        def intrinsic():
+            if on_intrinsic is not None:
+                on_intrinsic(func)
+            return impl(*[f() for f in fns])
+        return intrinsic
 
 
 def run_procedure(

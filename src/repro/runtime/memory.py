@@ -7,7 +7,7 @@ invocation; assumed-size dimensions get their extents from the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,12 +34,35 @@ class BoundsError(IndexError):
 
 @dataclass
 class ArrayStorage:
-    """A rectangular array with inclusive lower/upper bounds."""
+    """A rectangular array with inclusive lower/upper bounds.
+
+    ``data`` is C-contiguous (it comes from ``np.zeros`` or
+    ``ndarray.copy()`` and is never reassigned), so ``flat`` is a view
+    of it and a location's flat id is the dot product of its 0-based
+    offsets with the row-major ``strides`` (in elements).
+    """
 
     name: str
     kind: Kind
     lowers: Tuple[int, ...]
     data: np.ndarray
+    strides: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Loads return ``flat.item(...)``, which is a Python float, int
+        # or bool because the dtype is the kind's; a C-contiguous
+        # ``reshape(-1)`` is a view, so stores through ``flat`` land in
+        # ``data``.
+        assert self.data.dtype == _DTYPES[self.kind], self.name
+        assert self.data.flags.c_contiguous, self.name
+        self.flat = self.data.reshape(-1)
+        strides = []
+        step = 1
+        for extent in reversed(self.data.shape):
+            strides.append(step)
+            step *= extent
+        self.strides = tuple(reversed(strides))
 
     @classmethod
     def allocate(cls, name: str, type_: ArrayType,
@@ -97,19 +120,17 @@ class ArrayStorage:
         return tuple(out)
 
     def get(self, indices: Sequence[int]):
-        value = self.data[self._offset(indices)]
-        if self.kind is Kind.INTEGER:
-            return int(value)
-        if self.kind is Kind.LOGICAL:
-            return bool(value)
-        return float(value)
+        """The element as a Python ``float``, ``int`` or ``bool``."""
+        return self.flat.item(self.flat_index(indices))
 
     def set(self, indices: Sequence[int], value) -> None:
-        self.data[self._offset(indices)] = value
+        self.flat[self.flat_index(indices)] = value
 
     def flat_index(self, indices: Sequence[int]) -> int:
-        """A unique linear id for a location (used by the race detector)."""
-        return int(np.ravel_multi_index(self._offset(indices), self.data.shape))
+        """A unique linear id for a location: its index into ``flat``
+        (what the interpreter reports to tracers)."""
+        return sum(pos * stride for pos, stride
+                   in zip(self._offset(indices), self.strides))
 
     def fill(self, value) -> None:
         self.data.fill(value)

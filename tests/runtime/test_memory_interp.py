@@ -1,13 +1,18 @@
 """Tests for array storage and the reference interpreter."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.ir import (Assign, If, Loop, Pop, ProcedureBuilder, Push, REAL,
                       Var, integer_array, parse_procedure, real_array, INTEGER)
 from repro.runtime import (ArrayStorage, BoundsError, Interpreter,
-                           InterpreterError, Memory, TapeError,
+                           InterpreterError, Memory, TapeError, Tracer,
                            loop_iterations, run_procedure)
+from repro.ir.expr import Const, int_div
+from repro.ir.simplify import simplify
 from repro.ir.types import ArrayType, Kind, Dim
 
 
@@ -59,6 +64,98 @@ class TestArrayStorage:
         a = ArrayStorage.allocate("a", t)
         flats = {a.flat_index([i, j]) for i in range(1, 4) for j in range(1, 5)}
         assert len(flats) == 12
+
+
+@st.composite
+def _located(draw):
+    """An array shape (rank 1-3, lower bounds around 0) and one
+    subscript per axis, sometimes just out of range."""
+    rank = draw(st.integers(1, 3))
+    lowers = [draw(st.integers(-4, 4)) for _ in range(rank)]
+    extents = [draw(st.integers(1, 4)) for _ in range(rank)]
+    subs = [draw(st.integers(lo - 2, lo + n + 1))
+            for lo, n in zip(lowers, extents)]
+    return lowers, extents, subs
+
+
+class _Flats(Tracer):
+    def __init__(self):
+        self.flats = []
+
+    def on_read(self, array, flat, ref=None):
+        self.flats.append(flat)
+
+    def on_write(self, array, flat, *, atomic, ref=None):
+        self.flats.append(flat)
+
+
+class TestFlatIndex:
+    """A location's flat id has one definition: ``ArrayStorage``'s
+    row-major strides, shared by ``flat_index`` and the interpreter."""
+
+    @staticmethod
+    def _run(lowers, extents, subs, by_name):
+        b = ProcedureBuilder("p")
+        a = b.param("a", real_array(*[(lo, lo + n - 1)
+                                      for lo, n in zip(lowers, extents)]))
+        names = [b.param(f"k{axis}", INTEGER) for axis in range(len(subs))]
+        index = tuple(names) if by_name else tuple(subs)
+        b.assign(a[index], a[index] + 1.0)
+        proc = b.build()
+        tracer = _Flats()
+        mem = Memory.for_procedure(
+            proc, {f"k{axis}": v for axis, v in enumerate(subs)})
+        Interpreter(proc, mem, tracer).run()
+        return mem, tracer.flats
+
+    @given(_located(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_flat_index_matches_numpy_and_the_interpreter(self, case,
+                                                          by_name):
+        lowers, extents, subs = case
+        t = ArrayType(Kind.REAL, [Dim(lo, lo + n - 1)
+                                  for lo, n in zip(lowers, extents)])
+        storage = ArrayStorage.allocate("a", t)
+        offsets = [v - lo for v, lo in zip(subs, lowers)]
+        bad = [axis for axis, (p, n) in enumerate(zip(offsets, extents))
+               if not 0 <= p < n]
+        if bad:
+            axis = bad[0]
+            low, high = lowers[axis], lowers[axis] + extents[axis] - 1
+            message = re.escape(f"array 'a' axis {axis}: subscript "
+                                f"{subs[axis]} outside [{low}, {high}]")
+            with pytest.raises(BoundsError, match=message):
+                storage.flat_index(subs)
+            with pytest.raises(BoundsError, match=message):
+                self._run(lowers, extents, subs, by_name)
+            return
+        flat = storage.flat_index(subs)
+        assert flat == np.ravel_multi_index(offsets, tuple(extents))
+        mem, flats = self._run(lowers, extents, subs, by_name)
+        assert flats == [flat, flat]
+        assert mem.array("a").data[tuple(offsets)] == 1.0
+        assert mem.array("a").flat[flat] == 1.0
+
+    def test_wrong_subscript_count_message(self):
+        t = ArrayType(Kind.REAL, [Dim(1, 3), Dim(1, 3)])
+        with pytest.raises(BoundsError, match="2 subscripts expected, got 1"):
+            ArrayStorage.allocate("a", t).flat_index([1])
+
+    def test_flat_is_a_view_of_data(self):
+        t = ArrayType(Kind.INTEGER, [Dim(0, 2), Dim(-1, 1)])
+        a = ArrayStorage.allocate("a", t)
+        a.set([2, 1], 7)
+        assert a.data[2, 2] == 7 and a.flat[8] == 7
+        assert a.strides == (3, 1)
+        b = a.copy()
+        b.set([0, -1], 5)
+        assert b.data[0, 0] == 5 and a.data[0, 0] == 0
+
+    def test_zero_extent_array(self):
+        a = ArrayStorage.allocate("a", ArrayType(Kind.REAL, [Dim(1, 0)]))
+        assert a.flat.size == 0 and a.strides == (1,)
+        with pytest.raises(BoundsError):
+            a.get([1])
 
 
 class TestMemory:
@@ -182,6 +279,50 @@ end subroutine p
         proc = parse_procedure(src)
         assert run_procedure(proc, {"a": 7, "b": 2}).get_scalar("q") == 3
         assert run_procedure(proc, {"a": -7, "b": 2}).get_scalar("q") == -3
+
+    _MOD = """
+subroutine p(a, b, r)
+  {kind}, intent(in) :: a
+  {kind}, intent(in) :: b
+  {kind}, intent(out) :: r
+  r = mod(a, b)
+end subroutine p
+"""
+
+    def _mod(self, a, b, kind="integer"):
+        proc = parse_procedure(self._MOD.format(kind=kind))
+        return run_procedure(proc, {"a": a, "b": b}).get_scalar("r")
+
+    def test_integer_mod_is_exact(self):
+        # Through a float, 2**53 + 1 rounds to an even number.
+        r = self._mod(2**53 + 1, 2)
+        assert r == 1 and type(r) is int
+        assert self._mod(2**62 + 3, 4) == 3
+
+    def test_integer_mod_takes_the_sign_of_a(self):
+        assert [self._mod(a, b) for a, b in
+                ((7, 2), (-7, 2), (7, -2), (-7, -2), (6, 3), (-6, 3))] \
+            == [1, -1, 1, -1, 0, 0]
+
+    def test_real_mod_uses_fmod(self):
+        assert self._mod(5.5, 2.0, "real") == 1.5
+        assert self._mod(-5.5, 2.0, "real") == -1.5
+
+    @pytest.mark.parametrize("a, b, kind", [(5, 0, "integer"),
+                                            (5.0, 0.0, "real")])
+    def test_mod_by_zero_raises_interpreter_error(self, a, b, kind):
+        with pytest.raises(InterpreterError, match=r"mod\(5(\.0)?, 0"):
+            self._mod(a, b, kind)
+
+    @given(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70))
+    @settings(max_examples=200, deadline=None)
+    def test_int_div_and_mod_agree_with_fortran(self, a, b):
+        assume(b != 0)
+        q = int_div(a, b)
+        r = self._mod(a, b)
+        assert q * b + r == a
+        assert abs(r) < abs(b) and (r == 0 or (r > 0) == (a > 0))
+        assert simplify(Const(a) / Const(b)) == Const(q)
 
     def test_counter_value_after_loop(self):
         src = """
