@@ -1,43 +1,35 @@
-"""Analysis-pipeline performance: incremental vs from-scratch solving.
+"""Analysis-pipeline performance: two within-run ratios, each gated by
+a constant floor.
 
-Runs the FormAD analysis on the paper kernels twice — once through the
-incremental, memoized pipeline (the default) and once through the
-seed-equivalent baseline that re-ackermannizes and re-clausifies the
-whole assertion stack on every ``check()`` (``incremental=False``, memo
-off) — and asserts that
+* Incremental versus from-scratch solving. Each paper kernel is
+  analysed through the incremental, memoized pipeline (the default) and
+  through the seed-equivalent baseline that re-ackermannizes and
+  re-clausifies the whole assertion stack on every ``check()``
+  (``incremental=False``, memo off). The fresh/incremental ratio of
+  translate+clausify time must clear the kernel's floor.
+* ``--backend process`` versus the GIL-bound thread fan-out on a
+  generated multi-loop workload: identical analyses everywhere, and a
+  speedup floor wherever at least two CPUs are available.
 
-* verdicts and Table-1 query totals are identical in both modes, and
-* the incremental pipeline cuts total translate+clausify time by at
-  least the per-kernel ``SPEEDUP_KERNELS`` bars on the large-stencil
-  and GFMC regions.
-
-The per-kernel phase breakdown is written to ``BENCH_ANALYSIS.json`` at
-the repository root so the performance trajectory of later PRs can be
-tracked machine-readably (CI uploads it as an artifact). Set
-``REPRO_BENCH_QUICK=1`` to skip the slow LBM baseline.
+Ratios, not times, so the floors hold across machines. The verdicts and
+counters of both solver modes are pinned exactly, under every hash
+seed, by ``tests/formad/test_hashseed_golden.py``.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.analysis import ActivityAnalysis
 from repro.formad import FormADEngine
-from repro.obs import METRICS_SCHEMA, counters_only, stats_metrics
 from repro.programs import (build_gfmc, build_greengauss, build_lbm,
                             build_stencil)
 from repro.smt import clausify_cache_clear
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
-
-#: Timing repetitions per mode; the speedup uses the fastest repetition
-#: of each mode (counts are identical across repetitions by assertion).
-#: Quick mode saves its time by skipping LBM, not by skimping on the
-#: millisecond-scale kernels the speedup bar applies to.
-REPEATS = 2 if QUICK else 3
+#: Timing repetitions per mode; each ratio uses the fastest repetition
+#: of each mode.
+REPEATS = 3
 
 #: The paper kernels (LBM is the rejection case) with their Table-1
 #: independent/dependent sets.
@@ -49,117 +41,52 @@ KERNELS = {
     "GreenGauss": (build_greengauss, ["dv"], ["grad"]),
 }
 
-#: Per-kernel acceptance bars. GFMC's bar dropped from 3.0 when the
-#: solver hot path gained the cross-check Ackermann axiom cache and
-#: interned terms: those are solver-level wins, so they speed up the
-#: from-scratch baseline too, and on a millisecond-scale kernel like
-#: GFMC the incremental-vs-fresh *ratio* honestly compresses (the
-#: absolute times both improved). Stencil 8's gap is dominated by
-#: re-translating the whole assertion stack, which no cache hides.
-SPEEDUP_KERNELS = {"stencil 8": 3.0, "GFMC": 2.0}
+#: Floors on the fresh/incremental translate+clausify ratio: 0.75x the
+#: ratios recorded on a 2-CPU host (stencil 8 5.99x, GFMC 3.22x, LBM
+#: 28.2x). Stencil 8's gap is re-translating the whole assertion stack,
+#: which no cache hides. GreenGauss (1.50x) has no floor: that close to
+#: parity, constant overheads swamp any band, so its ratio is only
+#: reported.
+SPEEDUP_FLOORS = {"stencil 8": 4.49, "GFMC": 2.42, "LBM": 21.15}
 
 
-def _run_mode(name: str, incremental: bool) -> dict:
-    """One full analysis of *name* in the given solver mode, with the
-    global clause cache dropped first so the modes are compared cold."""
+def _run_mode(name: str, incremental: bool) -> float:
+    """Translate+clausify seconds of one full analysis of *name* in the
+    given solver mode, with the global clause cache dropped first so the
+    modes are compared cold."""
     builder, independents, dependents = KERNELS[name]
     proc = builder()
     activity = ActivityAnalysis(proc, independents, dependents)
     engine = FormADEngine(proc, activity, incremental=incremental,
                           use_question_memo=incremental)
     clausify_cache_clear()
-    analyses = engine.analyze_all()
-    stats = [a.stats for a in analyses]
-    return {
-        "verdicts": {array: v.safe for a in analyses
-                     for array, v in a.verdicts.items()},
-        "queries": sum(s.queries for s in stats),
-        "consistency_checks": sum(s.consistency_checks for s in stats),
-        "exploitation_checks": sum(s.exploitation_checks for s in stats),
-        "memo_hits": sum(s.memo_hits for s in stats),
-        "translate_seconds": sum(s.translate_seconds for s in stats),
-        "clausify_seconds": sum(s.clausify_seconds for s in stats),
-        "search_seconds": sum(s.search_seconds for s in stats),
-        "time_seconds": sum(s.time_seconds for s in stats),
-        "clausify_hits": sum(s.clausify_hits for s in stats),
-        "clausify_misses": sum(s.clausify_misses for s in stats),
-        # the full stable metrics mapping (schema repro-metrics/1), so
-        # BENCH_ANALYSIS.json consumers can diff counter-level behavior
-        # across PRs without scraping the ad-hoc keys above
-        "metrics": stats_metrics(stats),
-    }
+    return sum(a.stats.translate_seconds + a.stats.clausify_seconds
+               for a in engine.analyze_all())
 
 
-def _translate_clausify(mode: dict) -> float:
-    return mode["translate_seconds"] + mode["clausify_seconds"]
-
-
-_COUNT_KEYS = ("verdicts", "queries", "consistency_checks",
-               "exploitation_checks", "memo_hits")
-
-
-def _run_best(name: str, incremental: bool) -> dict:
-    """Fastest of ``REPEATS`` runs (by translate+clausify time); the
-    deterministic counts must agree across repetitions."""
-    runs = [_run_mode(name, incremental=incremental)
-            for _ in range(REPEATS)]
-    for run in runs[1:]:
-        for key in _COUNT_KEYS:
-            assert run[key] == runs[0][key], (name, key)
-        assert counters_only(run["metrics"]) \
-            == counters_only(runs[0]["metrics"]), name
-    return min(runs, key=_translate_clausify)
+def _speedup(name: str) -> float:
+    incremental = min(_run_mode(name, True) for _ in range(REPEATS))
+    fresh = min(_run_mode(name, False) for _ in range(REPEATS))
+    return fresh / max(incremental, 1e-9)
 
 
 @pytest.mark.figure("analysis-perf")
 def test_incremental_pipeline_speedup():
-    names = [n for n in KERNELS if not (QUICK and n == "LBM")]
-    results = {}
-    for name in names:
-        incremental = _run_best(name, incremental=True)
-        fresh = _run_best(name, incremental=False)
-
-        # Same analysis either way: verdicts and Table-1 totals must
-        # not depend on the solving strategy (memo hits are reported
-        # separately and do not change the question count).
-        assert incremental["verdicts"] == fresh["verdicts"], name
-        assert incremental["queries"] == fresh["queries"], name
-        assert fresh["memo_hits"] == 0, name
-
-        denom = max(_translate_clausify(incremental), 1e-9)
-        speedup = _translate_clausify(fresh) / denom
-        results[name] = {
-            "incremental": incremental,
-            "fresh": fresh,
-            "translate_clausify_speedup": speedup,
-        }
-
-    for name, bar in SPEEDUP_KERNELS.items():
-        speedup = results[name]["translate_clausify_speedup"]
-        assert speedup >= bar, (
-            f"{name}: translate+clausify only {speedup:.1f}x faster "
-            f"than the from-scratch baseline (need >= {bar}x)")
-
-    out = {
-        "schema": "repro-analysis-perf/1",
-        "metrics_schema": METRICS_SCHEMA,
-        "quick_mode": QUICK,
-        "repeats": REPEATS,
-        "min_required_speedup": dict(SPEEDUP_KERNELS),
-        "speedup_kernels": sorted(SPEEDUP_KERNELS),
-        "kernels": results,
-    }
-    path = Path(__file__).resolve().parent.parent / "BENCH_ANALYSIS.json"
-    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    ratios = {name: _speedup(name) for name in KERNELS}
+    low = [name for name, floor in SPEEDUP_FLOORS.items()
+           if ratios[name] < floor]
+    measured = ", ".join(f"{name} {r:.2f}x" for name, r in ratios.items())
+    assert not low, (
+        f"translate+clausify ratio under its floor for {low}: "
+        f"measured {measured}; floors {SPEEDUP_FLOORS}")
 
 
-#: The backend comparison's fan-out width and its acceptance bar. The
-#: ≥2x bar only applies where it can physically hold: a worker pool
-#: cannot beat the GIL on a single-CPU box, where the comparison still
-#: runs (identity must hold everywhere) but only records its numbers.
+#: The backend comparison's fan-out width and its floor: 0.75x the
+#: 3.11x recorded on a 2-CPU host. The floor only applies where it can
+#: physically hold: a worker pool cannot beat the GIL on a single-CPU
+#: box, where the identity checks still run.
 BACKEND_JOBS = 4
-MIN_BACKEND_SPEEDUP = 2.0
-BACKEND_REPEATS = 1 if QUICK else 2
+MIN_BACKEND_SPEEDUP = 2.33
 
 #: Shape of the generated backend workload: loops per region count and
 #: write statements per loop. 39 writes puts the GIL-bound thread run at
@@ -240,139 +167,25 @@ def test_process_backend_beats_gil_bound_threads():
     """``--backend process --jobs 4`` vs the GIL-bound thread fan-out
     on a generated 4-loop workload: identical analyses, and at least
     ``MIN_BACKEND_SPEEDUP``x faster wall-clock wherever more than one
-    CPU is actually available. Results land in BENCH_ANALYSIS.json
-    (key ``backend``) either way, with the CPU count recorded so a
-    single-CPU run's honest numbers are not mistaken for a regression.
-    """
+    CPU is actually available."""
     source = _backend_source()
     outs = [f"u{k}" for k in range(BACKEND_LOOPS)]
-    thread_best, process_best = None, None
-    for _ in range(BACKEND_REPEATS):
-        thread_run, thread_t = _backend_thread(source, outs)
-        process_run, process_t = _backend_process(source, outs)
-        assert len(thread_run) == len(process_run) == BACKEND_LOOPS
-        for local, remote in zip(thread_run, process_run):
-            assert not remote.degraded
-            assert {n: v.safe for n, v in local.verdicts.items()} \
-                == {n: v.safe for n, v in remote.verdicts.items()}
-            assert all(v.safe for v in remote.verdicts.values())
-            for name in BACKEND_INVARIANT:
-                assert getattr(local.stats, name) \
-                    == getattr(remote.stats, name), name
-        thread_best = min(thread_t, thread_best or thread_t)
-        process_best = min(process_t, process_best or process_t)
+    thread_run, thread_t = _backend_thread(source, outs)
+    process_run, process_t = _backend_process(source, outs)
+    assert len(thread_run) == len(process_run) == BACKEND_LOOPS
+    for local, remote in zip(thread_run, process_run):
+        assert not remote.degraded
+        assert {n: v.safe for n, v in local.verdicts.items()} \
+            == {n: v.safe for n, v in remote.verdicts.items()}
+        assert all(v.safe for v in remote.verdicts.values())
+        for name in BACKEND_INVARIANT:
+            assert getattr(local.stats, name) \
+                == getattr(remote.stats, name), name
 
     cpus = len(os.sched_getaffinity(0))
-    speedup = thread_best / max(process_best, 1e-9)
+    speedup = thread_t / max(process_t, 1e-9)
     if cpus >= 2:
         assert speedup >= MIN_BACKEND_SPEEDUP, (
             f"process backend only {speedup:.2f}x the thread backend "
             f"at jobs={BACKEND_JOBS} on {cpus} CPUs "
             f"(need >= {MIN_BACKEND_SPEEDUP}x)")
-
-    path = Path(__file__).resolve().parent.parent / "BENCH_ANALYSIS.json"
-    doc = {}
-    if path.exists():
-        try:
-            doc = json.loads(path.read_text())
-        except ValueError:
-            doc = {}
-    doc["backend"] = {
-        "workload": (f"generated {BACKEND_LOOPS}x{BACKEND_WRITES}-write "
-                     "stencil regions (_backend_source)"),
-        "loops": BACKEND_LOOPS,
-        "jobs": BACKEND_JOBS,
-        "cpus": cpus,
-        "repeats": BACKEND_REPEATS,
-        "thread_seconds": thread_best,
-        "process_seconds": process_best,
-        "speedup": speedup,
-        "min_required_speedup": MIN_BACKEND_SPEEDUP,
-        "speedup_enforced": cpus >= 2,
-    }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-#: Micro-timing repetitions for the SMT hot-path trackers.
-MICRO_INTERN_REPS = 20_000
-MICRO_SIMPLEX_REPS = 300
-
-
-def _micro_interning(reps: int = MICRO_INTERN_REPS) -> dict:
-    """Repeated construction of one small expression inventory: after
-    the first pass every node resolves through the hash-consing tables,
-    so this times the intern hit path that every translation walks."""
-    from repro.smt import Int
-    start = time.perf_counter()
-    for k in range(reps):
-        x, y, z = Int("qmi_x"), Int("qmi_y"), Int("qmi_z")
-        expr = x + 2 * y - z + 7
-        expr.ge(k % 5)
-    seconds = time.perf_counter() - start
-    return {"reps": reps, "seconds": seconds,
-            "atoms_per_second": reps / max(seconds, 1e-9)}
-
-
-def _micro_simplex(reps: int = MICRO_SIMPLEX_REPS) -> dict:
-    """Dense vs Fraction simplex on a small feasible polytope (the
-    shapes FormAD's branch & bound re-checks constantly). Pivot parity
-    is pinned by tests/smt/test_simplex_parity.py; this only tracks the
-    wall-clock ratio across PRs."""
-    from repro.smt import Int, canonicalize
-    from repro.smt.linform import TrivialConstraint
-    from repro.smt.simplex import DenseSimplexSolver, FractionSimplexSolver
-    x, y, z = Int("qms_x"), Int("qms_y"), Int("qms_z")
-    constraints = []
-    for atom in ((2 * x + 3 * y).le(12), (x - y).ge(-1), x.ge(0), y.ge(2),
-                 (x + y + z).eq(6), (x - z).le(4), z.ge(0)):
-        try:
-            constraints.extend(canonicalize(atom))
-        except TrivialConstraint:
-            pass
-    out = {"reps": reps}
-    for label, cls in (("dense", DenseSimplexSolver),
-                       ("fraction", FractionSimplexSolver)):
-        start = time.perf_counter()
-        for _ in range(reps):
-            solver = cls()
-            for c in constraints:
-                solver.assert_constraint(c)
-            assert solver.check() is True
-        out[f"{label}_seconds"] = time.perf_counter() - start
-    out["dense_speedup"] = (out["fraction_seconds"]
-                            / max(out["dense_seconds"], 1e-9))
-    return out
-
-
-@pytest.mark.figure("analysis-perf")
-def test_smt_hot_path_micro_timings():
-    """The interning and dense-vs-Fraction simplex micro-timings, tracked
-    across PRs under the ``smt_micro`` key of BENCH_ANALYSIS.json. No
-    bar: simplex pivot parity is pinned by
-    tests/smt/test_simplex_parity.py, and these only record the
-    wall-clock trajectory of the SMT hot path."""
-    path = Path(__file__).resolve().parent.parent / "BENCH_ANALYSIS.json"
-    doc = {}
-    if path.exists():
-        try:
-            doc = json.loads(path.read_text())
-        except ValueError:
-            doc = {}
-    doc["smt_micro"] = {
-        "interning": _micro_interning(),
-        "simplex": _micro_simplex(),
-    }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-@pytest.mark.figure("analysis-perf")
-def test_lbm_rejection_identical_across_modes():
-    """The LBM rejection (the paper's negative result) must be
-    reproduced identically by both pipelines."""
-    if QUICK:
-        pytest.skip("REPRO_BENCH_QUICK=1 skips the LBM baseline")
-    incremental = _run_mode("LBM", incremental=True)
-    fresh = _run_mode("LBM", incremental=False)
-    assert incremental["verdicts"]["srcgrid"] is False
-    assert incremental["verdicts"] == fresh["verdicts"]
-    assert incremental["queries"] == fresh["queries"]

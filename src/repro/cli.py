@@ -25,6 +25,7 @@ import argparse
 import json
 import logging
 import sys
+import threading
 from typing import List, Optional, Sequence
 
 from . import (STRATEGIES, differentiate, differentiate_tangent,
@@ -39,6 +40,33 @@ LOG_LEVELS = ("debug", "info", "warning", "error")
 #: Safeguards usable as the FormAD fallback (every registered strategy
 #: except the proof-gated ``shared``).
 FALLBACKS = ("atomic", "reduction", "preaccumulate", "transposed")
+
+
+def positive_int(text: str) -> int:
+    """argparse type of a worker count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type of a byte budget: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
+def interval_seconds(text: str) -> float:
+    """argparse type of a heartbeat interval: seconds above 0 and no
+    longer than a thread can wait (``threading.TIMEOUT_MAX``)."""
+    value = float(text)
+    if not 0 < value <= threading.TIMEOUT_MAX:
+        raise argparse.ArgumentTypeError(
+            f"must be seconds above 0 and at most "
+            f"{threading.TIMEOUT_MAX:g}, got {text}")
+    return value
 
 
 def _add_io_args(p: argparse.ArgumentParser) -> None:
@@ -108,8 +136,6 @@ def _start_heartbeat(tracer, interval: float):
     """``--progress``: a daemon thread printing one ``repro-metrics/2``
     registry snapshot line to stderr every *interval* seconds. Returns
     the stop event, or None when the tracer carries no registry."""
-    import threading
-
     registry = getattr(tracer, "registry", None)
     if registry is None:
         return None
@@ -140,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[common],
                        help="run the FormAD analysis only")
     _add_io_args(p)
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=positive_int, default=None,
                    help="analyze independent parallel regions over N "
                         "workers (threads or processes, see --backend)")
     p.add_argument("--backend", choices=("thread", "process", "auto"),
@@ -160,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "record); a rerun answers from DIR instead of the "
                         "solver, which is also how a killed or timed-out "
                         "run recovers")
-    p.add_argument("--cache-max-bytes", type=int, default=None, metavar="N",
+    p.add_argument("--cache-max-bytes", type=nonnegative_int, default=None,
+                   metavar="N",
                    help="size budget for --cache-dir (required with "
                         "it): after the run, evict least-recently-used "
                         "fingerprint files until the store fits N bytes "
@@ -168,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, metavar="OUT.jsonl",
                    help="record the structured provenance/span event "
                         "stream (replay with 'repro explain/profile')")
-    p.add_argument("--progress", nargs="?", const=2.0, type=float,
+    p.add_argument("--progress", nargs="?", const=2.0, type=interval_seconds,
                    default=None, metavar="S",
                    help="print a repro-metrics/2 registry snapshot line "
                         "to stderr every S seconds (default 2.0) and "
@@ -219,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fingerprint", default=None,
                    help="compact only this fingerprint's file "
                         "(default: every file in the store)")
-    p.add_argument("--max-bytes", type=int, default=None, metavar="N",
+    p.add_argument("--max-bytes", type=nonnegative_int, default=None,
+                   metavar="N",
                    help="the eviction budget (required for 'evict')")
     p.add_argument("--drop-conflicts", action="store_true",
                    help="compaction: remove conflicting record keys "
@@ -243,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiments", parents=[common],
                        help="regenerate EXPERIMENTS.md (Table 1 and "
                             "Figures 3-10)")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=positive_int, default=None,
                    help="fan independent kernels and program versions out "
                         "over N worker threads")
     p.add_argument("--backend", choices=("thread", "process", "auto"),
@@ -308,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="RATE",
                    help="fault-injection sweep rates per kernel (bare "
                         "--chaos uses the default 0.1..1.0 sweep)")
-    p.add_argument("--jobs", type=int, default=2,
+    p.add_argument("--jobs", type=positive_int, default=2,
                    help="persistent worker processes (default 2)")
     p.add_argument("--journal", default=None, metavar="OUT.jsonl",
                    help="checkpoint every settled case to a crash-safe "
@@ -344,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "unsettled cases are left for --resume")
     p.add_argument("--trace", default=None, metavar="OUT.jsonl",
                    help="record the structured event stream of the run")
-    p.add_argument("--progress", nargs="?", const=2.0, type=float,
+    p.add_argument("--progress", nargs="?", const=2.0, type=interval_seconds,
                    default=None, metavar="S",
                    help="print a repro-metrics/2 heartbeat line (cases/"
                         "sec, retries, quarantined, respawns, "
@@ -842,6 +870,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError:  # pragma: no cover
             pass
         return 0
+    except OSError as exc:
+        # a missing input, a directory given as a file, an unwritable
+        # -O/--trace path: one line, not a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(argv: Optional[Sequence[str]] = None) -> int:

@@ -17,8 +17,8 @@ from .tracer import (NULL_TRACER, BufferTracer, CollectingTracer,
                      JsonlTracer, NullTracer, RegistryTracer,
                      Tracer, load_trace)
 from .metrics import (COUNTER_KEYS, METRICS_SCHEMA, METRICS_SCHEMA_V2,
-                      TIMER_KEYS, MetricsRegistry, counters_only,
-                      migrate_metrics, stats_metrics, validate_metrics)
+                      TIMER_KEYS, MetricsRegistry, migrate_metrics,
+                      stats_metrics, validate_metrics)
 from .clock import ClockSync
 from .explain import explain_array, known_arrays, resolve_array
 from .profile import (build_span_tree, context_table, critical_path,
@@ -36,7 +36,7 @@ __all__ = [
     "NullTracer", "RegistryTracer",
     "Tracer", "load_trace",
     "COUNTER_KEYS", "METRICS_SCHEMA", "METRICS_SCHEMA_V2", "TIMER_KEYS",
-    "MetricsRegistry", "counters_only", "migrate_metrics",
+    "MetricsRegistry", "migrate_metrics",
     "stats_metrics", "validate_metrics",
     "ClockSync",
     "explain_array", "known_arrays", "resolve_array",

@@ -7,10 +7,11 @@ Two layers live here:
   :class:`~repro.formad.engine.AnalysisStats` records. The key set and
   order are fixed by :data:`COUNTER_KEYS` / :data:`TIMER_KEYS` and
   versioned by :data:`METRICS_SCHEMA`, so downstream tooling
-  (``BENCH_ANALYSIS.json`` consumers, ``repro analyze --json``
-  scrapers) can diff counter-level behavior across PRs instead of
-  scraping the human-readable tables. Add new keys at the end and bump
-  the schema version; never rename or repurpose existing keys.
+  (``repro analyze --json`` scrapers, and the exact golden counters
+  of ``tests/formad/test_hashseed_golden.py``) can diff counter-level
+  behavior across versions instead of scraping the human-readable
+  tables. Add new keys at the end and bump the schema version; never
+  rename or repurpose existing keys.
 
 * **Schema /2** — a live :class:`MetricsRegistry` of counters, gauges,
   and fixed-bucket histograms, the runtime-telemetry layer the shard
@@ -107,12 +108,6 @@ def stats_metrics(stats_list: Iterable) -> Dict[str, Number]:
         out["clausify_seconds"] += stats.clausify_seconds
         out["search_seconds"] += stats.search_seconds
     return out
-
-
-def counters_only(metrics: Dict[str, Number]) -> Dict[str, Number]:
-    """The deterministic subset of a metrics mapping (for equality
-    assertions across runs and solver modes)."""
-    return {k: metrics[k] for k in COUNTER_KEYS}
 
 
 #: Default fixed histogram buckets (seconds): tuned for solver checks

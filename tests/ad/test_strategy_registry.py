@@ -14,7 +14,7 @@ from repro.experiments.specs import (gfmc_spec, greengauss_spec, lbm_spec,
                                      small_stencil_spec)
 from repro.ir.builder import ProcedureBuilder
 from repro.ir.expr import Var
-from repro.ir.stmt import Loop
+from repro.ir.stmt import Assign, Loop, walk_stmts
 from repro.ir.types import INTEGER, integer_array, real_array
 
 
@@ -113,7 +113,46 @@ class TestApplicability:
         assert strategy is REDUCTION and reason == ""
 
 
+#: Structure counts of each strategy's adjoint of the small stencil
+#: (n=64). They are deterministic, so they compare exactly: atomics
+#: guard every shared increment, reduction privatizes instead,
+#: preaccumulate flushes once per buffered location, and the hoisted
+#: transposed adjoint needs no safeguard at all.
+CODEGEN_COUNTS = {
+    "shared": {"atomic_statements": 0, "reduction_clauses": 0,
+               "parallel_loops": 1, "preacc_temps": 0, "statements": 11},
+    "atomic": {"atomic_statements": 3, "reduction_clauses": 0,
+               "parallel_loops": 1, "preacc_temps": 0, "statements": 11},
+    "reduction": {"atomic_statements": 0, "reduction_clauses": 1,
+                  "parallel_loops": 1, "preacc_temps": 0, "statements": 11},
+    "preaccumulate": {"atomic_statements": 2, "reduction_clauses": 0,
+                      "parallel_loops": 1, "preacc_temps": 2,
+                      "statements": 15},
+    "transposed": {"atomic_statements": 0, "reduction_clauses": 0,
+                   "parallel_loops": 2, "preacc_temps": 0,
+                   "statements": 12},
+}
+
+
 class TestGeneratedCodeShape:
+    @pytest.mark.parametrize("strategy", registered_strategies(),
+                             ids=lambda s: s.name)
+    def test_codegen_counts_are_exact(self, strategy):
+        spec = small_stencil_spec(n=64)
+        proc = differentiate(spec.proc, spec.independents, spec.dependents,
+                             strategy=strategy.name).procedure
+        stmts = list(walk_stmts(proc.body))
+        parallel = [s for s in stmts if isinstance(s, Loop) and s.parallel]
+        assert {
+            "atomic_statements": sum(
+                1 for s in stmts if isinstance(s, Assign) and s.atomic),
+            "reduction_clauses": sum(len(s.reduction) for s in parallel),
+            "parallel_loops": len(parallel),
+            "preacc_temps": sum(
+                1 for name in proc.locals if name.startswith("ad_pre")),
+            "statements": len(stmts),
+        } == CODEGEN_COUNTS[strategy.name]
+
     def test_transposed_hoists_stencil_increments(self):
         spec = small_stencil_spec(n=64)
         adj = differentiate(spec.proc, spec.independents, spec.dependents,

@@ -2,17 +2,25 @@
 
 Each seed runs in its own interpreter, because the hash seed is fixed
 at interpreter start-up. The child analyses stencil 8, GFMC, LBM and
-GreenGauss and reports, per kernel, the verdict of every (loop, array),
-the solver's search counters and the witness model of every SAT
-exploitation question (from the ``question`` trace events). Every seed
-must reproduce the same golden values.
+GreenGauss in both solver modes: incremental with the question memo
+(the default) and fresh (``incremental=False, use_question_memo=False``,
+which re-translates and re-clausifies the whole assertion stack on
+every check). The clause cache is cleared before each run, so each run
+starts cold. Per kernel and mode it reports the verdict of every
+(loop, array), all of :data:`~repro.obs.metrics.COUNTER_KEYS`, and the
+witness model of every SAT exploitation question (from the
+``question`` trace events). Every seed must reproduce the same golden
+values.
 
 What this pins: no answer, and no step on the way to it, may depend on
 set or dict-of-set iteration order. The spread assignment of
 ``repro.smt.search`` is the classic trap: which value each variable
 gets decides whether the guess settles a check, so a hash-ordered
 variable list changes the theory-check and branch counts (and can
-change a witness) between a parent process and its workers.
+change a witness) between a parent process and its workers. Because
+both modes share one verdict and witness table, it also pins that the
+solving mode never changes an answer, and that a fresh run never hits
+the memo.
 """
 
 import json
@@ -22,15 +30,20 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from repro.obs import COUNTER_KEYS
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 SEEDS = range(8)
+MODES = ("incremental", "fresh")
 
 CHILD = r'''
 import json, sys
 from repro.analysis import ActivityAnalysis
 from repro.formad import FormADEngine
+from repro.obs import COUNTER_KEYS, stats_metrics
 from repro.obs.tracer import CollectingTracer
 from repro.programs import build_gfmc, build_greengauss, build_lbm, build_stencil
+from repro.smt import clausify_cache_clear
 
 KERNELS = {
     "stencil 8": (lambda: build_stencil(8, name="stencil_large"),
@@ -39,58 +52,108 @@ KERNELS = {
     "LBM": (build_lbm, ["srcgrid"], ["dstgrid"]),
     "GreenGauss": (build_greengauss, ["dv"], ["grad"]),
 }
-COUNTERS = ("solver_sat", "solver_unsat", "theory_checks",
-            "search_branches", "search_propagations", "memo_hits")
 out = {}
 for name, (builder, ind, dep) in KERNELS.items():
-    proc = builder()
-    tracer = CollectingTracer()
-    engine = FormADEngine(proc, ActivityAnalysis(proc, ind, dep),
-                          tracer=tracer)
-    analyses = engine.analyze_all()
-    out[name] = {
-        "verdicts": {f"{a.loop.var}:{array}": v.safe for a in analyses
-                     for array, v in a.verdicts.items()},
-        "counters": {c: sum(getattr(a.stats, c) for a in analyses)
-                     for c in COUNTERS},
-        "witnesses": [e["witness"] for e in tracer.events
-                      if e["type"] == "question" and e["result"] == "SAT"],
-    }
+    out[name] = {}
+    for mode, incremental in (("incremental", True), ("fresh", False)):
+        proc = builder()
+        tracer = CollectingTracer()
+        engine = FormADEngine(proc, ActivityAnalysis(proc, ind, dep),
+                              tracer=tracer, incremental=incremental,
+                              use_question_memo=incremental)
+        clausify_cache_clear()
+        analyses = engine.analyze_all()
+        metrics = stats_metrics(a.stats for a in analyses)
+        out[name][mode] = {
+            "verdicts": {f"{a.loop.var}:{array}": v.safe for a in analyses
+                         for array, v in a.verdicts.items()},
+            "counters": {c: metrics[c] for c in COUNTER_KEYS},
+            "witnesses": [e["witness"] for e in tracer.events
+                          if e["type"] == "question"
+                          and e["result"] == "SAT"],
+        }
 json.dump(out, sys.stdout)
 '''
 
 
-def _counters(sat, unsat, theory=0, branches=0, propagations=0, memo=0):
-    return {"solver_sat": sat, "solver_unsat": unsat,
-            "theory_checks": theory, "search_branches": branches,
-            "search_propagations": propagations, "memo_hits": memo}
+def _counters(**nonzero):
+    """All of ``COUNTER_KEYS``: the given values, zero elsewhere."""
+    unknown = set(nonzero) - set(COUNTER_KEYS)
+    assert not unknown, unknown
+    return {key: nonzero.get(key, 0) for key in COUNTER_KEYS}
 
 
-#: Recorded with the model-evaluation code that predates level-tagged
-#: evaluation; every seed gave these exact values.
+#: Every seed gives these exact values, in both modes.
 GOLDEN = {
     "stencil 8": {
         "verdicts": {"i:uold": True, "i:unew": True},
-        "counters": _counters(81, 45),
         "witnesses": [],
+        "incremental": _counters(
+            queries=126, consistency_checks=81, exploitation_checks=45,
+            solver_checks=126, solver_sat=81, solver_unsat=45,
+            formulas_translated=127, clausify_hits=1, clausify_misses=126,
+            model_size=82, unique_exprs=9),
+        "fresh": _counters(
+            queries=126, consistency_checks=81, exploitation_checks=45,
+            solver_checks=126, solver_sat=81, solver_unsat=45,
+            formulas_translated=7137, clausify_hits=7011,
+            clausify_misses=126, model_size=82, unique_exprs=9),
     },
     "GFMC": {
         "verdicts": {"is:cl": True, "is:cr": True,
                      "k12:cl": True, "k12:cr": True},
-        "counters": _counters(17, 12, memo=9),
         "witnesses": [],
+        "incremental": _counters(
+            queries=38, consistency_checks=17, exploitation_checks=21,
+            memo_hits=9, solver_checks=29, solver_sat=17, solver_unsat=12,
+            formulas_translated=48, clausify_hits=17, clausify_misses=31,
+            model_size=19, unique_exprs=5),
+        "fresh": _counters(
+            queries=38, consistency_checks=17, exploitation_checks=21,
+            solver_checks=38, solver_sat=17, solver_unsat=21,
+            formulas_translated=517, clausify_hits=486, clausify_misses=31,
+            model_size=19, unique_exprs=5),
     },
     "LBM": {
         "verdicts": {"i:srcgrid": False, "i:dstgrid": True},
-        "counters": _counters(362, 190, theory=5, branches=4, memo=1),
         "witnesses": [{"c_0": 3, "e_0": 0, "i_0": 3, "i_0'": 0, "n_0": 0,
                        "n_cell_entries_0": 1, "nw_0": 0, "w_0": 0}],
+        "incremental": _counters(
+            queries=553, consistency_checks=361, exploitation_checks=192,
+            memo_hits=1, solver_checks=552, solver_sat=362,
+            solver_unsat=190, theory_checks=5, search_branches=4,
+            formulas_translated=553, clausify_misses=553, model_size=362,
+            unique_exprs=19),
+        "fresh": _counters(
+            queries=553, consistency_checks=361, exploitation_checks=192,
+            solver_checks=553, solver_sat=362, solver_unsat=191,
+            theory_checks=5, search_branches=4, formulas_translated=135398,
+            clausify_hits=134845, clausify_misses=553, model_size=362,
+            unique_exprs=19),
     },
     "GreenGauss": {
         "verdicts": {"ie:dv": True, "ie:grad": True},
-        "counters": _counters(4, 3),
         "witnesses": [],
+        "incremental": _counters(
+            queries=7, consistency_checks=4, exploitation_checks=3,
+            solver_checks=7, solver_sat=4, solver_unsat=3,
+            formulas_translated=12, clausify_hits=4, clausify_misses=8,
+            model_size=5, unique_exprs=2),
+        "fresh": _counters(
+            queries=7, consistency_checks=4, exploitation_checks=3,
+            solver_checks=7, solver_sat=4, solver_unsat=3,
+            formulas_translated=32, clausify_hits=24, clausify_misses=8,
+            model_size=5, unique_exprs=2),
     },
+}
+
+#: What the child reports: per kernel and mode, the shared verdicts and
+#: witnesses with that mode's counters.
+EXPECTED = {
+    name: {mode: {"verdicts": golden["verdicts"],
+                  "counters": golden[mode],
+                  "witnesses": golden["witnesses"]} for mode in MODES}
+    for name, golden in GOLDEN.items()
 }
 
 
@@ -109,4 +172,4 @@ def test_paper_kernels_match_golden_under_every_hash_seed():
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = dict(zip(SEEDS, pool.map(_run, SEEDS)))
     for seed, got in results.items():
-        assert got == GOLDEN, f"PYTHONHASHSEED={seed} diverged"
+        assert got == EXPECTED, f"PYTHONHASHSEED={seed} diverged"

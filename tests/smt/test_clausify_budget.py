@@ -22,6 +22,7 @@ knob. These tests pin them apart:
 
 import importlib
 import inspect
+import sys
 import threading
 
 import pytest
@@ -153,6 +154,46 @@ class TestProbeLocking:
             info = clausify_cache_info()
             assert (info.misses, info.hits, info.currsize) == (n, 1, 1)
         finally:
+            clausify_cache_clear()
+
+    def test_contended_hits_are_exact(self):
+        """1 and then 4 threads each sweep a primed working set of the
+        shapes the analysis caches (knowledge disjunctions, question
+        conjunctions) 100 times: every probe hits and returns the one
+        shared tuple, and the cache's counters add up to the probes."""
+        formulas = [FOr((FAnd((Int(f"wsa{k}").ge(0), Int(f"wsb{k}").le(k))),
+                         Int(f"wsc{k}").ge(k + 1))) for k in range(64)]
+        sweeps = 100
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for nthreads in (1, 4):
+                clausify_cache_clear()
+                shared = [clausify_probe(f)[0] for f in formulas]
+                oks = [None] * nthreads
+
+                def sweep(i):
+                    ok = True
+                    for _ in range(sweeps):
+                        for formula, expect in zip(formulas, shared):
+                            clauses, hit = clausify_probe(formula)
+                            ok = ok and hit and clauses is expect
+                    oks[i] = ok
+
+                threads = [threading.Thread(target=sweep, args=(i,))
+                           for i in range(nthreads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert oks == [True] * nthreads
+                info = clausify_cache_info()
+                assert (info.misses, info.hits, info.currsize) == (
+                    len(formulas), nthreads * sweeps * len(formulas),
+                    len(formulas))
+        finally:
+            sys.setswitchinterval(interval)
             clausify_cache_clear()
 
 

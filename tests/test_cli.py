@@ -1,10 +1,16 @@
 """Tests for the command-line front end."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FIG2 = """
 subroutine fig2(x, y, c, n)
@@ -96,6 +102,72 @@ class TestParseErrors:
         path.write_text("subroutine oops(\n")
         assert main(["analyze", str(path), "-i", "x", "-o", "y"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestBadPaths:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{missing}", "-i", "x", "-o", "y"],
+        ["differentiate", "{missing}", "-i", "x", "-o", "y"],
+        ["analyze", "{dir}", "-i", "x", "-o", "y"],
+        ["differentiate", "{src}", "-i", "x", "-o", "y",
+         "-O", "{missing}/out.f90"],
+        ["analyze", "{src}", "-i", "x", "-o", "y",
+         "--trace", "{missing}/t.jsonl"],
+    ], ids=["analyze-missing-input", "differentiate-missing-input",
+            "directory-input", "output-in-missing-dir",
+            "trace-in-missing-dir"])
+    def test_os_error_is_an_error_line(self, argv, src_file, tmp_path,
+                                       capsys):
+        paths = {"src": src_file, "dir": str(tmp_path),
+                 "missing": str(tmp_path / "missing")}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "k.f90", "-i", "x", "-o", "y", "--progress", "0"],
+        ["analyze", "k.f90", "-i", "x", "-o", "y", "--progress", "-1"],
+        ["analyze", "k.f90", "-i", "x", "-o", "y", "--progress", "inf"],
+        ["campaign", "--progress", "0"],
+        ["analyze", "k.f90", "-i", "x", "-o", "y", "--jobs", "0"],
+        ["analyze", "k.f90", "-i", "x", "-o", "y", "--backend", "process",
+         "--jobs", "-2"],
+        ["experiments", "--jobs", "0"],
+        ["campaign", "--jobs", "0"],
+        ["analyze", "k.f90", "-i", "x", "-o", "y", "--cache-dir", "d",
+         "--cache-max-bytes", "-1"],
+        ["cache", "evict", "--cache-dir", "d", "--max-bytes", "-1"],
+    ], ids=["analyze-progress-0", "analyze-progress-negative",
+            "analyze-progress-inf", "campaign-progress-0", "analyze-jobs-0",
+            "analyze-process-jobs-negative", "experiments-jobs-0",
+            "campaign-jobs-0", "analyze-cache-max-bytes-negative",
+            "cache-max-bytes-negative"])
+    def test_out_of_range_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_boundary_values_parse(self):
+        args = build_parser().parse_args(
+            ["analyze", "k.f90", "-i", "x", "-o", "y", "--jobs", "1",
+             "--cache-dir", "d", "--cache-max-bytes", "0",
+             "--progress", "0.5"])
+        assert (args.jobs, args.cache_max_bytes, args.progress) \
+            == (1, 0, 0.5)
+        args = build_parser().parse_args(["campaign", "--progress"])
+        assert args.progress == 2.0
+
+    def test_experiments_module_rejects_zero_jobs(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "--jobs", "0"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 2
+        assert "must be at least 1" in proc.stderr
 
 
 class TestAnalyzeStrategy:
