@@ -1,11 +1,13 @@
-! A six-loop workload for exercising the --jobs fan-out: every loop is
-! independent and all-safe (each iteration reads and writes only its
+! A six-loop workload for exercising the --jobs worker pool: every loop
+! is independent and all-safe (each iteration reads and writes only its
 ! own slot, so each adjoint hits only its own slot too), and the
-! analysis is embarrassingly parallel across loops — the benchmark and
-! CI case for `--backend process` (docs/SCALING.md).
+! analysis is embarrassingly parallel across loops — the CI case for
+! `--jobs` (docs/SCALING.md). Its loops are tiny, so the pool's worker
+! start-up costs more than it saves here; `--jobs` pays off when loops
+! take seconds, and crash containment is its other use.
 !
 !   repro analyze examples/multiloop.f90 -i x -o a,b,c,d,e,f \
-!       --backend process --jobs 4 --cache-dir .repro-cache
+!       --jobs 4 --cache-dir .repro-cache
 subroutine multiloop(x, a, b, c, d, e, f, n)
   real, intent(in) :: x(1000)
   real, intent(out) :: a(1000)

@@ -2,15 +2,15 @@
 ! CI resilience smoke job and docs/RESILIENCE.md. Because every adjoint
 ! update touches only its own slot, the analysis proves both loops safe
 ! without SAT early-breaks, so question counts are identical across
-! every resilience configuration (deadline, process backend, recovery).
+! every resilience configuration (deadline, worker pool, recovery).
 !
 ! Try crash recovery from the --cache-dir store on the crash-containing
-! process backend:
+! one-worker pool (--jobs 1):
 !   python -m repro analyze examples/resilience_demo.f90 -i x -o y,z \
-!     --backend process --jobs 1 --cache-dir vcache
+!     --jobs 1 --cache-dir vcache
 !   kill -9 <pid>   # at any point
 !   python -m repro analyze examples/resilience_demo.f90 -i x -o y,z \
-!     --backend process --jobs 1 --cache-dir vcache
+!     --jobs 1 --cache-dir vcache
 subroutine resilience_demo(x, y, z, n)
   real, intent(in) :: x(1000)
   real, intent(out) :: y(1000)

@@ -81,7 +81,6 @@ def analyze_formad(
     independents: Sequence[str],
     dependents: Sequence[str],
     *,
-    jobs: Optional[int] = None,
     tracer: NullTracer = NULL_TRACER,
     deadline=None,
     question_timeout: Optional[float] = None,
@@ -89,7 +88,6 @@ def analyze_formad(
 ) -> List[LoopAnalysis]:
     """Run the FormAD analysis on every parallel loop of *proc*.
 
-    ``jobs`` > 1 analyzes independent parallel regions concurrently.
     ``tracer`` receives the structured provenance/span event stream
     (see :mod:`repro.obs`); the no-op default records nothing.
 
@@ -104,7 +102,7 @@ def analyze_formad(
     engine = FormADEngine(proc, activity, tracer=tracer, deadline=deadline,
                           question_timeout=question_timeout,
                           escalation=escalation)
-    return engine.analyze_all(jobs=jobs)
+    return engine.analyze_all()
 
 
 __all__ = [

@@ -427,12 +427,12 @@ def run_campaign(config: CampaignConfig, *,
                                    extra_env=config.extra_env)
         pool = WorkerPool(shard_config, min(config.jobs, open_units),
                           {"op": "init", "mode": "audit"})
-        n = pool.size
+        failure: List[Exception] = []
         threads = [threading.Thread(
             target=_feed, name=f"campaign-{k}",
             args=(k, pool, pending, config, budget, tracer, settle,
-                  deadline))
-            for k in range(n)]
+                  deadline, failure))
+            for k in range(pool.size)]
         try:
             for thread in threads:
                 thread.start()
@@ -440,6 +440,12 @@ def run_campaign(config: CampaignConfig, *,
                 thread.join()
         finally:
             pool.shutdown()
+        if failure:
+            # What settled is journaled already: --resume continues
+            # from here once the cause is fixed.
+            if journal is not None:
+                journal.close()
+            raise failure[0]
 
     for unit in units:
         entry = settled.get(unit.case_id)
@@ -454,20 +460,28 @@ def run_campaign(config: CampaignConfig, *,
 
 def _feed(k: int, pool: WorkerPool, pending: "queue.Queue[CampaignUnit]",
           config: CampaignConfig, budget: float, tracer: NullTracer,
-          settle: Callable[[dict], None], deadline) -> None:
+          settle: Callable[[dict], None], deadline,
+          failure: List[Exception]) -> None:
     """One feeder thread: pull units, run each to a settled entry on
     this feeder's pool slot. Worker loss degrades the *case* (bounded
-    retry, then a contained ``unknown``), never the campaign."""
-    while True:
-        try:
-            unit = pending.get_nowait()
-        except queue.Empty:
-            return
-        if deadline is not None and deadline.expired():
-            # Leave the unit unsettled: --resume picks it up. Draining
-            # the queue here lets every sibling feeder exit promptly.
-            continue
-        settle(_run_unit(k, pool, unit, config, budget, tracer))
+    retry, then a contained ``unknown``), never the campaign. Any other
+    exception (a failed journal write, say) is the campaign's own
+    fault: the first one lands in *failure*, which stops every feeder,
+    and :func:`run_campaign` re-raises it."""
+    try:
+        while not failure:
+            try:
+                unit = pending.get_nowait()
+            except queue.Empty:
+                return
+            if deadline is not None and deadline.expired():
+                # Leave the unit unsettled: --resume picks it up.
+                # Draining the queue here lets every sibling feeder
+                # exit promptly.
+                continue
+            settle(_run_unit(k, pool, unit, config, budget, tracer))
+    except Exception as exc:
+        failure.append(exc)
 
 
 def _run_unit(k: int, pool: WorkerPool, unit: CampaignUnit,

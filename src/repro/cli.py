@@ -43,7 +43,8 @@ FALLBACKS = ("atomic", "reduction", "preaccumulate", "transposed")
 
 
 def positive_int(text: str) -> int:
-    """argparse type of a worker count: an integer of at least 1."""
+    """argparse type of a worker count, a case count or an attempt
+    cap: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
@@ -51,10 +52,23 @@ def positive_int(text: str) -> int:
 
 
 def nonnegative_int(text: str) -> int:
-    """argparse type of a byte budget: an integer of at least 0."""
+    """argparse type of a byte budget or a retry cap: an integer of at
+    least 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
+def seconds(text: str) -> float:
+    """argparse type of a deadline or timeout: seconds from 0 (expire
+    at once) up to what a thread can wait (``threading.TIMEOUT_MAX``).
+    NaN fails the range check too."""
+    value = float(text)
+    if not 0 <= value <= threading.TIMEOUT_MAX:
+        raise argparse.ArgumentTypeError(
+            f"must be seconds from 0 to {threading.TIMEOUT_MAX:g}, "
+            f"got {text}")
     return value
 
 
@@ -167,18 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the FormAD analysis only")
     _add_io_args(p)
     p.add_argument("--jobs", type=positive_int, default=None,
-                   help="analyze independent parallel regions over N "
-                        "workers (threads or processes, see --backend)")
-    p.add_argument("--backend", choices=("thread", "process", "auto"),
-                   default="thread",
-                   help="how --jobs fans out: 'thread' (default; "
-                        "GIL-bound, byte-identical output), 'process' "
-                        "(persistent worker processes pulling loop "
-                        "shards off a work queue; a crashed or hung "
-                        "worker degrades only its loop — docs/SCALING.md), "
-                        "or 'auto' (process when --jobs, the loop count "
-                        "and the usable CPUs are all at least 2, thread "
-                        "otherwise)")
+                   help="analyze the parallel loops in a pool of up to N "
+                        "worker processes pulling loops off a work queue; "
+                        "a crashed or hung worker degrades only its loop "
+                        "(docs/SCALING.md). Without --jobs the loops run "
+                        "inline")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persist decided SAT/UNSAT answers and clean "
                         "settled loops across runs (schema repro-cache/1, "
@@ -204,19 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="machine-readable verdicts + metrics on stdout "
                         "(stable schema, sorted keys)")
-    p.add_argument("--deadline", type=float, default=None, metavar="S",
+    p.add_argument("--deadline", type=seconds, default=None, metavar="S",
                    help="wall-clock budget for the whole run (seconds); "
                         "expired questions answer UNKNOWN and keep their "
                         "safeguards (docs/RESILIENCE.md)")
-    p.add_argument("--question-timeout", type=float, default=None,
+    p.add_argument("--question-timeout", type=seconds, default=None,
                    metavar="S",
                    help="wall-clock cap per exploitation question")
-    p.add_argument("--escalate", type=int, default=1, metavar="N",
+    p.add_argument("--escalate", type=positive_int, default=1, metavar="N",
                    help="retry timed-out/budget-exhausted questions up "
                         "to N times with exponentially enlarged budgets "
                         "(default 1 = no retries)")
-    p.add_argument("--kill-timeout", type=float, default=60.0, metavar="S",
-                   help="hard wall-clock cap per --backend process shard "
+    p.add_argument("--kill-timeout", type=seconds, default=60.0, metavar="S",
+                   help="with --jobs: hard wall-clock cap per worker "
                         "request before SIGKILL (default 60)")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero (status 3) when any loop degraded "
@@ -271,18 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiments", parents=[common],
                        help="regenerate EXPERIMENTS.md (Table 1 and "
                             "Figures 3-10)")
-    p.add_argument("--jobs", type=positive_int, default=None,
-                   help="fan independent kernels and program versions out "
-                        "over N worker threads")
-    p.add_argument("--backend", choices=("thread", "process", "auto"),
-                   default="auto",
-                   help="run the Table-1 analyses in-process ('thread') "
-                        "or in per-problem worker processes ('process'); "
-                        "'auto' (default) picks process when --jobs is at "
-                        "least 2 on a multi-CPU host and thread otherwise")
     p.add_argument("--trace", default=None, metavar="OUT.jsonl",
                    help="record the analysis/simulation event stream")
-    p.add_argument("--deadline", type=float, default=None, metavar="S",
+    p.add_argument("--deadline", type=seconds, default=None, metavar="S",
                    help="wall-clock budget for the Table-1 analyses; "
                         "expired problems degrade to safeguards")
 
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "checks (see docs/AUDIT.md)")
     p.add_argument("--seed", type=int, default=0,
                    help="generator seed (the run is fully deterministic)")
-    p.add_argument("--count", type=int, default=50,
+    p.add_argument("--count", type=positive_int, default=50,
                    help="number of generated kernels to audit")
     p.add_argument("--chaos", nargs="*", type=float, default=None,
                    metavar="RATE",
@@ -308,15 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "(schema repro-audit/1)")
     p.add_argument("--trace", default=None, metavar="OUT.jsonl",
                    help="record the structured event stream of the run")
-    p.add_argument("--deadline", type=float, default=None, metavar="S",
+    p.add_argument("--deadline", type=seconds, default=None, metavar="S",
                    help="wall-clock budget: the audit stops cleanly "
                         "between cases when it expires (the report "
                         "notes the truncation)")
-    p.add_argument("--case-timeout", type=float, default=None, metavar="S",
+    p.add_argument("--case-timeout", type=seconds, default=None, metavar="S",
                    help="wall-clock cap per case: a hung oracle or "
                         "pathological kernel truncates its own case "
                         "instead of stalling the audit")
-    p.add_argument("--question-timeout", type=float, default=None,
+    p.add_argument("--question-timeout", type=seconds, default=None,
                    metavar="S",
                    help="wall-clock cap per SMT question inside a case")
 
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="generator seed (the unit stream is fully "
                         "deterministic)")
-    p.add_argument("--count", type=int, default=1000,
+    p.add_argument("--count", type=positive_int, default=1000,
                    help="number of generated kernels (each adds one "
                         "clean case plus one per --chaos rate)")
     p.add_argument("--chaos", nargs="*", type=float, default=None,
@@ -353,21 +351,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "(replay with 'repro corpus replay')")
     p.add_argument("--no-minimize", action="store_true",
                    help="skip ddmin minimization of confirmed violations")
-    p.add_argument("--flake-cap", type=int, default=3,
+    p.add_argument("--flake-cap", type=nonnegative_int, default=3,
                    help="extra clean retries a flaky case gets before "
                         "being parked as quarantined (default 3)")
-    p.add_argument("--retry-cap", type=int, default=2,
+    p.add_argument("--retry-cap", type=nonnegative_int, default=2,
                    help="retries after worker loss per case run "
                         "(default 2)")
-    p.add_argument("--case-timeout", type=float, default=None, metavar="S",
+    p.add_argument("--case-timeout", type=seconds, default=None, metavar="S",
                    help="cooperative wall-clock cap per case")
-    p.add_argument("--question-timeout", type=float, default=None,
+    p.add_argument("--question-timeout", type=seconds, default=None,
                    metavar="S",
                    help="wall-clock cap per SMT question inside a case")
-    p.add_argument("--kill-timeout", type=float, default=60.0, metavar="S",
+    p.add_argument("--kill-timeout", type=seconds, default=60.0, metavar="S",
                    help="hard cap per worker request before SIGKILL "
                         "(default 60)")
-    p.add_argument("--deadline", type=float, default=None, metavar="S",
+    p.add_argument("--deadline", type=seconds, default=None, metavar="S",
                    help="wall-clock budget for the whole campaign; "
                         "unsettled cases are left for --resume")
     p.add_argument("--trace", default=None, metavar="OUT.jsonl",
@@ -387,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "reproduces); 'list' prints the entries")
     p.add_argument("--corpus", default="corpus", metavar="DIR",
                    help="the corpus directory (default ./corpus)")
-    p.add_argument("--case-timeout", type=float, default=None, metavar="S",
+    p.add_argument("--case-timeout", type=seconds, default=None, metavar="S",
                    help="cooperative wall-clock cap per replayed case")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
@@ -656,11 +654,10 @@ def _run_analyze(args, proc, independents, dependents) -> int:
     recovery through the ``--cache-dir`` store, and ``--strict``."""
     from .analysis import ActivityAnalysis
     from .formad import FormADEngine
-    from .resilience import (EscalationPolicy, journal_fingerprint,
-                             resolve_backend)
+    from .resilience import EscalationPolicy, journal_fingerprint
 
     escalation = None
-    if args.escalate and args.escalate > 1:
+    if args.escalate > 1:
         escalation = EscalationPolicy(max_attempts=args.escalate)
     tracer = _open_tracer(args.trace, progress=args.progress)
     activity = ActivityAnalysis(proc, independents, dependents)
@@ -672,9 +669,6 @@ def _run_analyze(args, proc, independents, dependents) -> int:
         source = fh.read()
     fingerprint = journal_fingerprint(source, proc.name, independents,
                                       dependents, engine.fingerprint_flags())
-    backend = resolve_backend(args.backend,
-                              work_items=len(list(proc.parallel_loops())),
-                              jobs=args.jobs)
     cache = None
     if args.cache_dir:
         from .resilience import VerdictCache
@@ -690,22 +684,22 @@ def _run_analyze(args, proc, independents, dependents) -> int:
     if args.progress is not None:
         heartbeat = _start_heartbeat(tracer, args.progress)
     try:
-        if backend == "process":
+        if args.jobs is None:
+            analyses = engine.analyze_all()
+        else:
             from .resilience import ShardConfig, analyze_sharded
-            config = ShardConfig(jobs=args.jobs or 1,
+            config = ShardConfig(jobs=args.jobs,
                                  kill_timeout=args.kill_timeout)
             analyses, shard_outcomes = analyze_sharded(
                 engine, source, proc.name, independents, dependents,
                 config=config, cache_dir=args.cache_dir,
                 fingerprint=fingerprint)
             # The shard outcomes only enter the JSON document when
-            # something actually went wrong — an all-ok process run
-            # stays byte-identical to the thread backend.
+            # something actually went wrong — an all-ok pool run stays
+            # byte-identical to the inline one.
             if any(o.status not in ("ok", "cached")
                    for o in shard_outcomes):
                 outcomes = shard_outcomes
-        else:
-            analyses = engine.analyze_all(jobs=args.jobs)
     finally:
         if cache is not None:
             cache.close()
@@ -747,7 +741,7 @@ def _run_analyze(args, proc, independents, dependents) -> int:
 
 def _finish_analyze(args, proc, analyses, outcomes=None,
                     cache_summary=None) -> int:
-    """The result tail of ``analyze`` on either backend: verdicts and
+    """The result tail of ``analyze``, inline or pooled: verdicts and
     stats (or the ``--json`` document), the ``--strategy`` selection,
     and the ``--strict`` exit status."""
     degraded = sum(1 for a in analyses if a.degraded)
@@ -900,9 +894,7 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
         from .experiments.report import main as experiments_main
         tracer = _open_tracer(args.trace)
         try:
-            experiments_main(jobs=args.jobs, tracer=tracer,
-                             deadline=_deadline_of(args),
-                             backend=args.backend)
+            experiments_main(tracer=tracer, deadline=_deadline_of(args))
         finally:
             tracer.close()
         return 0

@@ -27,7 +27,6 @@ use the serial version without any OpenMP pragmas as the baseline").
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -139,17 +138,14 @@ def run_kernel_experiment(
     threads: Sequence[int] = PAPER_THREADS,
     machine: MachineModel = BROADWELL_18,
     strategies: Sequence[str] = ADJOINT_STRATEGIES,
-    jobs: Optional[int] = None,
     tracer: NullTracer = NULL_TRACER,
 ) -> KernelExperiment:
     """Build, differentiate, interpret, and simulate one kernel.
 
     The program versions (primal parallel/serial, adjoint serial, one
-    adjoint per strategy) are independent differentiate+interpret
-    pipelines; ``jobs`` > 1 fans them out over a thread pool. Each
-    version runs under an ``experiment.variant`` span whose events
-    carry the executing worker thread's name, so a trace shows which
-    pool worker simulated which program version.
+    adjoint per strategy) run one after another, each under an
+    ``experiment.variant`` span, so a trace attributes every
+    interpretation to the program version that caused it.
     """
 
     def primal_parallel() -> VariantResult:
@@ -175,27 +171,19 @@ def run_kernel_experiment(
             return VariantResult(f"adjoint-{strategy}", times)
         return run
 
-    def traced(task: Callable, label: str) -> Callable:
-        def run():
-            with tracer.span("experiment.variant", kernel=spec.name,
-                             variant=label):
-                result = task()
-            logger.info("%s: simulated %s", spec.name, label)
-            return result
-        return run
+    def traced(task: Callable, label: str):
+        with tracer.span("experiment.variant", kernel=spec.name,
+                         variant=label):
+            result = task()
+        logger.info("%s: simulated %s", spec.name, label)
+        return result
 
     labels = ["primal", "adjoint-serial"] + [f"adjoint-{s}"
                                              for s in strategies]
     tasks: List[Callable] = [primal_parallel, adjoint_serial]
     tasks += [adjoint_variant(s) for s in strategies]
-    tasks = [traced(task, label) for task, label in zip(tasks, labels)]
     with tracer.span("experiment.kernel", kernel=spec.name):
-        if jobs is not None and jobs > 1:
-            with ThreadPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                futures = [pool.submit(task) for task in tasks]
-                results = [f.result() for f in futures]
-        else:
-            results = [task() for task in tasks]
+        results = [traced(task, label) for task, label in zip(tasks, labels)]
 
     primal, adjoint_serial_time = results[0], results[1]
     adjoints = {strategy: result

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from .. import analyze_formad
 from ..formad import AnalysisReport, format_table1
@@ -26,52 +25,19 @@ TABLE1_PROBLEMS = {
 }
 
 
-def run_table1(jobs: Optional[int] = None,
-               tracer: NullTracer = NULL_TRACER,
-               deadline=None,
-               backend: str = "thread") -> List[AnalysisReport]:
-    """Run FormAD on all six Table-1 problems.
+def run_table1(tracer: NullTracer = NULL_TRACER,
+               deadline=None) -> List[AnalysisReport]:
+    """Run FormAD on all six Table-1 problems, in the table's order.
 
-    ``jobs`` > 1 fans the independent problems out over a thread pool
-    (each problem builds its own procedure and engine, so the analyses
-    share no mutable state). Report order is fixed either way.
     ``deadline`` (a :class:`repro.resilience.Deadline`) bounds the
     whole sweep: expired problems degrade to safeguards (UNKNOWN
-    verdicts) instead of running over. ``backend="process"`` analyzes
-    each problem in its own persistent worker process (the pool
-    threads then only marshal JSON and wait on pipes, so ``jobs``
-    problems really run concurrently — docs/SCALING.md).
-    ``backend="auto"`` resolves to ``process`` only when ``jobs`` ≥ 2
-    on a multi-CPU host, and to ``thread`` otherwise
-    (:func:`repro.resilience.resolve_backend`).
+    verdicts) instead of running over.
     """
-    if backend == "auto":
-        from ..resilience.shards import resolve_backend
-        backend = resolve_backend("auto", work_items=len(TABLE1_PROBLEMS),
-                                  jobs=jobs)
-
-    def one(item) -> AnalysisReport:
-        name, (builder, independents, dependents) = item
-        if backend == "process":
-            from .. import format_procedure
-            from ..resilience.shards import analyze_program_remote
-            proc = builder()
-            # The printer round-trips faithfully for these kernels
-            # (tests/ir/test_printer.py), so the rendered source is
-            # the same analysis input the in-process path sees.
-            return AnalysisReport(
-                name, analyze_program_remote(
-                    format_procedure(proc), proc.name, independents,
-                    dependents, tracer=tracer, deadline=deadline))
-        return AnalysisReport(
-            name, analyze_formad(builder(), independents, dependents,
-                                 tracer=tracer, deadline=deadline))
-
-    items = list(TABLE1_PROBLEMS.items())
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-            return list(pool.map(one, items))
-    return [one(item) for item in items]
+    return [AnalysisReport(name, analyze_formad(builder(), independents,
+                                                dependents, tracer=tracer,
+                                                deadline=deadline))
+            for name, (builder, independents, dependents)
+            in TABLE1_PROBLEMS.items()]
 
 
 def format_table1_with_reference(reports: List[AnalysisReport]) -> str:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -504,7 +503,7 @@ class FormADEngine:
         ``__init__``), so binding them late cannot invalidate the
         per-loop result cache — but attach the store before the first
         ``analyze_loop`` call or early loops go unrecorded. The shard
-        workers of ``--backend process`` rebind ``deadline`` per shard
+        workers of ``analyze --jobs`` rebind ``deadline`` per shard
         request: the parent ships the remaining run budget with every
         request, and a fresh :class:`Deadline` anchors it to the
         worker's own clock.
@@ -538,19 +537,12 @@ class FormADEngine:
             "use_question_memo": self.use_question_memo,
         }
 
-    def analyze_all(self, jobs: Optional[int] = None) -> List[LoopAnalysis]:
-        """Analyze every parallel loop of the procedure.
-
-        ``jobs`` > 1 fans independent regions out over a thread pool
-        (regions share no solver state; the global formula caches are
-        thread-safe). The result order matches the loop order either
-        way.
-        """
-        loops = list(self.proc.parallel_loops())
-        if jobs is not None and jobs > 1 and len(loops) > 1:
-            with ThreadPoolExecutor(max_workers=min(jobs, len(loops))) as pool:
-                return list(pool.map(self.analyze_loop, loops))
-        return [self.analyze_loop(loop) for loop in loops]
+    def analyze_all(self) -> List[LoopAnalysis]:
+        """Analyze every parallel loop of the procedure, in loop order.
+        (``analyze --jobs N`` fans the loops out over worker processes
+        instead: :func:`repro.resilience.analyze_sharded`.)"""
+        return [self.analyze_loop(loop)
+                for loop in self.proc.parallel_loops()]
 
     def analyze_loop(self, loop: Loop) -> LoopAnalysis:
         with self._cache_lock:

@@ -13,7 +13,7 @@ Common fields (present on **every** event):
 ``seq``     int    monotonically increasing sequence number
 ``t``       float  seconds since the tracer was opened (monotonic clock)
 ``type``    str    event type (one of :data:`EVENT_FIELDS`)
-``thread``  str    name of the emitting thread (``--jobs`` attribution)
+``thread``  str    name of the emitting thread (feeder attribution)
 ``span``    int?   id of the innermost open span on that thread, or None
 
 Per-type payloads are listed in :data:`EVENT_FIELDS`; optional fields
@@ -56,7 +56,7 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     # One audit case finished (repro audit --trace); ``violations`` is
     # the (usually empty) list of violation kinds observed.
     "audit_case": ("case", "family", "violations"),
-    # One shard request completed (``--backend process``); status is
+    # One shard request completed (``analyze --jobs``); status is
     # "ok", "crash", or "timeout" (docs/RESILIENCE.md, docs/SCALING.md).
     "worker": ("loop", "status", "dur_s"),
     # One loop's settled verdicts were replayed from the run-state

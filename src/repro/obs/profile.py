@@ -11,7 +11,7 @@ views that come out:
   control-flow context path, the "where does solver time go as the
   incremental pipeline evolves" view;
 * the **worker lanes** — per-``worker_id`` activity of a distributed
-  (``--backend process``) trace: events, questions, solver checks, and
+  (``analyze --jobs``) trace: events, questions, solver checks, and
   in-solver seconds on each worker's normalized timeline;
 * the **utilization table** — busy/idle seconds per worker from the
   scheduler's registry counters (the "why is the 1-CPU speedup 0.79x"

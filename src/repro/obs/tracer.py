@@ -16,9 +16,10 @@ to a file (the ``--trace out.jsonl`` CLI path), and
 in-process ``repro explain``/``repro profile`` replay helpers.
 
 Both sinks are thread-safe; every event records its emitting thread's
-name, which is what attributes work to ``--jobs`` pool workers. Span
-nesting is tracked per thread, so a span opened inside a worker is a
-root span of that worker's timeline.
+name, which is what attributes work to the ``--jobs`` pool's feeder
+threads (``shard-<k>``) and a campaign's feeders. Span nesting is
+tracked per thread, so a span opened inside a feeder is a root span of
+that feeder's timeline.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class BufferTracer(NullTracer):
     triples, where ``wt`` is the worker's ``time.perf_counter()`` at
     emission.
 
-    The ``--backend process`` serve workers run their engine under one
+    The ``analyze --jobs`` pool workers run their engine under one
     of these: the worker cannot write the parent's trace stream (seq
     numbers and span ids are parent-owned), so it buffers the raw
     emissions and ships them back in each reply; the parent re-emits

@@ -11,12 +11,12 @@ The analysis must degrade, never fail (docs/RESILIENCE.md):
 * :mod:`~repro.resilience.journal` — the append-only, checksummed,
   fsync'd JSONL record codec that survives ``kill -9``, shared by the
   run-state store and the campaign journal.
-* :mod:`~repro.resilience.shards` — the ``--backend process`` shard
-  scheduler: persistent worker processes pulling loop shards off a
-  work queue, sidestepping the GIL-bound ``--jobs`` thread fan-out
-  (docs/SCALING.md). It is also the crash-containment runtime: each
-  shard request has a hard kill timeout, and a crashed or hung worker
-  becomes a per-loop *degraded* result instead of a failed run.
+* :mod:`~repro.resilience.shards` — the ``analyze --jobs N`` shard
+  scheduler: up to N worker processes pulling loop shards off a work
+  queue, each solving on its own interpreter (docs/SCALING.md). It is
+  also the crash-containment runtime: each shard request has a hard
+  kill timeout, and a crashed or hung worker becomes a per-loop
+  *degraded* result instead of a failed run.
 * :mod:`~repro.resilience.cache` — the ``--cache-dir`` run-state
   store (schema ``repro-cache/1``): decided SAT/UNSAT answers and
   clean settled loops persist across invocations, keyed by the
@@ -30,8 +30,7 @@ from .escalate import EscalationPolicy
 from .journal import (JournalError, JournalWriter, journal_fingerprint,
                       read_journal, rebuild_analysis)
 from .shards import (ShardConfig, WorkerClient, WorkerGone, WorkerOutcome,
-                     WorkerPool, analyze_program_remote, analyze_sharded,
-                     resolve_backend)
+                     WorkerPool, analyze_sharded)
 
 __all__ = [
     "CACHE_SCHEMA", "CacheConflictError", "CacheStore", "CacheStoreError",
@@ -40,6 +39,5 @@ __all__ = [
     "JournalError", "JournalWriter", "journal_fingerprint",
     "read_journal", "rebuild_analysis",
     "ShardConfig", "WorkerClient", "WorkerGone", "WorkerOutcome",
-    "WorkerPool", "analyze_program_remote", "analyze_sharded",
-    "resolve_backend",
+    "WorkerPool", "analyze_sharded",
 ]

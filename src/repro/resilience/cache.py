@@ -47,7 +47,7 @@ advisory ``flock`` on ``<fingerprint>.jsonl.lock`` for its whole
 lifetime; a second concurrent writer on the same fingerprint cannot
 append (it degrades to read-only lookups with a warning) — two
 processes can therefore never interleave contradictory records into
-one file. ``--backend process`` serve workers open the file
+one file. The ``analyze --jobs`` pool workers open the file
 ``readonly`` for question lookups (no lock — the CRC codec drops any
 torn tail they race against); the decided answers a read-only store
 receives are kept in :attr:`VerdictCache.received` and shipped back

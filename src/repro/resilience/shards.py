@@ -1,13 +1,13 @@
-"""Multiprocess shard scheduler (the ``--backend process`` runtime).
+"""Multiprocess shard scheduler (the ``analyze --jobs N`` runtime).
 
-``--jobs N`` with the default thread backend fans loops out over a
-``ThreadPoolExecutor`` — but the analysis is pure Python, so the GIL
-serializes the actual solving and N threads buy almost nothing. This
-module is the fix: N **persistent worker processes** (``python -m
+The analysis is pure Python, so threads in one interpreter would take
+turns on the GIL instead of solving side by side. ``--jobs N`` instead
+starts up to N **persistent worker processes** (``python -m
 repro.resilience.worker --serve``), each running a real interpreter of
 its own, pulling loop-granularity shards from a shared work queue
 (work-stealing: a worker that finishes early takes the next loop, so
-one slow region never idles the rest of the pool).
+one slow region never idles the rest of the pool). Without ``--jobs``
+the loops run inline in the calling process.
 
 Division of labor (docs/SCALING.md):
 
@@ -29,12 +29,11 @@ crashed, hung, or killed worker degrades the loop it was holding
 fault-independent) and the feeder respawns a fresh worker for its next
 shard. A :class:`~repro.formad.engine.PrimalRaceError` reported by any
 worker stops the pool and is re-raised, exactly as the inline analysis
-would.
+would; so is any other exception a feeder thread raises (a store write
+that fails, say), instead of leaving its loop without a result.
 
-The default backend stays ``thread``: its output is byte-identical to
-the process backend (tests/resilience/test_backend_identity.py keeps
-that true), so nothing changes unless ``--backend process`` is asked
-for.
+The pool's output is byte-identical to the inline run's, modulo
+timers (tests/resilience/test_backend_identity.py keeps that true).
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ class WorkerGone(RuntimeError):
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """How ``--backend process`` runs its shard workers."""
+    """How the ``--jobs`` pool runs its shard workers."""
 
     #: Number of worker processes (capped by the open-loop count).
     jobs: int = 2
@@ -432,7 +431,11 @@ def analyze_sharded(
                                     dependents, cache_dir=cache_dir,
                                     fingerprint=fingerprint))
     apply_lock = threading.Lock()
-    race: List[PrimalRaceError] = []
+    # The first exception of any feeder: a worker's PrimalRaceError, or
+    # whatever a feeder raised besides WorkerGone (a failed store
+    # write, a bad config). It stops every feeder from pulling new work
+    # and is re-raised in the caller once the feeders have joined.
+    failure: List[Exception] = []
     tracer.gauge("scheduler.queue_depth", pending.qsize())
 
     def degrade(index: int, loop, key: str, status: str, detail: str,
@@ -454,7 +457,7 @@ def analyze_sharded(
         busy = 0.0
         spawned = False
         try:
-            while not race:
+            while not failure:
                 try:
                     index, loop, enqueued = pending.get_nowait()
                 except queue.Empty:
@@ -547,7 +550,7 @@ def analyze_sharded(
                 # error reply: fold any telemetry it carried, then
                 # degrade (PrimalRace aborts the whole pool instead).
                 if error.get("type") == "PrimalRaceError":
-                    race.append(PrimalRaceError(error.get("message", "")))
+                    failure.append(PrimalRaceError(error.get("message", "")))
                     break
                 with apply_lock:
                     _fold_worker_events(tracer, reply.get("events"),
@@ -557,6 +560,8 @@ def analyze_sharded(
                 degrade(index, loop, key, "crash",
                         f"worker error: {error.get('message', '')}",
                         elapsed, worker_id=wid)
+        except Exception as exc:
+            failure.append(exc)
         finally:
             wall = time.perf_counter() - started
             tracer.counter(f"worker.{wid}.busy_seconds", busy)
@@ -573,68 +578,6 @@ def analyze_sharded(
             thread.join()
     finally:
         pool.shutdown()
-    if race:
-        raise race[0]
+    if failure:
+        raise failure[0]
     return list(slots), list(outcomes)
-
-
-#: Below this many schedulable work items, workers, or usable CPUs the
-#: process pool's spawn and init cost dominates any GIL win, so
-#: ``--backend auto`` stays on threads (see :func:`resolve_backend`).
-AUTO_PROCESS_MIN_ITEMS = 2
-
-
-def resolve_backend(backend: str, *, work_items: int,
-                    jobs: Optional[int] = None,
-                    cpus: Optional[int] = None) -> str:
-    """Resolve ``--backend auto`` to ``thread`` or ``process``.
-
-    The process backend only pays off when the fan-out is real: at
-    least :data:`AUTO_PROCESS_MIN_ITEMS` independent work items (loops
-    for ``analyze``, Table-1 problems for ``experiments``), as many
-    requested workers (``--jobs``; unset means one), and as many usable
-    CPUs to run them on. Usable CPUs come from the affinity mask where
-    the platform has one (a container or ``taskset`` narrows it below
-    ``os.cpu_count()``). Otherwise the spawn/init cost of the worker
-    pool buys nothing and ``auto`` picks the thread backend, whose
-    output is byte-identical anyway.
-    """
-    if backend != "auto":
-        return backend
-    if cpus is None:
-        cpus = (len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    if min(work_items, jobs or 1, cpus) < AUTO_PROCESS_MIN_ITEMS:
-        return "thread"
-    return "process"
-
-
-def analyze_program_remote(
-    source: str,
-    head: str,
-    independents: Sequence[str],
-    dependents: Sequence[str],
-    *,
-    config: Optional[ShardConfig] = None,
-    tracer=None,
-    deadline=None,
-    flags: Optional[dict] = None,
-) -> List:
-    """One whole program analyzed through the shard runtime — the
-    experiments pipeline's process backend. Builds the parent-side
-    engine from *source*, runs :func:`analyze_sharded` over its loops,
-    and returns the analyses (loop order). The Table-1 sweep calls
-    this once per problem from its worker threads, which gives the
-    sweep process-level parallelism across problems."""
-    from ..analysis.activity import ActivityAnalysis
-    from ..formad.engine import FormADEngine
-    from ..ir import parse_program
-    from ..obs.tracer import NULL_TRACER
-
-    proc = parse_program(source)[head]
-    activity = ActivityAnalysis(proc, independents, dependents)
-    engine = FormADEngine(proc, activity, tracer=tracer or NULL_TRACER,
-                          deadline=deadline, **(flags or {}))
-    analyses, _ = analyze_sharded(engine, source, head, independents,
-                                  dependents, config=config)
-    return analyses

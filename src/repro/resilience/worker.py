@@ -1,7 +1,7 @@
 """Worker subprocess entry point: ``python -m repro.resilience.worker
 --serve``.
 
-The ``--backend process`` shard runtime's worker: a persistent
+The worker of the ``analyze --jobs`` shard runtime: a persistent
 newline-delimited JSON loop. The parent sends one ``init`` request
 naming the program and engine flags, then any number of ``analyze``
 requests — one per loop shard pulled from the parent's

@@ -94,8 +94,10 @@ def clausify_probe(formula: Formula, *,
     Returns ``(clauses, was_hit)``. The returned tuple is the shared
     cached object — callers must not mutate it. ``was_hit`` belongs to
     *this* call only, which is what makes per-solver hit/miss stats
-    correct under concurrent ``--jobs`` translation (the global
-    counters remain available through :func:`clausify_cache_info`).
+    correct when solvers translate from several threads at once (a
+    campaign's feeders minimizing violations in the parent, or any
+    library caller; the global counters remain available through
+    :func:`clausify_cache_info`).
 
     A :class:`ClausifyBudgetError` escapes uncached: budget blow-ups
     depend on ``max_clauses``, which is part of the key anyway, but a

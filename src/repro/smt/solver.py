@@ -53,8 +53,8 @@ class SolverStats:
     ``search`` is the DPLL(T) layer). ``clausify_hits``/``misses``
     count this solver's own probes of the process-global per-formula
     clause cache — each probe reports its own outcome, so the counters
-    stay correct when several solver threads translate concurrently
-    (``--jobs``); only cache *warmth* remains history-dependent.
+    stay correct when several solver threads translate concurrently;
+    only cache *warmth* remains history-dependent.
     """
 
     checks: int = 0
@@ -350,7 +350,8 @@ class Solver:
 
     def _clausify_counted(self, formula: Formula):
         """Clausify via the shared cache, attributing the hit/miss to
-        *this* solver's stats (thread-correct under ``--jobs``)."""
+        *this* solver's stats (thread-correct under concurrent
+        solvers)."""
         clauses, was_hit = clausify_probe(formula,
                                           max_clauses=self.max_clauses)
         if was_hit:

@@ -40,7 +40,7 @@ from typing import Iterator, Sequence, Tuple
 #: One lock for every intern table: construction is cheap, contention is
 #: rare (term building is a small fraction of solve time), and a single
 #: lock keeps the invariant trivially audit-able — at most one canonical
-#: instance per structure, even under the thread backend's fan-out.
+#: instance per structure, even when several threads build terms.
 _INTERN_LOCK = threading.Lock()
 
 

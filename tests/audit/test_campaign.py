@@ -194,6 +194,26 @@ class TestCampaignContainment:
         assert report.entries[0]["detail"] == "case deadline expired"
         assert report.ok
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_feeder_exception_reaches_the_caller(self, tmp_path, jobs,
+                                                 monkeypatch):
+        # Worker loss is contained per case; an exception of the
+        # campaign's own (a failed journal write, say) is not: it must
+        # surface, not settle every unit as "truncated" under an "OK".
+        import repro.audit.campaign as campaign
+
+        def broken(*args, **kwargs):
+            raise OSError("journal disk full")
+
+        monkeypatch.setattr(campaign, "_run_unit", broken)
+        journal = tmp_path / "campaign.jsonl"
+        cfg = CampaignConfig(seed=0, count=2, families=("elementwise",),
+                             jobs=jobs, shrink=False)
+        with pytest.raises(OSError, match="journal disk full"):
+            run_campaign(cfg, journal_path=str(journal))
+        meta, records, _ = read_journal(str(journal))
+        assert meta is not None and records == []
+
 
 # ----------------------------------------------------------------------
 # Violation → ddmin → corpus → replay

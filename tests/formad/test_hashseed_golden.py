@@ -27,7 +27,6 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.obs import COUNTER_KEYS
@@ -157,19 +156,33 @@ EXPECTED = {
 }
 
 
-def _run(seed: int) -> dict:
+def _start(seed: int) -> subprocess.Popen:
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("REPRO_")}
     env.update(PYTHONHASHSEED=str(seed), PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", CHILD], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return subprocess.Popen([sys.executable, "-c", CHILD], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def _finish(child: subprocess.Popen) -> dict:
+    try:
+        out, err = child.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        child.communicate()
+        raise
+    assert child.returncode == 0, err
+    return json.loads(out)
 
 
 def test_paper_kernels_match_golden_under_every_hash_seed():
     # Two children at a time: each is one CPU-bound interpreter.
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        results = dict(zip(SEEDS, pool.map(_run, SEEDS)))
+    seeds = list(SEEDS)
+    results = {}
+    for pair in (seeds[i:i + 2] for i in range(0, len(seeds), 2)):
+        children = {seed: _start(seed) for seed in pair}
+        for seed, child in children.items():
+            results[seed] = _finish(child)
     for seed, got in results.items():
         assert got == EXPECTED, f"PYTHONHASHSEED={seed} diverged"

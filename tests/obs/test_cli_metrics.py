@@ -137,7 +137,7 @@ class TestDistributedProfile:
         path = str(tmp_path_factory.mktemp("dist") / "process.jsonl")
         assert main(["analyze", str(EXAMPLES / "multiloop.f90"),
                      "-i", "x", "-o", "a,b,c,d,e,f",
-                     "--backend", "process", "--jobs", "2",
+                     "--jobs", "2",
                      "--trace", path]) == 0
         return path
 

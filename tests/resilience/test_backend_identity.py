@@ -1,14 +1,14 @@
-"""Backend identity property (the PR's headline invariant).
+"""Identity across the ways ``analyze`` can run.
 
 ``repro analyze --json`` must be **byte-identical** — modulo wall-clock
 timers — whether the loops are analyzed
 
-* inline in the parent (default ``--backend thread``),
-* across persistent worker processes (``--backend process``), or
+* inline in the parent (no ``--jobs``),
+* across a pool of worker processes (``--jobs N``), or
 * replayed from a warm ``--cache-dir`` verdict cache,
 
-on all four paper kernels. This is what lets ``--backend process``
-and ``--cache-dir`` be adopted without re-validating any downstream
+on all four paper kernels. This is what lets ``--jobs`` and
+``--cache-dir`` be adopted without re-validating any downstream
 consumer of the JSON: the bytes do not change.
 """
 
@@ -40,7 +40,7 @@ def _normalize(doc):
     ``uid`` is also zeroed, but only as an artifact of running the CLI
     in-process: IR node uids come from a process-global counter, so the
     *second* ``main()`` call in this test re-parses the source with
-    shifted uids regardless of backend. Separate CLI invocations (the
+    shifted uids however it runs. Separate CLI invocations (the
     CI job's cold/warm comparison) agree on uids too."""
     if isinstance(doc, dict):
         return {k: (0 if k == "uid" else
@@ -69,33 +69,31 @@ def _analyze(capsys, src_path, ins, outs, *extra):
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
-def test_thread_process_and_cache_warm_are_identical(name, tmp_path, capsys):
+def test_inline_pool_and_cache_warm_are_identical(name, tmp_path, capsys):
     builder, ins, outs = KERNELS[name]
     proc = builder()
     src = tmp_path / f"{name}.f90"
     src.write_text(format_procedure(proc))
     cache_dir = str(tmp_path / "cache")
 
-    thread_doc, _ = _analyze(capsys, str(src), ins, outs)
-    process_doc, _ = _analyze(capsys, str(src), ins, outs,
-                              "--backend", "process", "--jobs", "2")
-    assert process_doc == thread_doc
+    inline_doc, _ = _analyze(capsys, str(src), ins, outs)
+    pool_doc, _ = _analyze(capsys, str(src), ins, outs, "--jobs", "2")
+    assert pool_doc == inline_doc
 
     cold_doc, cold_cache = _analyze(capsys, str(src), ins, outs,
                                     "--cache-dir", cache_dir)
-    assert cold_doc == thread_doc
+    assert cold_doc == inline_doc
     stored = int(cold_cache["loop_stores"])
     assert stored > 0
 
     warm_doc, warm_cache = _analyze(capsys, str(src), ins, outs,
                                     "--cache-dir", cache_dir)
-    assert warm_doc == thread_doc
+    assert warm_doc == inline_doc
     hits = int(warm_cache["loop_hits"])
     assert hits == stored  # every loop replayed from the cache
     assert warm_cache["loop_misses"] == 0
 
-    # and the cache stays identical through the process backend
-    warm_process_doc, _ = _analyze(capsys, str(src), ins, outs,
-                                   "--cache-dir", cache_dir,
-                                   "--backend", "process", "--jobs", "2")
-    assert warm_process_doc == thread_doc
+    # and the cache stays identical through the worker pool
+    warm_pool_doc, _ = _analyze(capsys, str(src), ins, outs,
+                                "--cache-dir", cache_dir, "--jobs", "2")
+    assert warm_pool_doc == inline_doc

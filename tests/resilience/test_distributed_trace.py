@@ -3,14 +3,14 @@
 The tentpole contract (docs/OBSERVABILITY.md "Distributed tracing &
 metrics v2"):
 
-* a ``--backend process`` run produces ONE merged trace that validates
+* an ``analyze --jobs`` run produces ONE merged trace that validates
   under repro-trace/2 — worker-buffered events re-emitted by the
   parent, each carrying its ``worker_id`` and a timestamp normalized
   onto the parent's timeline via the clock-offset handshake;
 * normalized worker timestamps are clamped into the carrying request's
   send/receive window, so they stay monotonic with the parent-side
   span that surrounds them;
-* thread and process backends agree on the analysis-event multiset
+* inline and pooled runs agree on the analysis-event multiset
   (modulo timers, ids, and attribution fields) — tracing does not
   change *what* is observed, only where it ran;
 * a worker that dies holding its buffer is counted in
@@ -47,10 +47,10 @@ subroutine two(x, y, z, n)
 end subroutine two
 """
 
-#: Analysis events whose multiset must be backend-independent.
+#: Analysis events whose multiset must not depend on where loops ran.
 ANALYSIS_EVENTS = ("fact", "question", "verdict")
 
-#: Fields that legitimately differ across backends/runs: timers,
+#: Fields that legitimately differ across inline/pooled runs: timers,
 #: parent-assigned ids, and attribution.
 VOLATILE = ("seq", "t", "span", "thread", "v", "worker_id", "partial",
             "dur_s")
@@ -151,13 +151,12 @@ class TestMergedTrace:
 class TestBackendIdentity:
     def test_thread_and_process_traces_agree_on_the_event_multiset(self):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
-        thread_tracer = CollectingTracer()
-        _engine(proc, thread_tracer).analyze_all()
-        thread_tracer.close()
+        inline_tracer = CollectingTracer()
+        _engine(proc, inline_tracer).analyze_all()
+        inline_tracer.close()
 
-        process_events, _, _ = _traced_sharded(analyze_sharded)
-        assert _multiset(thread_tracer.events) \
-            == _multiset(process_events)
+        pool_events, _, _ = _traced_sharded(analyze_sharded)
+        assert _multiset(inline_tracer.events) == _multiset(pool_events)
 
 
 class TestTelemetryLoss:

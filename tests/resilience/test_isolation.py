@@ -1,7 +1,7 @@
 """Single-worker isolation: identity with inline and fault containment.
 
 Isolating the analysis from the parent process means running it on a
-loop-shard pool of one worker (``--backend process --jobs 1``).  The
+loop-shard pool of one worker (``analyze --jobs 1``).  The
 fault-independence contract: a crashed, hung, or raising worker
 degrades exactly its own loop (safeguards everywhere, planned question
 counts preserved), and the respawned worker serves the other loop as

@@ -1,4 +1,4 @@
-"""The multiprocess shard scheduler behind ``--backend process``.
+"""The multiprocess shard scheduler behind ``analyze --jobs``.
 
 The contract under test (docs/SCALING.md):
 
@@ -8,13 +8,14 @@ The contract under test (docs/SCALING.md):
   held, the pool respawns a worker for the next shard, and Table-1
   accounting stays fault-independent;
 * a :class:`PrimalRaceError` in a worker re-raises in the parent like
-  the inline analysis would;
+  the inline analysis would, and so does any exception a feeder thread
+  raises (never a ``None`` slot);
 * loops the parent can replay from the ``--cache-dir`` store never
   reach a worker at all;
 * the parent is the single store writer: a sharded run's store replays
   exactly like an inline run's, including after the whole run is
   SIGKILLed mid-flight;
-* ``--backend auto`` only starts a pool when the fan-out is real.
+* without ``--jobs`` no pool is started at all.
 """
 
 import json
@@ -32,9 +33,8 @@ from repro.formad import FormADEngine, PrimalRaceError
 from repro.ir import parse_program
 from repro.obs.metrics import TIMER_KEYS
 from repro.obs.tracer import load_trace
-from repro.resilience import (ShardConfig, VerdictCache,
-                              analyze_program_remote, analyze_sharded,
-                              read_journal, resolve_backend)
+from repro.resilience import (ShardConfig, VerdictCache, WorkerPool,
+                              analyze_sharded, read_journal)
 from repro.resilience.journal import journal_fingerprint
 
 SAFE_TWO_LOOPS = """
@@ -110,16 +110,6 @@ class TestShardIdentity:
         assert [o.status for o in outcomes] == ["ok", "ok"]
         assert not any(a.degraded for a in sharded)
 
-    def test_analyze_program_remote_matches_inline(self):
-        proc = parse_program(SAFE_TWO_LOOPS)["two"]
-        inline = _engine(proc).analyze_all()
-        remote = analyze_program_remote(SAFE_TWO_LOOPS, "two", ["x"],
-                                        ["y", "z"])
-        assert len(remote) == 2
-        for a, b in zip(remote, inline):
-            assert {n: v.safe for n, v in a.verdicts.items()} \
-                == {n: v.safe for n, v in b.verdicts.items()}
-
 
 class TestFaultContainment:
     def test_crash_degrades_one_loop_and_respawns_for_the_next(self):
@@ -176,6 +166,19 @@ class TestFaultContainment:
         with pytest.raises(PrimalRaceError):
             analyze_sharded(engine, RACY, "racy", ["x"], ["y"],
                             config=ShardConfig(jobs=1))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_feeder_exception_reaches_the_caller(self, jobs, monkeypatch):
+        # Anything but WorkerGone escaping a feeder thread (here: the
+        # spawn itself) is the run's own fault, not a worker's: it must
+        # surface in the caller, never as a None slot or a false "ok".
+        def broken(self, k, *, tracer=None):
+            raise ValueError("feeder broke")
+
+        monkeypatch.setattr(WorkerPool, "client", broken)
+        proc = parse_program(SAFE_TWO_LOOPS)["two"]
+        with pytest.raises(ValueError, match="feeder broke"):
+            _sharded(proc, jobs=jobs)
 
 
 class TestParentalReplay:
@@ -278,7 +281,7 @@ def _env():
     return env
 
 
-POOL = ("--backend", "process", "--jobs", "1")
+POOL = ("--jobs", "1")
 
 
 def _loop_settled(store, key):
@@ -348,27 +351,12 @@ class TestKillParentResume:
 
 
 class TestAutoBackend:
-    def test_process_needs_jobs_items_and_cpus(self):
-        assert resolve_backend("auto", work_items=6, jobs=None,
-                               cpus=2) == "thread"
-        assert resolve_backend("auto", work_items=6, jobs=1,
-                               cpus=2) == "thread"
-        assert resolve_backend("auto", work_items=1, jobs=4,
-                               cpus=2) == "thread"
-        assert resolve_backend("auto", work_items=6, jobs=4,
-                               cpus=1) == "thread"
-        assert resolve_backend("auto", work_items=2, jobs=2,
-                               cpus=2) == "process"
-        # an explicit choice is never second-guessed
-        assert resolve_backend("process", work_items=1, jobs=None,
-                               cpus=1) == "process"
-
     def test_auto_without_jobs_starts_no_worker(self, tmp_path, capsys):
         src = tmp_path / "two.f90"
         src.write_text(SAFE_TWO_LOOPS)
         trace = tmp_path / "t.jsonl"
         assert main(["analyze", str(src), "-i", "x", "-o", "y,z",
-                     "--backend", "auto", "--trace", str(trace)]) == 0
+                     "--trace", str(trace)]) == 0
         capsys.readouterr()
         events = load_trace(str(trace))
         assert any(e["type"] == "verdict" for e in events)

@@ -3,7 +3,7 @@
 Regression for the conflated-constant bug: clausify's CNF blow-up guard
 and the process-global LRU cache bound were the same ``100_000``
 literal, so shrinking the cache for a memory-constrained long-lived
-process (a ``--backend process`` serve worker) would have silently
+process (an ``analyze --jobs`` pool worker) would have silently
 turned mid-sized formulas into ``ClausifyBudgetError`` → UNKNOWN
 verdicts. The budget is solver *semantics*; the cache size is a memory
 knob. These tests pin them apart:

@@ -125,25 +125,57 @@ class TestBadPaths:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+ANALYZE = ["analyze", "k.f90", "-i", "x", "-o", "y"]
+
+
 class TestNumericFlags:
     @pytest.mark.parametrize("argv", [
-        ["analyze", "k.f90", "-i", "x", "-o", "y", "--progress", "0"],
-        ["analyze", "k.f90", "-i", "x", "-o", "y", "--progress", "-1"],
-        ["analyze", "k.f90", "-i", "x", "-o", "y", "--progress", "inf"],
+        [*ANALYZE, "--progress", "0"],
+        [*ANALYZE, "--progress", "-1"],
+        [*ANALYZE, "--progress", "inf"],
         ["campaign", "--progress", "0"],
-        ["analyze", "k.f90", "-i", "x", "-o", "y", "--jobs", "0"],
-        ["analyze", "k.f90", "-i", "x", "-o", "y", "--backend", "process",
-         "--jobs", "-2"],
-        ["experiments", "--jobs", "0"],
+        [*ANALYZE, "--jobs", "0"],
+        [*ANALYZE, "--jobs", "-2"],
         ["campaign", "--jobs", "0"],
-        ["analyze", "k.f90", "-i", "x", "-o", "y", "--cache-dir", "d",
-         "--cache-max-bytes", "-1"],
+        [*ANALYZE, "--cache-dir", "d", "--cache-max-bytes", "-1"],
         ["cache", "evict", "--cache-dir", "d", "--max-bytes", "-1"],
+        [*ANALYZE, "--deadline", "-1"],
+        [*ANALYZE, "--deadline", "nan"],
+        [*ANALYZE, "--deadline", "inf"],
+        [*ANALYZE, "--question-timeout", "-1"],
+        [*ANALYZE, "--kill-timeout", "-1"],
+        [*ANALYZE, "--escalate", "0"],
+        [*ANALYZE, "--escalate", "-3"],
+        ["experiments", "--deadline", "-1"],
+        ["audit", "--count", "-2"],
+        ["audit", "--count", "0"],
+        ["audit", "--deadline", "nan"],
+        ["audit", "--case-timeout", "-1"],
+        ["audit", "--question-timeout", "-1"],
+        ["campaign", "--count", "0"],
+        ["campaign", "--case-timeout", "-1"],
+        ["campaign", "--question-timeout", "nan"],
+        ["campaign", "--kill-timeout", "-1"],
+        ["campaign", "--deadline", "-1"],
+        ["campaign", "--flake-cap", "-1"],
+        ["campaign", "--retry-cap", "-1"],
+        ["corpus", "replay", "--case-timeout", "-1"],
     ], ids=["analyze-progress-0", "analyze-progress-negative",
             "analyze-progress-inf", "campaign-progress-0", "analyze-jobs-0",
-            "analyze-process-jobs-negative", "experiments-jobs-0",
-            "campaign-jobs-0", "analyze-cache-max-bytes-negative",
-            "cache-max-bytes-negative"])
+            "analyze-process-jobs-negative", "campaign-jobs-0",
+            "analyze-cache-max-bytes-negative", "cache-max-bytes-negative",
+            "analyze-deadline-negative", "analyze-deadline-nan",
+            "analyze-deadline-inf", "analyze-question-timeout-negative",
+            "analyze-kill-timeout-negative", "analyze-escalate-0",
+            "analyze-escalate-negative", "experiments-deadline-negative",
+            "audit-count-negative", "audit-count-0", "audit-deadline-nan",
+            "audit-case-timeout-negative",
+            "audit-question-timeout-negative", "campaign-count-0",
+            "campaign-case-timeout-negative",
+            "campaign-question-timeout-nan",
+            "campaign-kill-timeout-negative", "campaign-deadline-negative",
+            "campaign-flake-cap-negative", "campaign-retry-cap-negative",
+            "corpus-case-timeout-negative"])
     def test_out_of_range_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -152,22 +184,21 @@ class TestNumericFlags:
 
     def test_boundary_values_parse(self):
         args = build_parser().parse_args(
-            ["analyze", "k.f90", "-i", "x", "-o", "y", "--jobs", "1",
-             "--cache-dir", "d", "--cache-max-bytes", "0",
-             "--progress", "0.5"])
+            [*ANALYZE, "--jobs", "1", "--cache-dir", "d",
+             "--cache-max-bytes", "0", "--progress", "0.5",
+             "--deadline", "0", "--question-timeout", "0",
+             "--kill-timeout", "0", "--escalate", "1"])
         assert (args.jobs, args.cache_max_bytes, args.progress) \
             == (1, 0, 0.5)
+        assert (args.deadline, args.question_timeout, args.kill_timeout,
+                args.escalate) == (0.0, 0.0, 0.0, 1)
         args = build_parser().parse_args(["campaign", "--progress"])
         assert args.progress == 2.0
-
-    def test_experiments_module_rejects_zero_jobs(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "--jobs", "0"],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-            timeout=60)
-        assert proc.returncode == 2
-        assert "must be at least 1" in proc.stderr
+        args = build_parser().parse_args(
+            ["campaign", "--count", "1", "--flake-cap", "0",
+             "--retry-cap", "0", "--case-timeout", "0"])
+        assert (args.count, args.flake_cap, args.retry_cap,
+                args.case_timeout) == (1, 0, 0, 0.0)
 
 
 class TestAnalyzeStrategy:
@@ -233,15 +264,42 @@ class TestSurface:
                 if a.option_strings] == [
             ("-h", "--help"), ("--log-level",), ("-i", "--independents"),
             ("-o", "--dependents"), ("--head",), ("--jobs",),
-            ("--backend",), ("--cache-dir",), ("--cache-max-bytes",),
+            ("--cache-dir",), ("--cache-max-bytes",),
             ("--trace",), ("--progress",), ("--json",), ("--deadline",),
             ("--question-timeout",), ("--escalate",), ("--kill-timeout",),
             ("--strict",), ("--strategy",), ("--fallback",)]
+        experiments = subparsers.choices["experiments"]
+        assert [tuple(a.option_strings) for a in experiments._actions
+                if a.option_strings] == [
+            ("-h", "--help"), ("--log-level",), ("--trace",),
+            ("--deadline",)]
 
         base = ["analyze", src_file, "-i", "x", "-o", "y"]
         for argv in ([*base, "--isolate"], [*base, "--shard-unit", "loop"],
                      [*base, "--journal", "j"], [*base, "--resume"],
-                     [*base, "--connect", "a"], ["serve"]):
+                     [*base, "--connect", "a"], ["serve"],
+                     [*base, "--backend", "process"],
+                     ["experiments", "--jobs", "2"],
+                     ["experiments", "--backend", "process"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
+
+    def test_experiments_module_is_the_cli_command(self, tmp_path):
+        """``python -m repro.experiments`` parses with the ``repro
+        experiments`` parser, so the two entry points cannot drift."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "repro.experiments", *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+                timeout=60)
+
+        helped = run("--help")
+        assert helped.returncode == 0, helped.stderr
+        assert "--trace" in helped.stdout and "--deadline" in helped.stdout
+        rejected = run("--jobs", "2")
+        assert rejected.returncode == 2
+        assert "unrecognized arguments: --jobs" in rejected.stderr
+        assert not (tmp_path / "EXPERIMENTS.md").exists()
