@@ -91,13 +91,16 @@ POOL_JOBS = 4
 MIN_POOL_SPEEDUP = 1.5
 
 #: Shape of the generated pool workload: loops per region count and
-#: write statements per loop. 39 writes puts the inline run at 3-4 s
-#: per loop on 2 CPUs — far above worker start-up cost, so the
+#: write statements per loop. 52 writes puts the inline run at about
+#: 6 s per loop on 2 CPUs — far above worker start-up cost (the four
+#: workers spend about 2 s of CPU importing and setting up), so the
 #: measured speedup reflects solving, not process spawning. (At 23
 #: writes, level-tagged model evaluation cut a loop to well under a
-#: second, and the pool gained only about 0.8-1.3x.)
+#: second, and the pool gained only about 0.8-1.3x; at 39 writes,
+#: per-level clause preparation cut a loop from 3.5 s to 2.1 s, and
+#: the pool gained 1.40-1.61x.)
 POOL_LOOPS = 4
-POOL_WRITES = 39
+POOL_WRITES = 52
 
 #: Deterministic per-loop counters that must not depend on where the
 #: loops ran.

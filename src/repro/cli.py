@@ -72,6 +72,16 @@ def seconds(text: str) -> float:
     return value
 
 
+def rate(text: str) -> float:
+    """argparse type of a fault-injection rate: a probability from 0 to
+    1. NaN fails the range check too."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a rate from 0 to 1, got {text}")
+    return value
+
+
 def interval_seconds(text: str) -> float:
     """argparse type of a heartbeat interval: seconds above 0 and no
     longer than a thread can wait (``threading.TIMEOUT_MAX``)."""
@@ -293,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generator seed (the run is fully deterministic)")
     p.add_argument("--count", type=positive_int, default=50,
                    help="number of generated kernels to audit")
-    p.add_argument("--chaos", nargs="*", type=float, default=None,
+    p.add_argument("--chaos", nargs="*", type=rate, default=None,
                    metavar="RATE",
                    help="also fault-inject the solver on the four paper "
                         "kernels at these rates (bare --chaos uses the "
@@ -330,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=positive_int, default=1000,
                    help="number of generated kernels (each adds one "
                         "clean case plus one per --chaos rate)")
-    p.add_argument("--chaos", nargs="*", type=float, default=None,
+    p.add_argument("--chaos", nargs="*", type=rate, default=None,
                    metavar="RATE",
                    help="fault-injection sweep rates per kernel (bare "
                         "--chaos uses the default 0.1..1.0 sweep)")

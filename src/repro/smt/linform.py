@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, Mapping, Tuple
 
 from .terms import (FAtom, NonLinearTermError, Rel, TAdd, TApp, TConst, TMul,
@@ -22,11 +23,12 @@ from .terms import (FAtom, NonLinearTermError, Rel, TAdd, TApp, TConst, TMul,
 class LinForm(_Interned):
     """An immutable, hash-consed linear form over named integer variables.
 
-    Like the term nodes, LinForms are interned: the canonical constraint
-    pipeline (atom → linearize → canonicalize → simplex row lookup)
-    rebuilds the same handful of forms thousands of times per loop, so
-    structural equality is a pointer comparison and the hash is
-    precomputed. ``coeffs`` is sorted by name and zero-free — callers
+    Like the term nodes, LinForms are interned, so structural equality
+    is a pointer comparison and the hash is precomputed: the simplex
+    keys its slack rows on forms, and presolve's implicit-equality fold
+    keys on their coefficients. Atom canonicalization sums both sides
+    into one coefficient dict and interns only the final form, one per
+    atom. ``coeffs`` is sorted by name and zero-free — callers
     constructing ``LinForm`` directly must preserve that invariant (use
     :meth:`from_dict` otherwise).
     """
@@ -56,10 +58,6 @@ class LinForm(_Interned):
     @staticmethod
     def constant(value: int) -> "LinForm":
         return LinForm((), value)
-
-    @staticmethod
-    def variable(name: str) -> "LinForm":
-        return LinForm(((name, 1),), 0)
 
     def coeff_dict(self) -> Dict[str, int]:
         return dict(self.coeffs)
@@ -104,25 +102,31 @@ class LinForm(_Interned):
         return " + ".join(parts)
 
 
-def linearize(term: Term) -> LinForm:
-    """Convert *term* to a linear form. Raises on UF applications and
-    nonlinear products (which cannot be built via the term API anyway)."""
-    if isinstance(term, TConst):
-        return LinForm.constant(term.value)
+def _collect(term: Term, factor: int, coeffs: Dict[str, int]) -> int:
+    """Add ``factor · term`` into *coeffs* (zero entries may remain) and
+    return its constant part. Raises on UF applications."""
     if isinstance(term, TVar):
-        return LinForm.variable(term.name)
+        coeffs[term.name] = coeffs.get(term.name, 0) + factor
+        return 0
+    if isinstance(term, TConst):
+        return factor * term.value
     if isinstance(term, TAdd):
-        acc = LinForm.constant(0)
-        for t in term.terms:
-            acc = acc + linearize(t)
-        return acc
+        return sum(_collect(t, factor, coeffs) for t in term.terms)
     if isinstance(term, TMul):
-        return linearize(term.term).scale(term.coeff)
+        return _collect(term.term, factor * term.coeff, coeffs)
     if isinstance(term, TApp):
         raise NonLinearTermError(
             f"uninterpreted application {term} must be Ackermann-eliminated "
             f"before linearization")
     raise TypeError(f"not a term: {term!r}")  # pragma: no cover
+
+
+def linearize(term: Term) -> LinForm:
+    """Convert *term* to a linear form. Raises on UF applications and
+    nonlinear products (which cannot be built via the term API anyway)."""
+    coeffs: Dict[str, int] = {}
+    const = _collect(term, 1, coeffs)
+    return LinForm.from_dict(coeffs, const)
 
 
 @dataclass(frozen=True)
@@ -180,33 +184,31 @@ def canonicalize(atom: FAtom) -> Tuple[Constraint, ...]:
     reduction tightens LE bounds (``2x <= 3`` → ``x <= 1``) and can
     prove EQ atoms false outright (``2x = 3``).
     """
-    diff = linearize(atom.left) - linearize(atom.right)
     rel = atom.rel
-    if rel is Rel.GE:
-        diff, rel = diff.scale(-1), Rel.LE
-    elif rel is Rel.GT:
-        diff, rel = diff.scale(-1), Rel.LT
-    if rel is Rel.LT:
-        diff = diff + LinForm.constant(1)
-        rel = Rel.LE
+    # Sum ``left - right`` (``right - left`` for GE/GT, which flip into
+    # LE/LT) into one dict; only the final form is interned.
+    factor = -1 if rel is Rel.GE or rel is Rel.GT else 1
+    coeffs: Dict[str, int] = {}
+    const = (_collect(atom.left, factor, coeffs)
+             + _collect(atom.right, -factor, coeffs))
     if rel is Rel.NE:
         raise ValueError("disequalities must be split before canonicalization")
+    if rel is not Rel.EQ:
+        if rel is Rel.LT or rel is Rel.GT:
+            const += 1  # integer tightening: ``d < 0`` is ``d + 1 <= 0``
+        rel = Rel.LE
 
-    bound = -diff.const
-    form = LinForm(diff.coeffs, 0)
-    if form.is_constant:
+    bound = -const
+    items = sorted((n, c) for n, c in coeffs.items() if c)
+    if not items:
         raise TrivialConstraint(0 <= bound if rel is Rel.LE else bound == 0)
 
-    g = form.content()
+    g = gcd(*(c for _, c in items))
     if g > 1:
-        if rel is Rel.LE:
-            # Python's // is floor division, which is exactly the integer
-            # tightening floor(bound/g) for both signs of the bound.
-            form = LinForm(tuple((n, c // g) for n, c in form.coeffs), 0)
-            bound = bound // g
-        else:
-            if bound % g != 0:
-                raise TrivialConstraint(False)
-            form = LinForm(tuple((n, c // g) for n, c in form.coeffs), 0)
-            bound = bound // g
-    return (Constraint(form, rel, bound),)
+        if rel is Rel.EQ and bound % g != 0:
+            raise TrivialConstraint(False)
+        # Exact for EQ; for LE, Python's floor division is exactly the
+        # integer tightening floor(bound/g) for both signs of the bound.
+        items = [(n, c // g) for n, c in items]
+        bound //= g
+    return (Constraint(LinForm(tuple(items), 0), rel, bound),)

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .clausify import Clause
 from .intsolver import Result, check_int
 from .linform import Constraint, TrivialConstraint, canonicalize
 from .presolve import (ENTAILED, INFEASIBLE, KEPT, PresolveInfeasible,
-                       literal_status, presolve)
-from .terms import FAtom
+                       Substitution, literal_status, presolve)
+from .terms import FAtom, Rel
 
 
 @dataclass
@@ -98,6 +98,131 @@ def _atom_holds(atom: FAtom, model: Dict[str, int]) -> bool:
     return cons is not None and all(c.holds(model) for c in cons)
 
 
+#: A clause literal with its canonical constraints.
+_Literal = Tuple[FAtom, Tuple[Constraint, ...]]
+#: (clause, literal) positions in a level's prepared clauses.
+_Positions = List[Tuple[int, int]]
+
+
+class _Prepared:
+    """One level's clauses, stripped for the clause filter once each.
+
+    What stripping does to a clause depends on that clause alone: a
+    trivially true clause is dropped, trivially false literals are
+    removed, a clause left with one literal is a unit whose constraints
+    join the base (``units``, in clause order; ``nunits`` counts the
+    clauses), and a clause left with none refutes every search over the
+    level (``refuted_at`` is then the number of unit clauses before the
+    first such clause). Every other clause keeps its literals with their
+    constraints (``literals``) and one tuple of its atoms (``atoms``):
+    one tuple per clause occurrence, because the search drops the clause
+    it branches on by identity.
+
+    The index answers which literals a presolve substitution chain can
+    change (:meth:`changed`); all others are kept without arithmetic.
+    """
+
+    __slots__ = ("done", "units", "nunits", "refuted_at", "literals",
+                 "atoms", "_eq_by_var", "_le_by_form", "_by_var",
+                 "_by_var_done")
+
+    def __init__(self) -> None:
+        self.done = 0  # prefix of the level's clauses prepared
+        self.units: List[Constraint] = []
+        self.nunits = 0
+        self.refuted_at: Optional[int] = None
+        self.literals: List[Tuple[_Literal, ...]] = []
+        self.atoms: List[Clause] = []
+        # Positions of EQ constraints by variable, of LE constraints by
+        # form, and of every constraint by variable; the last is built
+        # only once a chain of two or more steps needs it, from where
+        # the previous build stopped.
+        self._eq_by_var: Dict[str, _Positions] = {}
+        self._le_by_form: Dict[Tuple[Tuple[str, int], ...], _Positions] = {}
+        self._by_var: Dict[str, _Positions] = {}
+        self._by_var_done = 0  # prefix of `literals` in `_by_var`
+
+    def extend(self, clauses: Sequence[Clause]) -> None:
+        """Prepare *clauses*, the level's clauses past :attr:`done`."""
+        for clause in clauses:
+            literals: List[_Literal] = []
+            for atom in clause:
+                cons = _atom_constraints(atom)
+                if cons == ():
+                    break  # a trivially true literal: the clause holds
+                if cons is not None:  # a trivially false literal drops
+                    literals.append((atom, cons))
+            else:
+                if not literals:
+                    if self.refuted_at is None:
+                        self.refuted_at = self.nunits
+                elif len(literals) == 1:
+                    self.nunits += 1
+                    self.units.extend(literals[0][1])
+                else:
+                    self._index(len(self.literals), literals)
+                    self.literals.append(tuple(literals))
+                    self.atoms.append(tuple(atom for atom, _ in literals))
+        self.done += len(clauses)
+
+    def _index(self, ci: int, literals: Sequence[_Literal]) -> None:
+        for j, (_, cons) in enumerate(literals):
+            for c in cons:
+                if c.rel is Rel.LE:
+                    self._le_by_form.setdefault(c.form.coeffs, []).append(
+                        (ci, j))
+                else:
+                    for v, _ in c.form.coeffs:
+                        self._eq_by_var.setdefault(v, []).append((ci, j))
+
+    def _positions_by_var(self) -> Dict[str, _Positions]:
+        by_var = self._by_var
+        for ci in range(self._by_var_done, len(self.literals)):
+            for j, (_, cons) in enumerate(self.literals[ci]):
+                for c in cons:
+                    for v, _ in c.form.coeffs:
+                        by_var.setdefault(v, []).append((ci, j))
+        self._by_var_done = len(self.literals)
+        return by_var
+
+    def changed(self, substitutions: Sequence[Substitution],
+                start: int) -> Dict[int, Set[int]]:
+        """The prepared clauses from *start* on with a literal that
+        *substitutions* may not keep, in clause order, each with the
+        positions of those literals. Every other literal is
+        :data:`KEPT` by the chain.
+
+        A constraint without any substituted variable is kept. Under a
+        one-step chain ``v := f``, an LE constraint ``a·v + rest <= b``
+        reduces to ``rest + a·f.coeffs <= b - a·f.const``. That keeps a
+        variable, and so the constraint, unless ``rest = -a·f.coeffs``,
+        that is, unless its form is ``a·g`` for ``g = v - f.coeffs``. A
+        canonical form is primitive (:func:`canonicalize` divides by the
+        content) and ``g`` has coefficient 1 on ``v``, so ``a`` is ±1
+        and the index looks the form up as ``g`` and ``-g``. An EQ
+        constraint with variables can still fail the GCD test, so every
+        EQ constraint on ``v`` is returned, and so is every constraint
+        on a substituted variable of a longer chain.
+        """
+        if len(substitutions) == 1:
+            var = substitutions[0].var
+            g = tuple(sorted([(var, 1)] + [(n, -k) for n, k in
+                                           substitutions[0].form.coeffs]))
+            hits = list(self._eq_by_var.get(var, ()))
+            hits.extend(self._le_by_form.get(g, ()))
+            hits.extend(self._le_by_form.get(
+                tuple((n, -k) for n, k in g), ()))
+        else:
+            by_var = self._positions_by_var()
+            hits = [hit for sub in substitutions
+                    for hit in by_var.get(sub.var, ())]
+        changed: Dict[int, Set[int]] = {}
+        for ci, j in sorted(hits):
+            if ci >= start:
+                changed.setdefault(ci, set()).add(j)
+        return changed
+
+
 class Level:
     """The constraints asserted at one push level of an assertion stack:
     unit constraints (``base``) and multi-literal ``clauses``. Both lists
@@ -108,11 +233,13 @@ class Level:
     search needs the spread assignment) from where the last extension
     stopped. The names live in insertion-ordered dicts, never in sets:
     set order follows the interpreter's hash seed, and the order decides
-    which value each variable gets in :func:`_spread_model`.
+    which value each variable gets in :func:`_spread_model`. Its clauses
+    are stripped for the clause filter the same way, each once, when a
+    search first needs them (:meth:`prepared`).
     """
 
     __slots__ = ("base", "clauses", "_base_names", "_clause_names",
-                 "_named")
+                 "_named", "_prepared")
 
     def __init__(self, base: Optional[List[Constraint]] = None,
                  clauses: Optional[List[Clause]] = None) -> None:
@@ -121,6 +248,7 @@ class Level:
         self._base_names: Dict[str, None] = {}
         self._clause_names: Dict[str, None] = {}
         self._named = (0, 0)  # prefixes of base/clauses already named
+        self._prepared = _Prepared()
 
     def mark(self) -> Tuple[int, int]:
         """How much of the level exists now: ``(len(base), len(clauses))``."""
@@ -144,6 +272,37 @@ class Level:
                             names[n] = None
         self._named = self.mark()
         return self._base_names, self._clause_names
+
+    def prepared(self) -> _Prepared:
+        """The level's clauses stripped for the clause filter."""
+        prepared = self._prepared
+        if prepared.done < len(self.clauses):
+            prepared.extend(self.clauses[prepared.done:])
+        return prepared
+
+
+def _kept_atoms(literals: Sequence[_Literal], hits: Set[int],
+                substitutions: Sequence[Substitution]
+                ) -> Optional[List[FAtom]]:
+    """The atoms of a prepared clause that *substitutions* leave open, or
+    None when they entail one of its literals. Only the literals at the
+    positions *hits* can change."""
+    kept: List[FAtom] = []
+    for j, (atom, cons) in enumerate(literals):
+        if j in hits:
+            status = KEPT
+            for c in cons:
+                status = literal_status(c, substitutions)
+                if status is not KEPT:
+                    break
+            if status is INFEASIBLE:
+                continue  # false under the base equalities
+            if status is ENTAILED and len(cons) == 1:
+                # Conservative: only single-constraint literals are
+                # certainly entailed when their constraint is.
+                return None
+        kept.append(atom)
+    return kept
 
 
 def _model_satisfies(model: Dict[str, int], levels: Sequence[Level],
@@ -222,77 +381,62 @@ def search(
     if _model_satisfies(spread, levels):
         return SearchOutcome(Result.SAT, spread, stats)
 
-    # Preprocess clauses: drop trivially-true ones, strip trivially
-    # false literals, and promote unit clauses into the base. Each
-    # surviving literal keeps its constraints for the filter below.
-    base_list: List[Constraint] = [c for level in levels for c in level.base]
-    stripped: List[List[Tuple[FAtom, Tuple[Constraint, ...]]]] = []
+    # Each level's clauses come stripped (see _Prepared): a clause left
+    # without literals refutes the search, and unit clauses join the
+    # base after every level's own base, in level and clause order.
+    preps: List[_Prepared] = []
     for level in levels:
-        for clause in level.clauses:
-            literals: List[Tuple[FAtom, Tuple[Constraint, ...]]] = []
-            trivially_true = False
-            for atom in clause:
-                cons = _atom_constraints(atom)
-                if cons is None:
-                    continue  # literal is false, drop it
-                if cons == ():
-                    trivially_true = True
-                    break
-                literals.append((atom, cons))
-            if trivially_true:
-                continue
-            if not literals:
-                return SearchOutcome(Result.UNSAT, stats=stats)
-            if len(literals) == 1:
-                stats.propagations += 1
-                base_list.extend(literals[0][1])
-            else:
-                stripped.append(literals)
+        prepared = level.prepared()
+        if prepared.refuted_at is not None:
+            stats.propagations += prepared.refuted_at
+            return SearchOutcome(Result.UNSAT, stats=stats)
+        stats.propagations += prepared.nunits
+        preps.append(prepared)
+    base_list: List[Constraint] = [c for level in levels for c in level.base]
+    for prepared in preps:
+        base_list.extend(prepared.units)
 
     # Cheap substitution-based unit propagation: run the equality
-    # presolve on the base once, then push every clause literal through
+    # presolve on the base once, then push the clause literals through
     # the substitution chain. A literal collapsing to "false" is
     # dropped; a clause whose literals all collapse is an outright
     # refutation; a literal collapsing to "true" discharges its clause.
     # This is pure arithmetic (no simplex) and catches FormAD's common
     # UNSAT shape — the asserted question equality directly contradicts
     # one knowledge clause — without exploring an exponential tree.
+    # Only the literals each level's index returns can collapse
+    # (_Prepared.changed); a clause turning unit reruns presolve, and
+    # the clauses after it are filtered under the new chain.
     try:
         pres = presolve(base_list)
     except PresolveInfeasible:
         return SearchOutcome(Result.UNSAT, stats=stats)
-    filtered: List[Clause] = []
-    for literals in stripped:
-        kept: List[FAtom] = []
-        entailed = False
-        for atom, cons in literals:
-            status = KEPT
-            for c in cons:
-                status = literal_status(c, pres.substitutions)
-                if status is not KEPT:
-                    break
-            if status is INFEASIBLE:
-                continue  # literal is false under the base equalities
-            if status is ENTAILED and len(cons) == 1:
-                # Conservative: only single-constraint literals are
-                # certainly entailed when their constraint is.
-                entailed = True
+    pending: List[Clause] = []
+    for prepared in preps:
+        done = 0  # prepared clauses before `done` are settled
+        while True:
+            for ci, hits in prepared.changed(pres.substitutions,
+                                             done).items():
+                pending.extend(prepared.atoms[done:ci])
+                done = ci + 1
+                kept = _kept_atoms(prepared.literals[ci], hits,
+                                   pres.substitutions)
+                if kept is None:
+                    continue  # an entailed literal discharges the clause
+                if not kept:
+                    return SearchOutcome(Result.UNSAT, stats=stats)
+                if len(kept) == 1:
+                    stats.propagations += 1
+                    base_list.extend(_atom_constraints(kept[0]) or ())
+                    try:
+                        pres = presolve(base_list)
+                    except PresolveInfeasible:
+                        return SearchOutcome(Result.UNSAT, stats=stats)
+                    break  # filter the rest under the new chain
+                pending.append(tuple(kept))
+            else:
                 break
-            kept.append(atom)
-        if entailed:
-            continue
-        if not kept:
-            return SearchOutcome(Result.UNSAT, stats=stats)
-        if len(kept) == 1:
-            stats.propagations += 1
-            base_list.extend(_atom_constraints(kept[0]) or ())
-            try:
-                pres = presolve(base_list)
-            except PresolveInfeasible:
-                return SearchOutcome(Result.UNSAT, stats=stats)
-        else:
-            filtered.append(tuple(kept))
-    pending = filtered
+        pending.extend(prepared.atoms[done:])
 
     # Stronger (theory-check) unit propagation for small problems only:
     # each literal costs one simplex solve, which pays off when a few

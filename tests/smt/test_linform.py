@@ -1,10 +1,11 @@
 """Tests for linear-form normalization and atom canonicalization."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.smt import (Constraint, Int, LinForm, NonLinearTermError, Rel,
-                       TrivialConstraint, canonicalize, linearize)
-from repro.smt.terms import TApp, TConst
+from repro.smt import (Constraint, FAtom, Int, LinForm, NonLinearTermError,
+                       Rel, TrivialConstraint, canonicalize, linearize)
+from repro.smt.terms import TAdd, TApp, TConst, TMul, TVar
 
 x, y, z = Int("x"), Int("y"), Int("z")
 
@@ -111,3 +112,105 @@ class TestCanonicalize:
             Constraint(LinForm.from_dict({"x": 1}), Rel.GT, 0)
         with pytest.raises(ValueError):
             Constraint(LinForm.from_dict({"x": 1}, 5), Rel.LE, 0)
+
+
+# ----------------------------------------------------------------------
+# Reference: canonicalization by LinForm arithmetic, one interned form
+# per subterm, as the rules were first written down.
+# ----------------------------------------------------------------------
+
+
+def _reference_linearize(term):
+    if isinstance(term, TConst):
+        return LinForm((), term.value)
+    if isinstance(term, TVar):
+        return LinForm(((term.name, 1),), 0)
+    if isinstance(term, TAdd):
+        acc = LinForm((), 0)
+        for t in term.terms:
+            acc = acc + _reference_linearize(t)
+        return acc
+    if isinstance(term, TMul):
+        return _reference_linearize(term.term).scale(term.coeff)
+    raise NonLinearTermError(f"not linear: {term}")
+
+
+def _reference_canonicalize(atom):
+    diff = _reference_linearize(atom.left) - _reference_linearize(atom.right)
+    rel = atom.rel
+    if rel is Rel.GE:
+        diff, rel = diff.scale(-1), Rel.LE
+    elif rel is Rel.GT:
+        diff, rel = diff.scale(-1), Rel.LT
+    if rel is Rel.LT:
+        diff = diff + LinForm((), 1)
+        rel = Rel.LE
+    bound = -diff.const
+    form = LinForm(diff.coeffs, 0)
+    if form.is_constant:
+        raise TrivialConstraint(0 <= bound if rel is Rel.LE else bound == 0)
+    g = form.content()
+    if g > 1:
+        if rel is Rel.EQ and bound % g != 0:
+            raise TrivialConstraint(False)
+        form = LinForm(tuple((n, c // g) for n, c in form.coeffs), 0)
+        bound = bound // g
+    return (Constraint(form, rel, bound),)
+
+
+def _outcome(canon, atom):
+    try:
+        return canon(atom)
+    except TrivialConstraint as t:
+        return t.truth
+
+
+linear_leaves = st.one_of(
+    st.integers(-6, 6).map(TConst),
+    st.sampled_from(("x", "y", "z")).map(TVar))
+linear_terms = st.recursive(
+    linear_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=0, max_size=3).map(
+            lambda ts: TAdd(tuple(ts))),
+        st.tuples(st.integers(-4, 4), inner).map(lambda p: TMul(*p))),
+    max_leaves=10)
+ordered_rels = st.sampled_from([r for r in Rel if r is not Rel.NE])
+
+
+class TestOnePassCanonicalization:
+    """One walk over both sides must give exactly what LinForm
+    arithmetic gives: the same interned form (``is``), relation and
+    bound, or the same trivial truth."""
+
+    @given(ordered_rels, linear_terms, linear_terms)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_linform_arithmetic(self, rel, left, right):
+        atom = FAtom(rel, left, right)
+        want = _outcome(_reference_canonicalize, atom)
+        got = _outcome(canonicalize, atom)
+        if isinstance(want, bool):
+            assert got is want
+        else:
+            ((w,), (g,)) = want, got
+            assert g.form is w.form
+            assert (g.rel, g.bound) == (w.rel, w.bound)
+
+    @given(linear_terms)
+    @settings(max_examples=200, deadline=None)
+    def test_linearize_matches_linform_arithmetic(self, term):
+        assert linearize(term) is _reference_linearize(term)
+
+    @pytest.mark.parametrize("rel", [r for r in Rel if r is not Rel.NE])
+    def test_nested_application_still_rejected(self, rel):
+        app = TApp("c", (x,))
+        with pytest.raises(NonLinearTermError):
+            canonicalize(FAtom(rel, TAdd((y, TMul(2, app))), TConst(1)))
+        with pytest.raises(NonLinearTermError):
+            canonicalize(FAtom(rel, TConst(0), TMul(0, app)))
+
+    def test_disequality_still_rejected(self):
+        with pytest.raises(ValueError):
+            canonicalize(FAtom(Rel.NE, TAdd((x, TMul(3, y))), TConst(2)))
+        with pytest.raises(ValueError):
+            canonicalize(FAtom(Rel.NE, TConst(1), TConst(1)))

@@ -160,6 +160,9 @@ class TestNumericFlags:
         ["campaign", "--flake-cap", "-1"],
         ["campaign", "--retry-cap", "-1"],
         ["corpus", "replay", "--case-timeout", "-1"],
+        ["audit", "--count", "1", "--chaos", "-0.5"],
+        ["audit", "--count", "1", "--chaos", "nan"],
+        ["campaign", "--count", "1", "--chaos", "1.5"],
     ], ids=["analyze-progress-0", "analyze-progress-negative",
             "analyze-progress-inf", "campaign-progress-0", "analyze-jobs-0",
             "analyze-process-jobs-negative", "campaign-jobs-0",
@@ -175,7 +178,8 @@ class TestNumericFlags:
             "campaign-question-timeout-nan",
             "campaign-kill-timeout-negative", "campaign-deadline-negative",
             "campaign-flake-cap-negative", "campaign-retry-cap-negative",
-            "corpus-case-timeout-negative"])
+            "corpus-case-timeout-negative", "audit-chaos-negative",
+            "audit-chaos-nan", "campaign-chaos-above-1"])
     def test_out_of_range_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -199,6 +203,11 @@ class TestNumericFlags:
              "--retry-cap", "0", "--case-timeout", "0"])
         assert (args.count, args.flake_cap, args.retry_cap,
                 args.case_timeout) == (1, 0, 0, 0.0)
+        for command in ("audit", "campaign"):
+            args = build_parser().parse_args([command, "--chaos", "0", "1"])
+            assert args.chaos == [0.0, 1.0]
+            assert build_parser().parse_args([command, "--chaos"]).chaos \
+                == []
 
 
 class TestAnalyzeStrategy:
