@@ -32,6 +32,11 @@ from .strategies import (ATOMIC, PREACCUMULATE, REDUCTION, SHARED,
 class GuardPolicy:
     """Decides the safeguard strategy per (parallel loop, primal array)."""
 
+    #: The :class:`~repro.analysis.activity.ActivityAnalysis` the policy
+    #: built to decide, if any; ``differentiate_reverse`` reuses it when
+    #: it covers the same procedure, independents and dependents.
+    activity = None
+
     def decide(self, loop: Loop, primal_array: str) -> SafeguardStrategy:
         raise NotImplementedError
 

@@ -87,7 +87,11 @@ def differentiate_reverse(
     computation the adjoint never needs; the generated routine then
     does not recompute the primal outputs.
     """
-    activity = ActivityAnalysis(proc, independents, dependents)
+    activity = policy.activity
+    if (activity is None or activity.proc is not proc
+            or list(activity.independents) != list(independents)
+            or list(activity.dependents) != list(dependents)):
+        activity = ActivityAnalysis(proc, independents, dependents)
     t = _Transformer(proc, activity, policy, serial)
     adjoint = t.build(proc.name + name_suffix)
     if slice_primal:

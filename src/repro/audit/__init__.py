@@ -14,45 +14,8 @@ scales the same audit to thousands of cases across a persistent worker
 pool, with a crash-safe resume journal, flake quarantine, and a
 replayable regression corpus (:mod:`repro.audit.corpus`,
 ``repro corpus replay``).
+
+Import what you need from the submodules. The package itself imports
+none of them, so loading one (say :mod:`repro.audit.numcheck`, which
+every adjoint benchmark op uses) does not load the campaign stack.
 """
-
-from .campaign import (CAMPAIGN_SCHEMA, CampaignConfig, CampaignReport,
-                       CampaignUnit, QuarantineState, campaign_fingerprint,
-                       enumerate_units, execute_unit, format_campaign,
-                       run_campaign, run_unit_inline)
-from .chaos import (ChaosConfig, ChaosError, ChaosSolver, KINDS,
-                    chaos_factory, uniform_chaos)
-from .corpus import (CORPUS_SCHEMA, CorpusEntry, ReplayResult, commit_entry,
-                     entry_from_json, entry_name, format_replay, load_corpus,
-                     replay_corpus, replay_entry)
-from .generator import (CaseSpec, FAMILIES, IndexSpec, RACY_FAMILIES,
-                        ReadSpec, StmtSpec, build_procedure, generate_case,
-                        make_bindings, spec_from_json)
-from .harness import (AuditReport, CaseResult, ChaosOutcome, REPORT_SCHEMA,
-                      Violation, chaos_check, chaos_sweep, format_report,
-                      run_audit, run_case, tally_classifications)
-from .minimize import minimize
-from .numcheck import adjoint_bindings, dot_product_check, gradients
-from .oracles import (ADJ_READ, ADJ_WRITE, AdjointShadowTracer, Collision,
-                      adjoint_kind_map, run_shadow)
-
-__all__ = [
-    "CAMPAIGN_SCHEMA", "CampaignConfig", "CampaignReport", "CampaignUnit",
-    "QuarantineState", "campaign_fingerprint", "enumerate_units",
-    "execute_unit", "format_campaign", "run_campaign", "run_unit_inline",
-    "ChaosConfig", "ChaosError", "ChaosSolver", "KINDS",
-    "chaos_factory", "uniform_chaos",
-    "CORPUS_SCHEMA", "CorpusEntry", "ReplayResult", "commit_entry",
-    "entry_from_json", "entry_name", "format_replay", "load_corpus",
-    "replay_corpus", "replay_entry",
-    "CaseSpec", "FAMILIES", "IndexSpec", "RACY_FAMILIES", "ReadSpec",
-    "StmtSpec", "build_procedure", "generate_case", "make_bindings",
-    "spec_from_json",
-    "AuditReport", "CaseResult", "ChaosOutcome", "REPORT_SCHEMA",
-    "Violation", "chaos_check", "chaos_sweep", "format_report",
-    "run_audit", "run_case", "tally_classifications",
-    "minimize",
-    "adjoint_bindings", "dot_product_check", "gradients",
-    "ADJ_READ", "ADJ_WRITE", "AdjointShadowTracer", "Collision",
-    "adjoint_kind_map", "run_shadow",
-]

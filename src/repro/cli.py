@@ -545,8 +545,7 @@ def _deadline_of(args):
 
 
 def _run_audit(args) -> int:
-    from .audit import format_report, run_audit
-    from .audit.harness import DEFAULT_CHAOS_RATES
+    from .audit.harness import DEFAULT_CHAOS_RATES, format_report, run_audit
     chaos_rates = args.chaos
     if chaos_rates is not None and not chaos_rates:
         chaos_rates = DEFAULT_CHAOS_RATES

@@ -38,9 +38,12 @@ class FormADGuardPolicy(GuardPolicy):
             fallback = get_strategy(fallback)
         if fallback is SHARED:
             raise ValueError("the fallback must be a real safeguard")
-        activity = ActivityAnalysis(proc, independents, dependents)
+        # Own copies: differentiate_reverse compares them with its own
+        # arguments to decide whether it may reuse this analysis.
+        self.activity = ActivityAnalysis(proc, list(independents),
+                                         list(dependents))
         extra = {} if tracer is None else {"tracer": tracer}
-        self.engine = FormADEngine(proc, activity,
+        self.engine = FormADEngine(proc, self.activity,
                                    max_theory_checks=max_theory_checks,
                                    node_budget=node_budget,
                                    solver_factory=solver_factory,

@@ -13,7 +13,7 @@ atomic contention, reduction privatization/merge, and fork/join.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ad.strategies import registered_strategies
 from ..ir.expr import ArrayRef, Const, Expr, Var, walk
@@ -34,14 +34,14 @@ class OpCounts:
     atomics: int = 0
     tape_ops: int = 0
 
-    def add(self, other: "OpCounts") -> None:
-        self.flops += other.flops
-        self.intrinsics += other.intrinsics
-        self.stream_mem += other.stream_mem
-        self.gather_mem += other.gather_mem
-        self.scalar_ops += other.scalar_ops
-        self.atomics += other.atomics
-        self.tape_ops += other.tape_ops
+    def add(self, other: "OpCounts", times: int = 1) -> None:
+        self.flops += other.flops * times
+        self.intrinsics += other.intrinsics * times
+        self.stream_mem += other.stream_mem * times
+        self.gather_mem += other.gather_mem * times
+        self.scalar_ops += other.scalar_ops * times
+        self.atomics += other.atomics * times
+        self.tape_ops += other.tape_ops * times
 
     def scaled(self, factor: float) -> "OpCounts":
         return OpCounts(
@@ -125,77 +125,44 @@ class ExecutionProfile:
 
 
 class CostTracer(Tracer):
-    """Collects an :class:`ExecutionProfile` during interpretation."""
+    """Collects an :class:`ExecutionProfile` during interpretation.
+
+    It counts by compiled region (:attr:`Tracer.op_counter`, see
+    :mod:`repro.runtime.interp`): the interpreter sums each region's
+    operation counts when it compiles the run and charges them through
+    :meth:`charger`, so the only callbacks this tracer receives are the
+    four parallel-loop ones, which switch the slice being charged.
+    """
 
     def __init__(self, counter_names: Sequence[str] = (),
                  array_sizes: Optional[Dict[str, int]] = None) -> None:
         self.profile = ExecutionProfile()
+        self.op_counter = self
         self._current: OpCounts = self.profile.serial
         self._loop_record: Optional[ParallelLoopRecord] = None
         self._counters = frozenset(counter_names)
-        self._stream_cache: Dict[int, bool] = {}
         self._array_sizes = array_sizes or {}
-        self._gather_lines: set = set()
+        #: ``(array, flat >> 3)`` of the running parallel loop's gather
+        #: accesses; cleared in place, because compiled runs hold its
+        #: ``add``.
+        self.gather_lines: set = set()
 
-    # -- classification -------------------------------------------------
-    def _is_streaming(self, ref: Optional[ArrayRef]) -> bool:
-        if ref is None:
-            return True
-        key = id(ref)
-        cached = self._stream_cache.get(key)
-        if cached is None:
-            cached = classify_ref_streaming(ref, self._counters)
-            self._stream_cache[key] = cached
-        return cached
+    # -- region counting -------------------------------------------------
+    def streaming(self, ref: ArrayRef) -> bool:
+        return classify_ref_streaming(ref, self._counters)
+
+    def charger(self, counts: Mapping[str, int]) -> Callable[..., None]:
+        """``charge(times=1)``: add *counts* ``times`` over to the
+        current slice."""
+        static = OpCounts(**counts)
+
+        def charge(times: int = 1) -> None:
+            self._current.add(static, times)
+        return charge
 
     # -- events ----------------------------------------------------------
-    def on_flop(self, n: int = 1) -> None:
-        self._current.flops += n
-
-    def on_intrinsic(self, name: str) -> None:
-        self._current.intrinsics += 1
-
-    def on_atomic_begin(self, array: str, flat: int) -> None:
-        self._atomic_target = (array, flat)
-
-    def on_atomic_end(self) -> None:
-        self._atomic_target = None
-
-    def on_read(self, array: str, flat: int, ref=None) -> None:
-        if getattr(self, "_atomic_target", None) == (array, flat):
-            return  # covered by the atomic RMW cost
-        if self._is_streaming(ref):
-            self._current.stream_mem += 1
-        else:
-            self._current.gather_mem += 1
-            if self._loop_record is not None:
-                self._gather_lines.add((array, flat >> 3))
-
-    def on_write(self, array: str, flat: int, *, atomic: bool, ref=None) -> None:
-        if atomic:
-            self._current.atomics += 1
-            return
-        if self._is_streaming(ref):
-            self._current.stream_mem += 1
-        else:
-            self._current.gather_mem += 1
-            if self._loop_record is not None:
-                self._gather_lines.add((array, flat >> 3))
-
-    def on_scalar_read(self, name: str) -> None:
-        self._current.scalar_ops += 1
-
-    def on_scalar_write(self, name: str) -> None:
-        self._current.scalar_ops += 1
-
-    def on_push(self) -> None:
-        self._current.tape_ops += 1
-
-    def on_pop(self) -> None:
-        self._current.tape_ops += 1
-
     def on_parallel_loop_begin(self, loop: Loop, iterations: Sequence[int]) -> None:
-        self._gather_lines = set()
+        self.gather_lines.clear()
         record = ParallelLoopRecord(loop, list(iterations))
         for _, name in loop.reduction:
             size = self._array_sizes.get(name)
@@ -215,8 +182,7 @@ class CostTracer(Tracer):
 
     def on_parallel_loop_end(self, loop: Loop) -> None:
         if self._loop_record is not None:
-            self._loop_record.distinct_gather_lines = len(self._gather_lines)
-        self._gather_lines = set()
+            self._loop_record.distinct_gather_lines = len(self.gather_lines)
         self._loop_record = None
         self._current = self.profile.serial
 

@@ -20,11 +20,27 @@ executes, never while compiling.
 Parallel loops are executed sequentially in iteration order (which is a
 valid schedule; correct parallel programs are schedule-independent).
 A :class:`Tracer` receives fine-grained events — operation counts,
-memory accesses with thread attribution, tape traffic — so cost models
-and race detectors can observe execution without touching semantics.
-The event stream (which callbacks, in which order, with which
-arguments) is the interface: ``ref`` is always the exact
+memory accesses with thread attribution, tape traffic — so race
+detectors and the audit's oracles can observe execution without
+touching semantics. The event stream (which callbacks, in which order,
+with which arguments) is the interface: ``ref`` is always the exact
 :class:`ArrayRef` node of the access.
+
+Operation counting is the one exception. A tracer that sets
+:attr:`Tracer.op_counter` (the cost model's
+:class:`~repro.runtime.costmodel.CostTracer`) receives only the four
+parallel-loop callbacks; the compiler instead sums, per *region*, the
+counts each event would have added, and charges them with one call per
+execution of the region. A region is the procedure body, an ``if``
+branch, a loop body or the right operand of ``.and.``/``.or.``; loop
+bounds and conditions belong to the enclosing region. A sequential loop
+charges ``trips x`` its body's counts once, before iterating; a parallel
+loop charges its body once per iteration, after
+``on_parallel_iteration_begin``. Every count is static apart from two,
+which stay per access: a non-streaming access inside a parallel loop
+adds its cache line to the counter's gather-line set, and inside an
+atomic update's right-hand side a load of the updated array counts only
+when its location differs from the target's.
 
 Tape semantics: ``push``/``pop`` operate on named channels. Inside a
 parallel loop every iteration owns an independent stack (keyed by the
@@ -37,6 +53,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.expr import (ArrayRef, BinOp, Call, CmpOp, Compare, Const, Expr,
@@ -67,6 +84,19 @@ class InterpreterTimeout(RuntimeError):
 
 class Tracer:
     """Event sink; the default implementation ignores everything."""
+
+    #: Opt-in to counting operations per compiled region, read once per
+    #: run (see the module docstring). ``None`` (the default) leaves the
+    #: tracer to its callbacks. Otherwise an object providing
+    #: ``streaming(ref) -> bool`` (is this reference prefetch-friendly),
+    #: ``gather_lines`` (a set the tracer clears in place when a
+    #: parallel loop begins; non-streaming accesses inside parallel
+    #: loops add ``(array, flat >> 3)`` to it) and ``charger(counts)``,
+    #: which takes a region's ``{OpCounts field: count}`` and returns
+    #: ``charge(times=1)``, adding the counts ``times`` over to the
+    #: current slice. The tracer then receives only the four
+    #: ``on_parallel_*`` callbacks.
+    op_counter = None
 
     def on_flop(self, n: int = 1) -> None: ...
 
@@ -177,6 +207,17 @@ def _raiser(error: type, message: str) -> Callable:
     return fail
 
 
+def _charged(fn: Callable, charge: Optional[Callable]) -> Callable:
+    """*fn*, charging its region's counts before each call."""
+    if charge is None:
+        return fn
+
+    def charged():
+        charge()
+        return fn()
+    return charged
+
+
 class Interpreter:
     """Executes one procedure invocation."""
 
@@ -195,7 +236,8 @@ class Interpreter:
 
     def run(self) -> Memory:
         """Compile the procedure for this run, then execute it."""
-        _Compiler(self).body(self.proc.body)()
+        compiler = _Compiler(self)
+        _charged(*compiler.region(compiler.body, self.proc.body))()
         return self.memory
 
 
@@ -208,14 +250,52 @@ class _Compiler:
         self.scalars = interp.memory.scalars
         self.arrays = interp.memory.arrays
         tracer = interp.tracer
+        self.counter = tracer.op_counter
         # name -> bound callback, or None where the tracer inherits the
-        # no-op (then the call is compiled out).
+        # no-op or counts by region (then the call is compiled out).
         self.cb: Dict[str, Optional[Callable]] = {}
         for name, noop in vars(Tracer).items():
             if name.startswith("on_"):
                 method = getattr(tracer, name)
                 inherited = getattr(method, "__func__", None) is noop
-                self.cb[name] = None if inherited else method
+                counted = (self.counter is not None
+                           and not name.startswith("on_parallel_"))
+                self.cb[name] = None if inherited or counted else method
+        # Counting state while compiling: the current region's counts,
+        # the gather-line set's ``add`` inside a parallel loop body, and
+        # the updated array inside an atomic update's RHS; at run time,
+        # each atomic update's array -> its target offset.
+        self.counts: Optional[Counter] = None
+        self.lines: Optional[Callable] = None
+        self.rmw: Optional[str] = None
+        self.targets = None if self.counter is None else {}
+
+    # ------------------------------------------------------------------
+    # Regions
+    # ------------------------------------------------------------------
+    def region(self, compile: Callable, node) -> Tuple[Callable, Optional[Callable]]:
+        """``(closure, charge)`` of *node* compiled as its own counting
+        region; ``charge`` is ``None`` when the tracer does not count or
+        the region counts nothing."""
+        if self.counter is None:
+            return compile(node), None
+        outer, self.counts = self.counts, Counter()
+        fn = compile(node)
+        counts, self.counts = self.counts, outer
+        return fn, self.counter.charger(counts) if counts else None
+
+    def count(self, field: str, n: int = 1) -> None:
+        """Add *n* to *field* of the region being compiled."""
+        if self.counts is not None:
+            self.counts[field] += n
+
+    def access(self, ref: ArrayRef) -> Tuple[str, Optional[Callable]]:
+        """The ``OpCounts`` field of a non-atomic access through *ref*,
+        and the gather-line set's ``add`` if the access must note its
+        line (non-streaming, inside a parallel loop)."""
+        if self.counter.streaming(ref):
+            return "stream_mem", None
+        return "gather_mem", self.lines
 
     # ------------------------------------------------------------------
     # Statements
@@ -239,8 +319,8 @@ class _Compiler:
             return self.assign(stmt.target, self.expr(stmt.value))
         if isinstance(stmt, If):
             cond = self.expr(stmt.cond)
-            then = self.body(stmt.then_body)
-            orelse = self.body(stmt.else_body)
+            then = _charged(*self.region(self.body, stmt.then_body))
+            orelse = _charged(*self.region(self.body, stmt.else_body))
 
             def if_():
                 if cond():
@@ -262,9 +342,18 @@ class _Compiler:
         so tracers must not see it as an independent plain read."""
         target = stmt.target
         name, locate = target.name, self.locator(target)
-        flat, value = self.flat(name), self.expr(stmt.value)
         begin, end = self.cb["on_atomic_begin"], self.cb["on_atomic_end"]
         write = self.cb["on_write"]
+        if self.counter is None:
+            value = self.expr(stmt.value)
+        else:
+            # One atomic; ``begin`` records the target's offset for the
+            # RHS's loads of the same array.
+            self.count("atomics")
+            begin, self.rmw = self.targets.__setitem__, name
+            value = self.expr(stmt.value)
+            self.rmw = None
+        flat = self.flat(name)
 
         def atomic():
             off = locate()
@@ -283,7 +372,11 @@ class _Compiler:
     def loop(self, loop: Loop) -> Callable[[], None]:
         interp, var = self.interp, loop.var
         start, stop = self.expr(loop.start), self.expr(loop.stop)
-        step, body = self.expr(loop.step), self.body(loop.body)
+        step, outer_lines = self.expr(loop.step), self.lines
+        if loop.parallel and self.counter is not None:
+            self.lines = self.counter.gather_lines.add
+        body, charge = self.region(self.body, loop.body)
+        self.lines = outer_lines
         set_counter = (self.scalars.__setitem__ if var in self.scalars
                        else self.memory.set_scalar)
         deadline = interp.deadline
@@ -296,6 +389,14 @@ class _Compiler:
             return first, stride, loop_iterations(first, last, stride)
 
         if not loop.parallel:
+            if charge is not None:
+                loop_bounds = bounds
+
+                def bounds():
+                    first, stride, values = loop_bounds()
+                    charge(len(values))
+                    return first, stride, values
+
             def sequential():
                 first, stride, values = bounds()
                 for v in values:
@@ -308,6 +409,7 @@ class _Compiler:
                 set_counter(var, first + len(values) * stride)
             return sequential
 
+        body = _charged(body, charge)
         loop_begin = self.cb["on_parallel_loop_begin"]
         it_begin = self.cb["on_parallel_iteration_begin"]
         it_end = self.cb["on_parallel_iteration_end"]
@@ -342,6 +444,7 @@ class _Compiler:
     def push(self, stmt: Push) -> Callable[[], None]:
         interp, tape, channel = self.interp, self.interp.tape, stmt.channel
         value, on_push = self.expr(stmt.value), self.cb["on_push"]
+        self.count("tape_ops")
 
         def push():
             v = value()
@@ -353,6 +456,7 @@ class _Compiler:
     def pop(self, stmt: Pop) -> Callable[[], None]:
         interp, tape, channel = self.interp, self.interp.tape, stmt.channel
         on_pop = self.cb["on_pop"]
+        self.count("tape_ops")
 
         def popped():
             stack = tape.get((channel, interp._par_key))
@@ -422,6 +526,7 @@ class _Compiler:
         names, read inline instead of through their closures."""
         scalars, read = self.scalars, self.cb["on_scalar_read"]
         check = storage._offset
+        self.count("scalar_ops", len(names))
         if len(names) == 1:
             (n0,), (l0,), (e0,) = names, storage.lowers, storage.shape
 
@@ -455,6 +560,7 @@ class _Compiler:
         name = target.name
         if isinstance(target, Var):
             scalars, write = self.scalars, self.cb["on_scalar_write"]
+            self.count("scalar_ops")
             if name not in scalars:
                 set_scalar = self.memory.set_scalar
                 return lambda: set_scalar(name, value())  # raises KeyError
@@ -468,7 +574,17 @@ class _Compiler:
                 write(name)
             return assign_scalar_traced
         locate, flat = self.locator(target), self.flat(name)
-        write = self.cb["on_write"]
+        write, lines = self.cb["on_write"], None
+        if self.counter is not None:
+            field, lines = self.access(target)
+            self.count(field)
+        if lines is not None:
+            def assign_gather():
+                v = value()
+                off = locate()
+                flat[off] = v
+                lines((name, off >> 3))
+            return assign_gather
         if write is None:
             def assign_array():
                 v = value()
@@ -492,6 +608,7 @@ class _Compiler:
         if isinstance(expr, Var):
             name, scalars = expr.name, self.scalars
             read = self.cb["on_scalar_read"]
+            self.count("scalar_ops")
             if read is None:
                 return lambda: scalars[name]
 
@@ -503,6 +620,8 @@ class _Compiler:
             name, locate = expr.name, self.locator(expr)
             flat, read = self.flat(name), self.cb["on_read"]
             item = None if flat is None else flat.item
+            if self.counter is not None:
+                return self.counted_load(expr, locate, item)
             if read is None:
                 return lambda: item(locate())
 
@@ -517,6 +636,7 @@ class _Compiler:
             fn = table.get(expr.op) or _raiser(
                 InterpreterError, f"bad binary op {expr.op}")
             flop = self.cb["on_flop"]
+            self.count("flops")
             if flop is None:
                 return lambda: fn(left(), right())
 
@@ -528,6 +648,7 @@ class _Compiler:
             return binop
         if isinstance(expr, UnOp):
             operand, flop = self.expr(expr.operand), self.cb["on_flop"]
+            self.count("flops")
             if flop is None:
                 return lambda: -operand()
 
@@ -538,17 +659,48 @@ class _Compiler:
         if isinstance(expr, Call):
             return self.call(expr)
         if isinstance(expr, Logical):
-            a, *rest = [self.expr(e) for e in expr.operands]
+            a = self.expr(expr.operands[0])
             if expr.op is LogicOp.NOT:
                 return lambda: not a()
-            b, = rest
+            # The right operand short-circuits: its own region.
+            b = _charged(*self.region(self.expr, expr.operands[1]))
             if expr.op is LogicOp.AND:
                 return lambda: bool(a()) and bool(b())
             return lambda: bool(a()) or bool(b())
         raise TypeError(f"cannot evaluate {expr!r}")  # pragma: no cover
 
+    def counted_load(self, ref: ArrayRef, locate: Callable,
+                     item: Callable) -> Callable[[], object]:
+        """A load through *ref* under region counting: counted in the
+        region, except that inside an atomic update's RHS a load of the
+        updated array counts itself, and only when it is not the
+        target location."""
+        name = ref.name
+        field, lines = self.access(ref)
+        if self.rmw == name:
+            targets, charge = self.targets, self.counter.charger({field: 1})
+
+            def load_rmw():
+                off = locate()
+                if off != targets[name]:
+                    charge()
+                    if lines is not None:
+                        lines((name, off >> 3))
+                return item(off)
+            return load_rmw
+        self.count(field)
+        if lines is None:
+            return lambda: item(locate())
+
+        def load_gather():
+            off = locate()
+            lines((name, off >> 3))
+            return item(off)
+        return load_gather
+
     def call(self, call: Call) -> Callable[[], object]:
         func, on_intrinsic = call.func, self.cb["on_intrinsic"]
+        self.count("intrinsics")
         if func == "size":
             # size(a[, dim]) takes the array *name*, which must not be
             # evaluated as data.
