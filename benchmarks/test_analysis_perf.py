@@ -186,7 +186,7 @@ def _inline(source: str, outs):
 
 
 def _pool(source: str, outs):
-    from repro.resilience import ShardConfig, analyze_sharded
+    from repro.resilience.shards import ShardConfig, analyze_sharded
     engine = _engine(source, outs)
     clausify_cache_clear()
     start = time.perf_counter()

@@ -92,11 +92,11 @@ def analyze_formad(
     (see :mod:`repro.obs`); the no-op default records nothing.
 
     The resilience knobs (all optional, see docs/RESILIENCE.md):
-    ``deadline`` (a :class:`repro.resilience.Deadline`) bounds the whole
-    run in wall-clock time, ``question_timeout`` each exploitation
-    question; ``escalation`` (an :class:`repro.resilience.
-    EscalationPolicy`) retries timed-out questions with enlarged
-    budgets.
+    ``deadline`` (a :class:`repro.resilience.deadline.Deadline`) bounds
+    the whole run in wall-clock time, ``question_timeout`` each
+    exploitation question; ``escalation`` (an :class:`repro.resilience.
+    escalate.EscalationPolicy`) retries timed-out questions with
+    enlarged budgets.
     """
     activity = ActivityAnalysis(proc, independents, dependents)
     engine = FormADEngine(proc, activity, tracer=tracer, deadline=deadline,

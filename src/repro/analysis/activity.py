@@ -63,12 +63,6 @@ class ActivityAnalysis:
     def is_active(self, name: str) -> bool:
         return name in self.active
 
-    def is_active_assign(self, stmt: Assign) -> bool:
-        """Does this assignment need an adjoint? True when the target is
-        active, or when the value reads an active name while the target
-        is varied+useful-adjacent (conservative: target active)."""
-        return stmt.target.name in self.active
-
     # ------------------------------------------------------------------
     def _fixpoint_varied(self) -> Set[str]:
         varied = _real_names(self.proc, self.independents)

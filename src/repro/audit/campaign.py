@@ -15,9 +15,11 @@ subprocess-contained case at a time. The design goals, in order:
 * **Nothing is lost to kill -9.** Every settled case is appended to a
   CRC'd JSONL journal (schema ``repro-campaign/1``, the PR-4 journal
   machinery) before the next case dispatches, so an interrupted
-  campaign loses at most the cases in flight, and ``--resume`` skips
-  every settled one. The final report carries no timers, so a resumed
-  campaign's report is *identical* to an uninterrupted run's.
+  campaign loses at most the cases in flight, and rerunning the same
+  command on the same ``--journal`` skips every settled one (a journal
+  of another campaign is refused, never overwritten). The final report
+  carries no timers, so a resumed campaign's report is *identical* to
+  an uninterrupted run's.
 * **Flakes are not soundness violations.** A case must fail twice in a
   row to be confirmed (:class:`QuarantineState`): fail-then-pass on a
   clean retry is *flaky*, re-tried up to ``--flake-cap`` times and then
@@ -158,7 +160,7 @@ class CampaignUnit:
 
 
 def campaign_fingerprint(config: CampaignConfig) -> str:
-    """Identity of the unit stream — resume refuses a journal whose
+    """Identity of the unit stream — a rerun refuses a journal whose
     fingerprint disagrees. Resource knobs (jobs, timeouts, backoff) are
     deliberately excluded: resuming on a bigger machine is fine."""
     doc = {"schema": CAMPAIGN_SCHEMA, "seed": config.seed,
@@ -270,7 +272,7 @@ class CampaignReport:
     entries: List[dict] = field(default_factory=list)
     #: Units left unsettled (campaign deadline expired).
     truncated: int = 0
-    #: Entries replayed from the resume journal.
+    #: Entries replayed from an earlier run's journal.
     resumed: int = 0
 
     @property
@@ -316,7 +318,7 @@ def format_campaign(report: CampaignReport) -> str:
                      f"replayed from the journal")
     if report.truncated:
         lines.append(f"  truncated: deadline expired, {report.truncated} "
-                     f"unit(s) left for --resume")
+                     f"unit(s) left for a rerun")
     committed = [e for e in report.entries if e.get("corpus")]
     if committed:
         lines.append(f"  corpus: {len(committed)} minimized repro(s) "
@@ -336,13 +338,20 @@ def format_campaign(report: CampaignReport) -> str:
 # ----------------------------------------------------------------------
 # The orchestrator
 # ----------------------------------------------------------------------
-def _load_resume(journal_path: str, fingerprint: str) -> Dict[str, dict]:
-    """Settled entries of a prior run, keyed by case id. Raises
-    :class:`JournalError` when the journal belongs to a different
-    campaign — silently mixing unit streams would corrupt the report."""
+def _load_settled(journal_path: str, fingerprint: str) -> Dict[str, dict]:
+    """Settled entries of an earlier run of this campaign, keyed by case
+    id; a missing or empty journal has none. Raises
+    :class:`JournalError`, leaving the file untouched, when the journal
+    belongs to a different campaign or is not empty but has no intact
+    header: silently mixing unit streams, or truncating what may be
+    another run's only record, would corrupt the report."""
+    if not os.path.exists(journal_path) \
+            or os.path.getsize(journal_path) == 0:
+        return {}
     meta, records, _dropped = read_journal(journal_path)
     if meta is None:
-        return {}
+        raise JournalError(f"{journal_path} is not empty but has no "
+                           f"intact {CAMPAIGN_SCHEMA} header")
     if meta.get("schema") != CAMPAIGN_SCHEMA:
         raise JournalError(f"not a {CAMPAIGN_SCHEMA} journal: "
                            f"schema={meta.get('schema')!r}")
@@ -361,34 +370,32 @@ def _load_resume(journal_path: str, fingerprint: str) -> Dict[str, dict]:
 def run_campaign(config: CampaignConfig, *,
                  tracer: NullTracer = NULL_TRACER,
                  journal_path: Optional[str] = None,
-                 resume: bool = False,
                  deadline=None,
                  generate: Callable[..., CaseSpec] = generate_case,
                  progress: Optional[Callable[[dict], None]] = None,
                  ) -> CampaignReport:
-    """Run (or resume) one soundness campaign. See the module docstring
-    for the contract; the short version: this function finishes, and
-    everything it settled survives kill -9."""
+    """Run one soundness campaign, continuing the cases an earlier run
+    of the same campaign settled in *journal_path*. See the module
+    docstring for the contract; the short version: this function
+    finishes, and everything it settled survives kill -9."""
     units = enumerate_units(config, generate)
     fingerprint = campaign_fingerprint(config)
     report = CampaignReport(config)
 
     settled: Dict[str, dict] = {}
-    if resume and journal_path and os.path.exists(journal_path):
-        settled = _load_resume(journal_path, fingerprint)
+    journal = None
+    if journal_path:
+        settled = _load_settled(journal_path, fingerprint)
         # Entries for units outside the stream cannot happen (the
         # fingerprint pins the stream), so every settled id is valid.
         report.resumed = sum(1 for u in units if u.case_id in settled)
         if report.resumed:
             tracer.counter("campaign.resumed", report.resumed)
-
-    journal = None
-    if journal_path:
         journal = JournalWriter(
             journal_path,
             meta={"schema": CAMPAIGN_SCHEMA, "fingerprint": fingerprint,
                   "seed": config.seed, "count": config.count},
-            append=resume)
+            append=True)
 
     pending: "queue.Queue[CampaignUnit]" = queue.Queue()
     for unit in units:
@@ -441,8 +448,8 @@ def run_campaign(config: CampaignConfig, *,
         finally:
             pool.shutdown()
         if failure:
-            # What settled is journaled already: --resume continues
-            # from here once the cause is fixed.
+            # What settled is journaled already: rerunning the same
+            # command continues from here once the cause is fixed.
             if journal is not None:
                 journal.close()
             raise failure[0]
@@ -475,7 +482,7 @@ def _feed(k: int, pool: WorkerPool, pending: "queue.Queue[CampaignUnit]",
             except queue.Empty:
                 return
             if deadline is not None and deadline.expired():
-                # Leave the unit unsettled: --resume picks it up.
+                # Leave the unit unsettled: a rerun picks it up.
                 # Draining the queue here lets every sibling feeder
                 # exit promptly.
                 continue

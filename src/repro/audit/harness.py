@@ -432,8 +432,8 @@ def run_audit(*, seed: int = 0, count: int = 50,
     """Run the full audit: *count* generated cases, then (optionally)
     the paper-kernel chaos sweep. Deterministic for a given seed.
 
-    ``deadline`` (a :class:`repro.resilience.Deadline`) bounds the run:
-    the audit stops cleanly *between* cases when it expires, records
+    ``deadline`` (a :class:`repro.resilience.deadline.Deadline`) bounds the
+    run: the audit stops cleanly *between* cases when it expires, records
     how many cases were skipped in ``report.truncated``, and the cases
     that did run remain a valid (deterministic-prefix) audit.
     ``case_timeout`` additionally bounds each *case* so one pathological

@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("campaign", parents=[common],
                        help="crash-safe soundness campaign: the audit at "
                             "corpus scale across a persistent worker "
-                            "pool, with a resumable journal, flake "
+                            "pool, with a crash-safe journal, flake "
                             "quarantine, and a regression corpus "
                             "(docs/AUDIT.md)")
     p.add_argument("--seed", type=int, default=0,
@@ -348,11 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="persistent worker processes (default 2)")
     p.add_argument("--journal", default=None, metavar="OUT.jsonl",
                    help="checkpoint every settled case to a crash-safe "
-                        "journal (schema repro-campaign/1)")
-    p.add_argument("--resume", action="store_true",
-                   help="skip cases already settled in --journal (the "
-                        "kill -9 recovery path); the final report is "
-                        "identical to an uninterrupted run's")
+                        "journal (schema repro-campaign/1); rerunning "
+                        "the same command skips the cases it settled "
+                        "(the kill -9 recovery path), and a journal of "
+                        "another campaign is refused")
     p.add_argument("--report", default=None, metavar="OUT.json",
                    help="write the machine-readable campaign report")
     p.add_argument("--corpus", default=None, metavar="DIR",
@@ -377,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 60)")
     p.add_argument("--deadline", type=seconds, default=None, metavar="S",
                    help="wall-clock budget for the whole campaign; "
-                        "unsettled cases are left for --resume")
+                        "rerun the same command with --journal to "
+                        "settle the cases it left")
     p.add_argument("--trace", default=None, metavar="OUT.jsonl",
                    help="record the structured event stream of the run")
     p.add_argument("--progress", nargs="?", const=2.0, type=interval_seconds,
@@ -537,10 +537,10 @@ def _run_profile(args) -> int:
 
 
 def _deadline_of(args):
-    """The run :class:`~repro.resilience.Deadline` of --deadline."""
+    """The run :class:`~repro.resilience.deadline.Deadline` of --deadline."""
     if getattr(args, "deadline", None) is None:
         return None
-    from .resilience import Deadline
+    from .resilience.deadline import Deadline
     return Deadline(args.deadline)
 
 
@@ -574,12 +574,8 @@ def _run_campaign(args) -> int:
     from .audit.campaign import (CampaignConfig, format_campaign,
                                  run_campaign)
     from .audit.harness import DEFAULT_CHAOS_RATES
-    from .resilience import JournalError
+    from .resilience.journal import JournalError
 
-    if args.resume and not args.journal:
-        print("error: --resume continues a --journal; name one",
-              file=sys.stderr)
-        return 2
     chaos_rates = args.chaos
     if chaos_rates is not None and not chaos_rates:
         chaos_rates = DEFAULT_CHAOS_RATES
@@ -599,7 +595,6 @@ def _run_campaign(args) -> int:
     try:
         report = run_campaign(config, tracer=tracer,
                               journal_path=args.journal,
-                              resume=args.resume,
                               deadline=_deadline_of(args))
     except JournalError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -623,9 +618,8 @@ def _run_campaign(args) -> int:
             fh.write("\n")
         print(f"report written to {args.report}", file=sys.stderr)
     if args.journal:
-        print(f"journal written to {args.journal} (continue with "
-              f"'repro campaign ... --journal {args.journal} --resume')",
-              file=sys.stderr)
+        print(f"journal written to {args.journal} (rerun the same "
+              f"command to continue it)", file=sys.stderr)
     return 0 if report.ok else 1
 
 
@@ -663,7 +657,8 @@ def _run_analyze(args, proc, independents, dependents) -> int:
     recovery through the ``--cache-dir`` store, and ``--strict``."""
     from .analysis import ActivityAnalysis
     from .formad import FormADEngine
-    from .resilience import EscalationPolicy, journal_fingerprint
+    from .resilience.escalate import EscalationPolicy
+    from .resilience.journal import journal_fingerprint
 
     escalation = None
     if args.escalate > 1:
@@ -680,7 +675,7 @@ def _run_analyze(args, proc, independents, dependents) -> int:
                                       dependents, engine.fingerprint_flags())
     cache = None
     if args.cache_dir:
-        from .resilience import VerdictCache
+        from .resilience.cache import VerdictCache
         try:
             cache = VerdictCache(args.cache_dir, fingerprint)
         except OSError as exc:
@@ -696,7 +691,7 @@ def _run_analyze(args, proc, independents, dependents) -> int:
         if args.jobs is None:
             analyses = engine.analyze_all()
         else:
-            from .resilience import ShardConfig, analyze_sharded
+            from .resilience.shards import ShardConfig, analyze_sharded
             config = ShardConfig(jobs=args.jobs,
                                  kill_timeout=args.kill_timeout)
             analyses, shard_outcomes = analyze_sharded(
@@ -730,7 +725,7 @@ def _run_analyze(args, proc, independents, dependents) -> int:
                       file=sys.stderr, flush=True)
         tracer.close()
     if args.cache_max_bytes is not None:
-        from .resilience import CacheStore
+        from .resilience.cache import CacheStore
         evicted = CacheStore(args.cache_dir,
                              max_bytes=args.cache_max_bytes).evict()
         if evicted:
@@ -808,7 +803,8 @@ def _finish_analyze(args, proc, analyses, outcomes=None,
 
 
 def _run_cache(args) -> int:
-    from .resilience import CacheConflictError, CacheStore, CacheStoreError
+    from .resilience.cache import (CacheConflictError, CacheStore,
+                                   CacheStoreError)
 
     store = CacheStore(args.cache_dir, max_bytes=args.max_bytes)
     if args.action == "stats":

@@ -29,7 +29,7 @@ def run_table1(tracer: NullTracer = NULL_TRACER,
                deadline=None) -> List[AnalysisReport]:
     """Run FormAD on all six Table-1 problems, in the table's order.
 
-    ``deadline`` (a :class:`repro.resilience.Deadline`) bounds the
+    ``deadline`` (a :class:`repro.resilience.deadline.Deadline`) bounds the
     whole sweep: expired problems degrade to safeguards (UNKNOWN
     verdicts) instead of running over.
     """

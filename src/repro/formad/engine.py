@@ -33,6 +33,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -540,7 +541,7 @@ class FormADEngine:
     def analyze_all(self) -> List[LoopAnalysis]:
         """Analyze every parallel loop of the procedure, in loop order.
         (``analyze --jobs N`` fans the loops out over worker processes
-        instead: :func:`repro.resilience.analyze_sharded`.)"""
+        instead: :func:`repro.resilience.shards.analyze_sharded`.)"""
         return [self.analyze_loop(loop)
                 for loop in self.proc.parallel_loops()]
 
@@ -617,7 +618,15 @@ class FormADEngine:
         with self.tracer.span("analysis.loop", loop=loop.var, uid=loop.uid):
             return self._analyze_traced(loop)
 
-    def _analyze_traced(self, loop: Loop) -> LoopAnalysis:
+    def _analyze_traced(self, loop: Loop, phase: Optional[str] = None,
+                        reason: str = "") -> LoopAnalysis:
+        """The per-loop pass: buildModel, then testVar for every
+        candidate array. A loop that degrades before the pass
+        (:meth:`degraded_analysis`: *phase* and *reason* set) or inside
+        it (buildModel raises :class:`KnowledgeDegradedError`) goes on
+        through the same testVar, which counts and traces every planned
+        question as UNKNOWN without solving, so the Table-1 totals and
+        the provenance trail do not depend on where a fault struck."""
         start = time.perf_counter()
         tracer = self.tracer
         stats = AnalysisStats()
@@ -626,67 +635,56 @@ class FormADEngine:
         stats.model_size = 1 + kb.size
         logger.debug("loop over %r: %d knowledge facts, %d pairs skipped",
                      loop.var, kb.size, kb.skipped_pairs)
-        if tracer.enabled:
-            for fact in kb.facts:
-                tracer.emit("fact", loop=loop.var,
-                            context=fact.context.path(),
-                            array=fact.source_array,
-                            formula=str(fact.formula))
 
-        solver = self._new_solver()
-        by_context: Dict[int, List] = {}
-        for fact in kb.facts:
-            by_context.setdefault(fact.context.uid, []).append(fact)
-        model = _ContextModel(solver, axiom, by_context, stats)
-        degraded: Optional[KnowledgeDegradedError] = None
-        with tracer.span("analysis.build_model", loop=loop.var):
-            try:
-                model.build(refs.contexts.root)
-            except KnowledgeDegradedError as exc:
-                # The knowledge base could not be established (solver
-                # failure/UNKNOWN, not a primal race): every candidate
-                # array keeps its safeguard. Never crash, never share.
-                degraded = exc
+        solver: Optional[Solver] = None
+        model: Optional[_ContextModel] = None
+        # The reason every verdict of a degraded loop carries.
+        degraded = None if phase is None else reason
+        if phase is None:
+            if tracer.enabled:
+                for fact in kb.facts:
+                    tracer.emit("fact", loop=loop.var,
+                                context=fact.context.path(),
+                                array=fact.source_array,
+                                formula=str(fact.formula))
+            solver = self._new_solver()
+            by_context: Dict[int, List] = {}
+            for fact in kb.facts:
+                by_context.setdefault(fact.context.uid, []).append(fact)
+            model = _ContextModel(solver, axiom, by_context, stats)
+            with tracer.span("analysis.build_model", loop=loop.var):
+                try:
+                    model.build(refs.contexts.root)
+                except KnowledgeDegradedError as exc:
+                    # The knowledge base could not be established
+                    # (solver failure/UNKNOWN, not a primal race).
+                    phase, reason = "build_model", str(exc)
+                    degraded = f"knowledge degraded: {exc}"
+        if degraded is not None:
+            # Every candidate array keeps its safeguard. Never crash,
+            # never share.
+            logger.warning("loop over %r: degraded in %s (%s); all "
+                           "candidate arrays keep their safeguards",
+                           loop.var, phase, reason)
+            if tracer.enabled:
+                tracer.emit("degraded", loop=loop.var, phase=phase,
+                            reason=reason)
 
         verdicts: Dict[str, ArrayVerdict] = {}
-        safe_writes: List[str] = []
         offending: List[str] = []
         memo: Optional[Dict[Tuple[int, Formula],
                             Tuple[Result, Optional[Dict[str, int]]]]] = (
-            {} if self.use_question_memo else None)
-        # Paper Table 1: "number of unique index expressions included in
-        # the model" — the knowledge side (LBM: the 19 safe write
-        # expressions), not the question expressions.
-        unique_exprs: Set[str] = set()
-        for fact in kb.facts:
-            unique_exprs.add(_render_tuple(fact.right))
-
-        if degraded is not None:
-            logger.warning("loop over %r: knowledge degraded (%s); all "
-                           "candidate arrays keep their safeguards",
-                           loop.var, degraded)
-            if tracer.enabled:
-                tracer.emit("degraded", loop=loop.var, phase="build_model",
-                            reason=str(degraded))
-
+            {} if self.use_question_memo and degraded is None else None)
         # Loop health, for the verdict cache's cleanliness rule: any
         # contained solver failure or cache-replayed answer makes the
         # loop's counters non-canonical, so it must not be stored.
         health = {"failures": 0, "cached": 0}
         for array in self._candidate_arrays(refs):
-            if degraded is not None:
-                # Count the questions this array *would* have asked
-                # (without solving) so Table-1 totals stay independent
-                # of where a fault struck, then keep every safeguard.
-                verdict = self._degraded_verdict(
-                    loop, array, refs, translator, stats,
-                    f"knowledge degraded: {degraded}")
-            else:
-                with tracer.span("analysis.array", loop=loop.var,
-                                 array=array):
-                    verdict = self._test_array(
-                        loop, array, refs, translator, model, memo, stats,
-                        offending, health)
+            with (tracer.span("analysis.array", loop=loop.var, array=array)
+                  if degraded is None else nullcontext()):
+                verdict = self._test_array(
+                    loop, array, refs, translator, model, memo, stats,
+                    offending, health, degraded)
             verdicts[array] = verdict
             logger.debug("loop over %r: %s", loop.var, verdict)
             if tracer.enabled:
@@ -696,18 +694,16 @@ class FormADEngine:
                             pairs_proven=verdict.pairs_proven,
                             reason=verdict.reason)
 
-        # The paper's LBM listing: the set of known-safe write
-        # expressions extracted from the primal.
-        seen: Set[str] = set()
-        for fact in kb.facts:
-            r = _render_tuple(fact.right)
-            if r not in seen:
-                seen.add(r)
-                safe_writes.append(r)
-
-        stats.unique_exprs = len(unique_exprs)
+        # The paper's LBM listing: the known-safe write expressions
+        # extracted from the primal. Their number is Table 1's "unique
+        # index expressions included in the model" (LBM: 19) — the
+        # knowledge side, not the question expressions.
+        safe_writes = list(dict.fromkeys(_render_tuple(fact.right)
+                                         for fact in kb.facts))
+        stats.unique_exprs = len(safe_writes)
         stats.region_loc = max(0, len(format_stmt(loop)) - 2)
-        stats.absorb_solver(solver)
+        if solver is not None:
+            stats.absorb_solver(solver)
         stats.time_seconds = time.perf_counter() - start
         logger.info(
             "analyzed loop over %r: %d/%d arrays safe, %d queries "
@@ -885,92 +881,21 @@ class FormADEngine:
                 break
         return result, witness, reason, failure, attempts
 
-    def _degraded_verdict(
-        self,
-        loop: Loop,
-        array: str,
-        refs: RegionReferences,
-        translator: IndexTranslator,
-        stats: AnalysisStats,
-        reason: str,
-    ) -> ArrayVerdict:
-        """The safeguard verdict for one array when the analysis cannot
-        run (knowledge degraded, run deadline expired before phase 2,
-        or a shard worker died). Enumerates and *counts* the
-        exploitation questions the honest analysis would have asked —
-        without solving — so the Table-1 question totals are
-        independent of where a fault struck, and emits the matching
-        provenance records so the trace trail stays complete."""
-        tracer = self.tracer
-        try:
-            writes, reads = self._adjoint_refs(array, refs, translator)
-        except UntranslatableError as exc:
-            return ArrayVerdict(array, False, reason=str(exc))
-        pairs = self._question_pairs(writes, reads)
-        verdict = ArrayVerdict(array, False, pairs_total=len(pairs),
-                               reason=reason)
-        for w, other in pairs:
-            if len(w.plain) != len(other.plain):
-                # Structural, solver-independent early exit — mirrored
-                # from _test_array so the counts line up.
-                verdict.reason = "rank mismatch"
-                break
-            ctx = w.context.common_root(other.context)
-            question = And(*[FAtom(Rel.EQ, lp, r)
-                             for lp, r in zip(w.primed, other.plain)])
-            stats.exploitation_checks += 1
-            if tracer.enabled:
-                tracer.emit("question", loop=loop.var, array=array,
-                            context=ctx.path(), write=w.rendering,
-                            other=other.rendering, question=str(question),
-                            instances=sorted(formula_vars(question)),
-                            result=UNKNOWN.name, memo_hit=False,
-                            dur_s=0.0)
-        return verdict
-
     def degraded_analysis(self, loop: Loop, reason: str, *,
                           phase: str = "worker") -> LoopAnalysis:
         """A complete safeguards-only :class:`LoopAnalysis` for *loop*,
-        produced without touching the solver.
+        produced without touching the solver, the question memo or the
+        run-state store.
 
         The shard scheduler calls this in the parent process when a
-        worker crashes, hangs past its kill timeout, or is OOM-killed:
-        the loop's result becomes "every candidate array keeps its
-        safeguard", with the planned question counts so the Table-1
-        totals stay fault-independent.
+        worker crashes, hangs past its kill timeout, or is OOM-killed
+        (*phase* ``worker``), or when the run deadline expired before
+        the loop's shard was dispatched (``deadline``): the loop's
+        result becomes "every candidate array keeps its safeguard",
+        with the planned question counts so the Table-1 totals stay
+        fault-independent.
         """
-        start = time.perf_counter()
-        tracer = self.tracer
-        stats = AnalysisStats()
-        refs, translator, kb, axiom = self._extract(loop)
-        stats.skipped_pairs = kb.skipped_pairs
-        stats.model_size = 1 + kb.size
-        if tracer.enabled:
-            tracer.emit("degraded", loop=loop.var, phase=phase,
-                        reason=reason)
-        verdicts: Dict[str, ArrayVerdict] = {}
-        for array in self._candidate_arrays(refs):
-            verdict = self._degraded_verdict(loop, array, refs, translator,
-                                             stats, reason)
-            verdicts[array] = verdict
-            if tracer.enabled:
-                tracer.emit("verdict", loop=loop.var, array=array,
-                            safe=verdict.safe,
-                            pairs_total=verdict.pairs_total,
-                            pairs_proven=verdict.pairs_proven,
-                            reason=verdict.reason)
-        safe_writes: List[str] = []
-        seen: Set[str] = set()
-        for fact in kb.facts:
-            r = _render_tuple(fact.right)
-            if r not in seen:
-                seen.add(r)
-                safe_writes.append(r)
-        stats.unique_exprs = len(seen)
-        stats.region_loc = max(0, len(format_stmt(loop)) - 2)
-        stats.time_seconds = time.perf_counter() - start
-        return LoopAnalysis(loop, verdicts, stats, safe_writes, [],
-                            degraded=True)
+        return self._analyze_traced(loop, phase, reason)
 
     def _test_array(
         self,
@@ -978,13 +903,19 @@ class FormADEngine:
         array: str,
         refs: RegionReferences,
         translator: IndexTranslator,
-        model: _ContextModel,
+        model: Optional[_ContextModel],
         memo: Optional[Dict[Tuple[int, Formula],
                             Tuple[Result, Optional[Dict[str, int]]]]],
         stats: AnalysisStats,
         offending: List[str],
-        health: Optional[Dict[str, int]] = None,
+        health: Dict[str, int],
+        degraded: Optional[str] = None,
     ) -> ArrayVerdict:
+        """testVar for one array. With a *degraded* reason (and no
+        *model* or *memo*) the verdict starts unsafe with that reason,
+        and every planned question is counted and traced as UNKNOWN
+        without touching the solver, the question memo or the
+        run-state store."""
         tracer = self.tracer
         loop_key = self.loop_key(loop)
         try:
@@ -992,7 +923,9 @@ class FormADEngine:
         except UntranslatableError as exc:
             return ArrayVerdict(array, False, reason=str(exc))
         pairs = self._question_pairs(writes, reads)
-        verdict = ArrayVerdict(array, True, pairs_total=len(pairs))
+        verdict = ArrayVerdict(array, degraded is None,
+                               pairs_total=len(pairs),
+                               reason=degraded or "")
         for w, other in pairs:
             if len(w.plain) != len(other.plain):
                 verdict.safe = False
@@ -1010,7 +943,9 @@ class FormADEngine:
             reason: Optional[str] = None
             attempts = 0
             cached = False
-            if memo_hit:
+            if degraded is not None:
+                result, witness = UNKNOWN, None
+            elif memo_hit:
                 stats.memo_hits += 1
                 result, witness = entry
             else:
@@ -1024,8 +959,7 @@ class FormADEngine:
                     result = SAT if hit[0] == "sat" else UNSAT
                     witness = hit[1]
                     cached = True
-                    if health is not None:
-                        health["cached"] += 1
+                    health["cached"] += 1
                 else:
                     asked = time.perf_counter()
                     result, witness, reason, failure, attempts = \
@@ -1033,7 +967,7 @@ class FormADEngine:
                                              f"{loop_key}/{array}/"
                                              f"{question}", array)
                     asked = time.perf_counter() - asked
-                if failure is not None and health is not None:
+                if failure is not None:
                     health["failures"] += 1
                 if memo is not None and failure is None and \
                         not (result is UNKNOWN and reason == "timeout"):

@@ -9,14 +9,14 @@ otherwise.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence, Union
 
 from ..ad.guards import GuardPolicy
 from ..ad.strategies import SHARED, SafeguardStrategy, get_strategy
 from ..analysis.activity import ActivityAnalysis
 from ..ir.program import Procedure
 from ..ir.stmt import Loop
-from .engine import ArrayVerdict, FormADEngine, LoopAnalysis
+from .engine import FormADEngine, LoopAnalysis
 
 
 class FormADGuardPolicy(GuardPolicy):
@@ -49,19 +49,9 @@ class FormADGuardPolicy(GuardPolicy):
                                    solver_factory=solver_factory,
                                    **extra)
         self.fallback = fallback
-        # Per-loop verdict tables, memoized so deciding every array of
-        # a loop costs one engine lookup instead of one per array.
-        self._loop_verdicts: Dict[int, Dict[str, ArrayVerdict]] = {}
-
-    def _verdicts(self, loop: Loop) -> Dict[str, ArrayVerdict]:
-        verdicts = self._loop_verdicts.get(loop.uid)
-        if verdicts is None:
-            verdicts = self.engine.analyze_loop(loop).verdicts
-            self._loop_verdicts[loop.uid] = verdicts
-        return verdicts
 
     def decide(self, loop: Loop, primal_array: str) -> SafeguardStrategy:
-        verdict = self._verdicts(loop).get(primal_array)
+        verdict = self.engine.analyze_loop(loop).verdicts.get(primal_array)
         if verdict is not None and verdict.safe:
             return SHARED
         return self.fallback

@@ -385,12 +385,3 @@ def references_location(expr: Expr, ref: "Var | ArrayRef") -> bool:
         return ref.name in variables_in(expr)
     return any(isinstance(e, ArrayRef) and e.name == ref.name for e in walk(expr))
 
-
-def is_int_const(expr: Expr) -> bool:
-    return isinstance(expr, Const) and expr.is_integer
-
-
-def const_value(expr: Expr) -> int | float | bool:
-    if not isinstance(expr, Const):
-        raise TypeError(f"not a constant: {expr!r}")
-    return expr.value

@@ -9,10 +9,15 @@ Supports the subset of Fortran the paper's benchmarks use, plus the
     subroutine  := "subroutine" NAME "(" names ")" decl* stmt* "end" "subroutine" [NAME]
     decl        := kind ["," "intent" "(" intent ")"] "::" declitem ("," declitem)*
     declitem    := NAME ["(" dims ")"]
-    stmt        := assign | if | do | pragma-do
+    stmt        := assign | if | do | pragma-do | push | pop
     assign      := lvalue "=" expr
     if          := "if" "(" expr ")" "then" stmt* ["else" stmt*] "end" "if"
     do          := "do" NAME "=" expr "," expr ["," expr] stmt* "end" "do"
+    push        := "call" "push" "(" CHANNEL "," expr ")"
+    pop         := "call" "pop" "(" CHANNEL "," lvalue ")"
+
+``push``/``pop`` are the tape operations of generated adjoints; a
+``CHANNEL`` is a single-quoted tape channel name such as ``'v12'``.
 
 Expressions use Fortran operators (``**``, ``.and.``, ``.eq.``/``==``,
 ``.ne.``/``/=`` ...). Identifiers followed by ``(`` are array references
@@ -27,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .expr import (ArrayRef, BinOp, Call, CmpOp, Compare, Const, Expr,
                    INTRINSICS, Logical, LogicOp, Op, UnOp, Var)
 from .program import Param, Procedure, Program
-from .stmt import Assign, If, Loop, Stmt
+from .stmt import Assign, If, Loop, Pop, Push, Stmt
 from .types import ArrayType, Dim, INTEGER, Intent, Kind, LOGICAL, REAL, ScalarType, Type
 
 
@@ -51,6 +56,7 @@ _TOKEN_RE = re.compile(
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>\*\*|==|/=|<=|>=|::|[-+*/(),:=<>])
   | (?P<ws>[ \t]+)
+  | (?P<channel>'[^']*')
     """,
     re.VERBOSE,
 )
@@ -113,7 +119,8 @@ def _logical_lines(source: str) -> List[Line]:
             pragma = stripped[len("!$omp"):].strip().lower()
             lines.append(Line([], idx, pragma))
             continue
-        # Strip trailing comments (no string literals in this language).
+        # Strip trailing comments (the only string literals, tape
+        # channel names, never contain "!").
         if "!" in stripped:
             stripped = stripped[: stripped.index("!")].strip()
         if not stripped:
@@ -479,6 +486,11 @@ class _ProcedureParser:
             if pragma is not None:
                 raise ParseError("pragma before if statement", line.number)
             return self._parse_if(s, line)
+        if first.text == "call" and len(line.tokens) > 1 \
+                and line.tokens[1].kind == "name":
+            if pragma is not None:
+                raise ParseError("pragma before call statement", line.number)
+            return self._parse_tape(s, line)
         # Assignment (possibly under !$omp atomic).
         atomic = False
         if pragma is not None:
@@ -496,6 +508,35 @@ class _ProcedureParser:
             raise ParseError(f"trailing tokens after assignment: {s.peek().text!r}",
                              line.number)
         return Assign(target, value, atomic=atomic)
+
+    def _parse_tape(self, s: _TokenStream, line: Line) -> Stmt:
+        """``call push('chan', expr)`` or ``call pop('chan', lvalue)``."""
+        s.expect("call")
+        op = s.next().text
+        if op not in ("push", "pop"):
+            raise ParseError(f"unknown subroutine {op!r} (only push and pop)",
+                             line.number)
+        s.expect("(")
+        tok = s.next()
+        if tok.kind != "channel":
+            raise ParseError(f"expected a quoted tape channel, got {tok.text!r}",
+                             line.number)
+        s.expect(",")
+        parser = ExprParser(s, self.array_names)
+        stmt: Stmt
+        if op == "push":
+            stmt = Push(tok.text[1:-1], parser.parse())
+        else:
+            target = parser._primary()
+            if not isinstance(target, (Var, ArrayRef)):
+                raise ParseError("pop target must be a variable or array element",
+                                 line.number)
+            stmt = Pop(tok.text[1:-1], target)
+        s.expect(")")
+        if not s.at_end():
+            raise ParseError(f"trailing tokens after {op}: {s.peek().text!r}",
+                             line.number)
+        return stmt
 
     def _parse_do(self, s: _TokenStream, line: Line, pragma: Optional[str]) -> Loop:
         parallel = False

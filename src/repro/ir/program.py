@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from .expr import arrays_in, variables_in, walk
-from .stmt import Loop, Push, Pop, Stmt, Assign, If, copy_body, walk_stmts
+from .stmt import Loop, Stmt, copy_body, walk_stmts
 from .types import ArrayType, Intent, ScalarType, Type
 
 
@@ -103,33 +102,6 @@ class Procedure:
 
     def parallel_loops(self) -> List[Loop]:
         return [s for s in self.statements() if isinstance(s, Loop) and s.parallel]
-
-    def referenced_names(self) -> set[str]:
-        """All names appearing anywhere in the body."""
-        from .expr import ArrayRef
-
-        names: set[str] = set()
-        for stmt in self.statements():
-            if isinstance(stmt, Assign):
-                names |= variables_in(stmt.value) | arrays_in(stmt.value)
-                names.add(stmt.target.name)
-                if isinstance(stmt.target, ArrayRef):
-                    for idx in stmt.target.indices:
-                        names |= variables_in(idx) | arrays_in(idx)
-            elif isinstance(stmt, If):
-                names |= variables_in(stmt.cond) | arrays_in(stmt.cond)
-            elif isinstance(stmt, Loop):
-                names.add(stmt.var)
-                for e in (stmt.start, stmt.stop, stmt.step):
-                    names |= variables_in(e) | arrays_in(e)
-            elif isinstance(stmt, Push):
-                names |= variables_in(stmt.value) | arrays_in(stmt.value)
-            elif isinstance(stmt, Pop):
-                names.add(stmt.target.name)
-                if isinstance(stmt.target, ArrayRef):
-                    for idx in stmt.target.indices:
-                        names |= variables_in(idx) | arrays_in(idx)
-        return names
 
     def copy(self, *, name: Optional[str] = None) -> "Procedure":
         """Deep copy (fresh statement uids)."""

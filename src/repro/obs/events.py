@@ -46,8 +46,11 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     # FormAD's per-array answer.
     "verdict": ("loop", "array", "safe", "pairs_total", "pairs_proven",
                 "reason"),
-    # Soundness-bias fallback: the engine lost its solver (failure or
-    # UNKNOWN) and degraded every candidate array to safeguards.
+    # Soundness-bias fallback: the loop could not be analyzed and every
+    # candidate array keeps its safeguard. ``phase`` is ``build_model``
+    # (the solver failed or answered UNKNOWN), ``worker`` (its --jobs
+    # worker was lost) or ``deadline`` (the run deadline expired before
+    # its shard was dispatched).
     "degraded": ("loop", "phase", "reason"),
     # One Solver.check() with its phase breakdown.
     "solver_check": ("result", "dur_s", "translate_s", "clausify_s",

@@ -2,12 +2,14 @@
 
 The analysis must degrade, never fail (docs/RESILIENCE.md):
 
-* :class:`Deadline` — a wall-clock budget threaded cooperatively from
-  the CLI through :class:`~repro.formad.engine.FormADEngine` into the
-  SMT search; an expired question answers UNKNOWN (``timeout``),
-  which FormAD already treats as "keep the safeguard".
-* :class:`EscalationPolicy` — retry timed-out / budget-exhausted
-  questions with exponentially enlarged budgets before giving up.
+* :class:`~repro.resilience.deadline.Deadline` — a wall-clock budget
+  threaded cooperatively from the CLI through
+  :class:`~repro.formad.engine.FormADEngine` into the SMT search; an
+  expired question answers UNKNOWN (``timeout``), which FormAD already
+  treats as "keep the safeguard".
+* :class:`~repro.resilience.escalate.EscalationPolicy` — retry
+  timed-out / budget-exhausted questions with exponentially enlarged
+  budgets before giving up.
 * :mod:`~repro.resilience.journal` — the append-only, checksummed,
   fsync'd JSONL record codec that survives ``kill -9``, shared by the
   run-state store and the campaign journal.
@@ -21,23 +23,9 @@ The analysis must degrade, never fail (docs/RESILIENCE.md):
   store (schema ``repro-cache/1``): decided SAT/UNSAT answers and
   clean settled loops persist across invocations, keyed by the
   journal fingerprint, so rerunning an interrupted command recovers.
+
+Import what you need from the submodules. The package itself imports
+none of them: ``import repro`` reaches it through the engine's
+:mod:`~repro.resilience.deadline` and :mod:`~repro.resilience.escalate`,
+and that must not load the store, the journal or the shard scheduler.
 """
-
-from .cache import (CACHE_SCHEMA, CacheConflictError, CacheStore,
-                    CacheStoreError, VerdictCache)
-from .deadline import Deadline
-from .escalate import EscalationPolicy
-from .journal import (JournalError, JournalWriter, journal_fingerprint,
-                      read_journal, rebuild_analysis)
-from .shards import (ShardConfig, WorkerClient, WorkerGone, WorkerOutcome,
-                     WorkerPool, analyze_sharded)
-
-__all__ = [
-    "CACHE_SCHEMA", "CacheConflictError", "CacheStore", "CacheStoreError",
-    "VerdictCache",
-    "Deadline", "EscalationPolicy",
-    "JournalError", "JournalWriter", "journal_fingerprint",
-    "read_journal", "rebuild_analysis",
-    "ShardConfig", "WorkerClient", "WorkerGone", "WorkerOutcome",
-    "WorkerPool", "analyze_sharded",
-]

@@ -430,7 +430,9 @@ def analyze_sharded(
                       _init_request(engine, source, head, independents,
                                     dependents, cache_dir=cache_dir,
                                     fingerprint=fingerprint))
-    apply_lock = threading.Lock()
+    # Reentrant: a reply that fails to apply degrades its loop through
+    # degrade() while the lock is still held.
+    apply_lock = threading.RLock()
     # The first exception of any feeder: a worker's PrimalRaceError, or
     # whatever a feeder raised besides WorkerGone (a failed store
     # write, a bad config). It stops every feeder from pulling new work
@@ -517,16 +519,9 @@ def analyze_sharded(
                                         worker_id=wid, clock=client.clock,
                                         window=client.last_window)
                                 except WorkerGone as exc:
-                                    if tracer.enabled:
-                                        tracer.emit("worker", loop=key,
-                                                    status=exc.status,
-                                                    dur_s=elapsed,
-                                                    detail=exc.detail,
-                                                    worker_id=wid)
-                                    slots[index] = engine.degraded_analysis(
-                                        loop, f"shard {exc.detail}")
-                                    outcomes[index] = WorkerOutcome(
-                                        key, exc.status, exc.detail, elapsed)
+                                    degrade(index, loop, key, exc.status,
+                                            exc.detail, elapsed,
+                                            worker_id=wid)
                                     continue
                                 if tracer.enabled:
                                     tracer.emit("worker", loop=key,

@@ -105,7 +105,7 @@ def detect_races(
 ) -> RaceReport:
     """Run *proc* once under the dynamic race detector.
 
-    ``deadline`` (a :class:`repro.resilience.Deadline`) interrupts a
+    ``deadline`` (a :class:`repro.resilience.deadline.Deadline`) interrupts a
     pathological kernel between loop iterations with
     :class:`~repro.runtime.interp.InterpreterTimeout`.
     """

@@ -226,7 +226,7 @@ class Interpreter:
         self.proc = proc
         self.memory = memory
         self.tracer = tracer
-        #: Optional :class:`repro.resilience.Deadline`-shaped object
+        #: Optional :class:`repro.resilience.deadline.Deadline`-shaped object
         #: (anything with ``expired()``), polled once per loop
         #: iteration; ``None`` (the default) is never polled.
         self.deadline = deadline

@@ -60,7 +60,7 @@ def check_int(
 ) -> IntCheckOutcome:
     """Decide a conjunction of canonical constraints over the integers.
 
-    ``deadline`` (a :class:`repro.resilience.Deadline` or None) is
+    ``deadline`` (a :class:`repro.resilience.deadline.Deadline` or None) is
     polled once per branch-and-bound node — the cooperative tick that
     bounds how long one check can run past its wall-clock budget.
     """

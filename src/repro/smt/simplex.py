@@ -61,10 +61,6 @@ Bound = Optional[Fraction]
 _INT64_SAFE = 1 << 62
 
 
-class Infeasible(Exception):
-    """Raised internally when bound assertion detects a direct conflict."""
-
-
 class ResourceError(RuntimeError):
     """A solver resource budget (pivots, branch nodes) was exhausted."""
 

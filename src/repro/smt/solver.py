@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.tracer import NULL_TRACER, NullTracer
+from ..resilience.deadline import combine
 from .ackermann import Ackermannizer, ackermannize
 from .clausify import (DEFAULT_MAX_CLAUSES, Clause,
                        ClausifyBudgetError, clausify_probe)
@@ -100,36 +101,6 @@ class SolverStats:
             else:
                 self.unknown_solver += 1
 
-    #: Fields that combine by summation when two stats records merge.
-    #: Every current field is a monotone counter or accumulated timer,
-    #: so today this names them all — but the declaration is the
-    #: contract: a future gauge/max-style field (say a peak search
-    #: depth) must NOT be blindly summed, and :meth:`merge_into`
-    #: refuses any field missing from this set instead of silently
-    #: corrupting it (tests/smt/test_solver_stats_merge.py keeps the
-    #: declaration in sync with the dataclass).
-    ADDITIVE_FIELDS = frozenset({
-        "checks", "sat", "unsat", "unknown", "theory_checks", "branches",
-        "propagations", "time_seconds", "translate_seconds",
-        "clausify_seconds", "search_seconds", "formulas_translated",
-        "congruence_axioms", "clausify_hits", "clausify_misses",
-        "unknown_timeout", "unknown_budget", "unknown_solver",
-    })
-
-    def merge_into(self, other: "SolverStats") -> None:
-        """Accumulate this solver's counters onto *other*.
-
-        Only fields declared in :data:`ADDITIVE_FIELDS` are summed; an
-        undeclared field is a hard error so that introducing a
-        non-additive statistic forces a conscious merge rule instead of
-        a silently wrong sum."""
-        for name in self.__dataclass_fields__:
-            if name not in self.ADDITIVE_FIELDS:
-                raise TypeError(
-                    f"SolverStats.{name} is not declared additive; teach "
-                    f"merge_into how to combine it before merging")
-            setattr(other, name, getattr(other, name) + getattr(self, name))
-
 
 class _Level(Level):
     """Translated state of one assertion-stack level: the search's
@@ -175,8 +146,9 @@ class Solver:
         self.max_clauses = max_clauses
         self.incremental = incremental
         self.tracer = tracer
-        #: Run-wide wall-clock bound (a ``repro.resilience.Deadline``
-        #: or None); every ``check()`` is additionally capped by it.
+        #: Run-wide wall-clock bound (a
+        #: ``repro.resilience.deadline.Deadline`` or None); every
+        #: ``check()`` is additionally capped by it.
         self.deadline = deadline
         #: Structured reason of the last UNKNOWN ``check()`` result
         #: ("timeout" | "budget" | "solver-unknown"), else None.
@@ -236,11 +208,7 @@ class Solver:
         """
         tracer = self.tracer
         stats = self.stats
-        effective = self.deadline
-        if deadline is not None:
-            effective = deadline if effective is None else (
-                deadline if deadline.expires_at <= effective.expires_at
-                else effective)
+        effective = combine(deadline, self.deadline)
         scale = max(budget_scale, 1.0)
         theory_budget = int(self.max_theory_checks * scale)
         node_budget = int(self.node_budget * scale)

@@ -1,12 +1,13 @@
 """Campaign orchestration: quarantine state machine, crash-safe resume
 identity, worker-loss containment, the violation → ddmin → corpus →
-replay pipeline, and the CLI kill -9 + ``--resume`` smoke test.
+replay pipeline, and the CLI kill -9 + rerun smoke test.
 
 The load-bearing contracts under test:
 
 * a settled case is journaled before anything else observes it, so a
-  SIGKILLed campaign loses at most the cases in flight and ``--resume``
-  re-runs none of the settled ones;
+  SIGKILLed campaign loses at most the cases in flight, and rerunning
+  the same command on the same journal re-runs none of the settled
+  ones (a journal of another campaign is refused, never overwritten);
 * the report carries no timers, so a resumed report is *identical* to
   an uninterrupted run's;
 * a fail-then-pass case is flaky (never a violation), and a violation
@@ -149,7 +150,8 @@ class TestCampaignResume:
         assert first.statuses() == {"pass": 3}
         assert [e["case"] for e in first.entries] == ["0", "1", "2"]
 
-        resumed = run_campaign(cfg, journal_path=str(journal), resume=True)
+        # the same campaign on the same journal continues it
+        resumed = run_campaign(cfg, journal_path=str(journal))
         assert resumed.resumed == 3
         assert resumed.to_json() == first.to_json()
 
@@ -165,9 +167,36 @@ class TestCampaignResume:
         cfg = CampaignConfig(seed=0, count=1, families=("elementwise",),
                              jobs=1, shrink=False)
         run_campaign(cfg, journal_path=str(journal))
+        before = journal.read_bytes()
         other = dataclasses.replace(cfg, seed=1)
-        with pytest.raises(JournalError):
-            run_campaign(other, journal_path=str(journal), resume=True)
+        with pytest.raises(JournalError, match="fingerprint mismatch"):
+            run_campaign(other, journal_path=str(journal))
+        assert journal.read_bytes() == before
+
+    def test_rerun_refuses_a_journal_without_a_header(self, tmp_path,
+                                                      monkeypatch):
+        _clean_env(monkeypatch)
+        journal = tmp_path / "campaign.jsonl"
+        journal.write_text("not a journal line\n")
+        cfg = CampaignConfig(seed=0, count=1, families=("elementwise",),
+                             jobs=1, shrink=False)
+        with pytest.raises(JournalError, match="no intact"):
+            run_campaign(cfg, journal_path=str(journal))
+        assert journal.read_text() == "not a journal line\n"
+
+    def test_empty_journal_starts_fresh(self, tmp_path, monkeypatch):
+        _clean_env(monkeypatch)
+        journal = tmp_path / "campaign.jsonl"
+        journal.write_text("")
+        cfg = CampaignConfig(seed=0, count=1, families=("elementwise",),
+                             jobs=1, shrink=False)
+        report = run_campaign(cfg, journal_path=str(journal))
+        assert report.resumed == 0
+        assert report.statuses() == {"pass": 1}
+        meta, records, dropped = read_journal(str(journal))
+        assert meta["fingerprint"] == campaign_fingerprint(cfg)
+        assert [r["case"] for r in records] == ["0"]
+        assert dropped == 0
 
 
 class TestCampaignContainment:
@@ -286,7 +315,7 @@ class TestViolationCorpus:
 
 
 # ----------------------------------------------------------------------
-# kill -9 the campaign mid-round; --resume completes it (CLI)
+# kill -9 the campaign mid-round; rerunning the command completes it (CLI)
 # ----------------------------------------------------------------------
 def _env():
     env = dict(os.environ)
@@ -303,9 +332,9 @@ def _campaign_cmd(*extra):
 
 
 class TestKillCampaignResume:
-    """SIGKILL the whole campaign process group mid-round; ``--resume``
-    must skip every settled case and produce a report identical to an
-    uninterrupted run's."""
+    """SIGKILL the whole campaign process group mid-round; rerunning the
+    same command must skip every settled case and produce a report
+    identical to an uninterrupted run's."""
 
     @pytest.mark.slow
     def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path):
@@ -355,7 +384,7 @@ class TestKillCampaignResume:
 
         resume_report = tmp_path / "resumed.json"
         resumed = subprocess.run(
-            _campaign_cmd("--journal", str(journal), "--resume",
+            _campaign_cmd("--journal", str(journal),
                           "--report", str(resume_report)),
             cwd=str(tmp_path), env=env, capture_output=True, text=True)
         assert resumed.returncode == 0, resumed.stderr

@@ -3,10 +3,13 @@ round-trip properties on the paper's own listings."""
 
 import pytest
 
+from repro import STRATEGIES, differentiate
 from repro.ir import (ArrayRef, BinOp, Call, CmpOp, Compare, Const, If,
-                      Intent, Kind, Logical, Loop, Op, ParseError, UnOp, Var,
-                      format_procedure, parse_expression, parse_procedure,
-                      parse_program, validate)
+                      Intent, Kind, Logical, Loop, Op, ParseError, Pop, Push,
+                      UnOp, Var, format_procedure, parse_expression,
+                      parse_procedure, parse_program, validate)
+from repro.programs import (build_gfmc, build_greengauss, build_lbm,
+                            build_stencil)
 
 FIG2_PRIMAL = """
 subroutine fig2(x, y, c, n)
@@ -237,3 +240,72 @@ class TestRoundTrip:
         text = format_procedure(proc)
         assert "!$omp parallel do" in text
         assert "y(c(i)) = x(c(i) + 7)" in text
+
+
+TAPE = """
+subroutine tape(x, t)
+  real, intent(inout) :: x(10)
+  real, intent(inout) :: t
+  do i = 1, 10
+    call push('v7', x(i) * 2.0)
+    call push('Ci', t)
+    call pop('Ci', t)
+    call pop('v7', x(i))
+  end do
+end subroutine tape
+"""
+
+
+class TestTapeStatements:
+    def test_push_and_pop_parse(self):
+        proc = parse_procedure(TAPE)
+        push, push_t, pop_t, pop = proc.body[0].body
+        assert isinstance(push, Push) and push.channel == "v7"
+        assert push.value == BinOp(Op.MUL, ArrayRef("x", (Var("i"),)),
+                                   Const(2.0))
+        # channel names keep their case; identifiers are lowercased
+        assert push_t.channel == pop_t.channel == "Ci"
+        assert isinstance(pop, Pop) and pop.target == ArrayRef(
+            "x", (Var("i"),))
+        assert format_procedure(parse_procedure(format_procedure(proc))) \
+            == format_procedure(proc)
+
+    def test_call_stays_a_variable_name(self):
+        src = TAPE.replace("call push('v7', x(i) * 2.0)", "call = t + 1.0")
+        src = src.replace("real, intent(inout) :: t",
+                          "real, intent(inout) :: t\n  real :: call")
+        proc = parse_procedure(src)
+        assert proc.body[0].body[0].target == Var("call")
+
+    @pytest.mark.parametrize("line", [
+        "call push(v7, t)",            # unquoted channel
+        "call flush('v7', t)",         # not a tape operation
+        "call pop('v7', t + 1.0)",     # pop into an expression
+        "call push('v7', t) t",        # trailing tokens
+    ])
+    def test_malformed_tape_statements_rejected(self, line):
+        src = TAPE.replace("call push('v7', x(i) * 2.0)", line)
+        with pytest.raises(ParseError):
+            parse_procedure(src)
+
+
+#: The paper kernels with their (independents, dependents).
+KERNELS = {
+    "gfmc": (build_gfmc, ["cl", "cr"], ["cl", "cr"]),
+    "stencil8": (lambda: build_stencil(8), ["uold"], ["unew"]),
+    "greengauss": (build_greengauss, ["dv"], ["grad"]),
+    "lbm": (build_lbm, ["srcgrid"], ["dstgrid"]),
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_printed_adjoints_parse_back(kernel, strategy):
+    # Generated adjoints carry their tape as call push/pop statements;
+    # what `repro differentiate -O` writes must read back verbatim.
+    builder, independents, dependents = KERNELS[kernel]
+    adjoint = differentiate(builder(), independents, dependents,
+                            strategy=strategy).procedure
+    text = format_procedure(adjoint)
+    assert "call push('" in text and "call pop('" in text
+    assert format_procedure(parse_procedure(text)) == text

@@ -3,15 +3,15 @@
 Random procedures are generated from the statement grammar, printed,
 re-parsed, and checked two ways: the second print must be a fixpoint,
 and interpretation of both versions on random inputs must agree
-exactly.
+exactly. The grammar includes balanced tape push/pop pairs.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ir import (Assign, BinOp, Call, Const, If, Loop, Op, Param,
-                      Procedure, UnOp, Var, INTEGER, REAL, real_array,
+from repro.ir import (Assign, BinOp, Call, Const, If, Loop, Op, Param, Pop,
+                      Procedure, Push, UnOp, Var, INTEGER, REAL, real_array,
                       format_procedure, parse_procedure, validate)
 from repro.ir.types import Intent
 from repro.runtime import run_procedure
@@ -47,7 +47,7 @@ def _exprs(depth):
 @st.composite
 def _stmts(draw, depth=1):
     kind = draw(st.sampled_from(
-        ["assign_y", "assign_t", "if", "loop"] if depth > 0
+        ["assign_y", "assign_t", "if", "loop", "tape"] if depth > 0
         else ["assign_y", "assign_t"]))
     i = Var("i")
     if kind == "assign_y":
@@ -60,6 +60,12 @@ def _stmts(draw, depth=1):
         els = draw(st.lists(_stmts(depth=depth - 1), min_size=0, max_size=2))
         return If(cond, then, els)
     inner = draw(st.lists(_stmts(depth=depth - 1), min_size=1, max_size=2))
+    if kind == "tape":
+        # A balanced pair: every push is popped in the same iteration.
+        channel = draw(st.sampled_from(["v1", "c42", "Tape"]))
+        target = draw(st.sampled_from([Var("t"), Var("y")[i]]))
+        return Loop("k", 1, 2, body=[Push(channel, draw(_exprs(1)))] + inner
+                    + [Pop(channel, target)])
     return Loop("k", 1, 2, body=[Assign(Var("t"), Var("t") * 0.5)] + inner)
 
 

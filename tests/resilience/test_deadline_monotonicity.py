@@ -15,7 +15,8 @@ import pytest
 from repro.analysis.activity import ActivityAnalysis
 from repro.experiments.specs import ALL_FIGURE_SPECS
 from repro.formad import FormADEngine
-from repro.resilience import Deadline, EscalationPolicy
+from repro.resilience.deadline import Deadline
+from repro.resilience.escalate import EscalationPolicy
 
 #: name -> engine kwargs factory (deadlines must be minted per run,
 #: not at collection time, so these are thunks)

@@ -28,7 +28,7 @@ from repro.formad import FormADEngine
 from repro.ir import parse_program
 from repro.obs import CollectingTracer, validate_events
 from repro.obs.metrics import METRICS_SCHEMA_V2
-from repro.resilience import ShardConfig, analyze_sharded
+from repro.resilience.shards import ShardConfig, analyze_sharded
 
 SAFE_TWO_LOOPS = """
 subroutine two(x, y, z, n)

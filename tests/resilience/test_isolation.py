@@ -14,7 +14,7 @@ import time
 from repro.analysis.activity import ActivityAnalysis
 from repro.formad import FormADEngine
 from repro.ir import parse_program
-from repro.resilience import ShardConfig, analyze_sharded
+from repro.resilience.shards import ShardConfig, analyze_sharded
 
 #: Both loops are all-safe (each adjoint hits only its own slot), so
 #: the honest analysis never breaks early on a SAT answer and degraded

@@ -15,8 +15,8 @@ import zlib
 from repro.analysis.activity import ActivityAnalysis
 from repro.formad import FormADEngine
 from repro.ir import parse_program
-from repro.resilience import Deadline
 from repro.resilience.cache import CACHE_SCHEMA, VerdictCache
+from repro.resilience.deadline import Deadline
 from repro.resilience.journal import (JournalWriter, _decode_line,
                                       _encode_line, journal_fingerprint,
                                       read_journal)

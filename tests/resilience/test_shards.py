@@ -23,6 +23,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -32,10 +33,11 @@ from repro.cli import main
 from repro.formad import FormADEngine, PrimalRaceError
 from repro.ir import parse_program
 from repro.obs.metrics import TIMER_KEYS
-from repro.obs.tracer import load_trace
-from repro.resilience import (ShardConfig, VerdictCache, WorkerPool,
-                              analyze_sharded, read_journal)
-from repro.resilience.journal import journal_fingerprint
+from repro.obs.tracer import CollectingTracer, load_trace
+from repro.resilience.cache import VerdictCache
+from repro.resilience.journal import journal_fingerprint, read_journal
+from repro.resilience.shards import (ShardConfig, WorkerClient, WorkerPool,
+                                     analyze_sharded)
 
 SAFE_TWO_LOOPS = """
 subroutine two(x, y, z, n)
@@ -158,6 +160,43 @@ class TestFaultContainment:
         assert sharded[0].degraded
         assert outcomes[1].status == "ok"
         assert not sharded[1].degraded
+
+    def test_unusable_reply_degrades_its_loop(self, monkeypatch):
+        # A reply without its serialized analysis fails to apply while
+        # the apply lock is held; its loop must still degrade exactly
+        # like a crashed worker's, and the next shard is unaffected.
+        real = WorkerClient.request
+
+        def lossy(self, request, timeout):
+            reply = real(self, request, timeout)
+            if request.get("loop_key") == "0:i":
+                reply.pop("analysis", None)
+            return reply
+
+        monkeypatch.setattr(WorkerClient, "request", lossy)
+        proc = parse_program(SAFE_TWO_LOOPS)["two"]
+        inline = _engine(proc).analyze_all()
+        tracer = CollectingTracer()
+        done = []
+        runner = threading.Thread(target=lambda: done.append(_sharded(
+            proc, engine=_engine(proc, tracer=tracer), jobs=1)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert done, "the scheduler hung applying an unusable reply"
+        tracer.close()
+        sharded, outcomes = done[0]
+        assert [o.status for o in outcomes] == ["crash", "ok"]
+        assert "missing its loop analysis" in outcomes[0].detail
+        assert sharded[0].degraded
+        assert sharded[0].safe_arrays() == set()
+        assert sharded[0].stats.exploitation_checks \
+            == inline[0].stats.exploitation_checks
+        assert not sharded[1].degraded
+        events = tracer.events
+        assert [(e["loop"], e["status"]) for e in events
+                if e["type"] == "worker"] == [("0:i", "crash"), ("1:j", "ok")]
+        assert [(e["loop"], e["phase"]) for e in events
+                if e["type"] == "degraded"] == [("i", "worker")]
 
     def test_primal_race_reraises_in_the_parent(self):
         proc = parse_program(RACY)["racy"]

@@ -4,13 +4,6 @@ PR 1 added per-phase fields to ``SolverStats``; later work added more
 and routes them through ``AnalysisStats.absorb_solver``. These tests
 pin the aggregation paths:
 
-* ``SolverStats.merge_into`` sums **every** dataclass field, and every
-  field must be *declared* additive in ``SolverStats.ADDITIVE_FIELDS``
-  — a new field that is not declared makes ``merge_into`` raise
-  instead of guessing that plain summation is its combine rule (a
-  high-water mark or a ratio would be silently corrupted by ``+``);
-* merging two independent solvers' stats equals one solver doing both
-  workloads;
 * ``absorb_solver`` accounts for every ``SolverStats`` field — a new
   field that is not mapped (or deliberately recoverable) fails the
   audit here instead of silently vanishing from Table 1/metrics;
@@ -26,8 +19,6 @@ import dataclasses
 import itertools
 import sys
 import threading
-
-import pytest
 
 from repro.formad.engine import AnalysisStats
 from repro.smt import Int, Solver
@@ -48,85 +39,6 @@ def distinct_stats(offset: int) -> SolverStats:
     for n, name in enumerate(FLOAT_FIELDS):
         values[name] = float(offset + 100 + n) / 8.0
     return SolverStats(**values)
-
-
-class TestMergeInto:
-    def test_every_field_is_summed(self):
-        a, b = distinct_stats(1), distinct_stats(1000)
-        expected = {name: getattr(a, name) + getattr(b, name)
-                    for name in a.__dataclass_fields__}
-        a.merge_into(b)
-        assert {name: getattr(b, name)
-                for name in b.__dataclass_fields__} == expected
-
-    def test_field_inventory_is_typed(self):
-        # every field is summable; a non-int/float addition would need
-        # its own merge rule and must show up here first
-        assert set(INT_FIELDS) | set(FLOAT_FIELDS) \
-            == set(SolverStats.__dataclass_fields__)
-
-    def test_every_field_is_declared_additive(self):
-        # ADDITIVE_FIELDS is the explicit contract: growing the
-        # dataclass without deciding the combine rule fails here.
-        assert SolverStats.ADDITIVE_FIELDS \
-            == frozenset(SolverStats.__dataclass_fields__)
-
-    def test_additive_declaration_is_not_a_field(self):
-        # The declaration set must stay a class attribute, not become
-        # a dataclass field that merge_into would then try to sum.
-        assert "ADDITIVE_FIELDS" not in SolverStats.__dataclass_fields__
-
-    def test_undeclared_field_refuses_to_merge(self):
-        """A new counter that nobody declared additive must make
-        ``merge_into`` raise, not silently sum. (A max-depth gauge
-        summed across solvers would report nonsense.)"""
-        undeclared = dataclasses.make_dataclass(
-            "GrownStats", [("peak_depth", int, 0)], bases=(SolverStats,))
-        a, b = undeclared(), undeclared()
-        with pytest.raises(TypeError, match="peak_depth"):
-            a.merge_into(b)
-
-    def test_merging_two_solvers_equals_combined_run(self):
-        """solver(A).stats + solver(B).stats == solver(A then B).stats
-        on every deterministic (int) counter.
-
-        The workloads use disjoint variable sets so the process-global
-        clause cache treats the separate and combined runs identically.
-        """
-
-        def workload_a(names):
-            x, y = (Int(n) for n in names)
-            return [x.gt(y), y.ge(0), x.le(10)]
-
-        def workload_b(names):
-            x, y = (Int(n) for n in names)
-            return [x.eq(y + 3), x.lt(y)]  # UNSAT
-
-        clausify_cache_clear()
-        s1 = Solver()
-        s1.add(*workload_a(("ma1", "ma2")))
-        s1.check()
-        s2 = Solver()
-        s2.add(*workload_b(("mb1", "mb2")))
-        s2.check()
-        merged = SolverStats()
-        s1.stats.merge_into(merged)
-        s2.stats.merge_into(merged)
-
-        combined = Solver()
-        combined.push()
-        combined.add(*workload_a(("mc1", "mc2")))
-        combined.check()
-        combined.pop()
-        combined.push()
-        combined.add(*workload_b(("md1", "md2")))
-        combined.check()
-        combined.pop()
-
-        for name in INT_FIELDS:
-            assert getattr(combined.stats, name) == getattr(merged, name), name
-        for name in FLOAT_FIELDS:
-            assert getattr(merged, name) > 0.0, name
 
 
 class TestAbsorbSolver:

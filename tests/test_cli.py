@@ -289,7 +289,8 @@ class TestSurface:
                      [*base, "--connect", "a"], ["serve"],
                      [*base, "--backend", "process"],
                      ["experiments", "--jobs", "2"],
-                     ["experiments", "--backend", "process"]):
+                     ["experiments", "--backend", "process"],
+                     ["campaign", "--count", "1", "--resume"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
