@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence
 
 from .ir import (Procedure, Program, ProcedureBuilder, format_procedure,
                  parse_expression, parse_procedure, parse_program, validate)
-from .obs import (NULL_TRACER, CollectingTracer, JsonlTracer, NullTracer,
-                  Tracer)
+from .obs.tracer import (NULL_TRACER, CollectingTracer, JsonlTracer,
+                         NullTracer, Tracer)
 from .ad import (ALL_ATOMIC, ALL_PREACCUMULATE, ALL_REDUCTION, ALL_SHARED,
                  ALL_TRANSPOSED, ConstantPolicy, GuardPolicy, ReverseResult,
                  SafeguardStrategy, TangentResult, differentiate_reverse,

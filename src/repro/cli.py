@@ -32,8 +32,9 @@ from . import (STRATEGIES, differentiate, differentiate_tangent,
                format_procedure)
 from .formad import format_verdicts
 from .ir import ParseError, parse_program
-from .obs import (NULL_TRACER, JsonlTracer, RegistryTracer, explain_array,
-                  format_profile, load_trace, stats_metrics, validate_events)
+from .obs.events import missing_fields, validate_events
+from .obs.metrics import stats_metrics
+from .obs.tracer import NULL_TRACER, JsonlTracer, RegistryTracer, load_trace
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
@@ -203,12 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "record); a rerun answers from DIR instead of the "
                         "solver, which is also how a killed or timed-out "
                         "run recovers")
-    p.add_argument("--cache-max-bytes", type=nonnegative_int, default=None,
-                   metavar="N",
-                   help="size budget for --cache-dir (required with "
-                        "it): after the run, evict least-recently-used "
-                        "fingerprint files until the store fits N bytes "
-                        "(docs/SCALING.md)")
     p.add_argument("--trace", default=None, metavar="OUT.jsonl",
                    help="record the structured provenance/span event "
                         "stream (replay with 'repro explain/profile')")
@@ -512,25 +507,42 @@ def _analysis_json(proc, analyses, outcomes=None, cache=None,
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _run_explain(args) -> int:
+def _load_replayable(path: str) -> Optional[list]:
+    """The events of the trace at *path* for ``explain`` and ``profile``,
+    or None after an ``error:`` line: a line that is not a JSON object,
+    or an event without a common or required field, cannot be replayed.
+    Any other schema finding is a warning."""
     try:
-        events = load_trace(args.trace)
+        events = load_trace(path)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return None
+    for index, event in enumerate(events):
+        missing = missing_fields(event)
+        if missing:
+            print(f"error: {path}: event {index}: {'; '.join(missing)}",
+                  file=sys.stderr)
+            return None
     errors = validate_events(events)
     if errors:
         print(f"warning: trace has {len(errors)} schema violation(s); "
               f"replaying anyway", file=sys.stderr)
+    return events
+
+
+def _run_explain(args) -> int:
+    from .obs.explain import explain_array
+    events = _load_replayable(args.trace)
+    if events is None:
+        return 1
     print(explain_array(events, args.array, loop=args.loop))
     return 0
 
 
 def _run_profile(args) -> int:
-    try:
-        events = load_trace(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    from .obs.profile import format_profile
+    events = _load_replayable(args.trace)
+    if events is None:
         return 1
     print(format_profile(events))
     return 0
@@ -724,14 +736,6 @@ def _run_analyze(args, proc, independents, dependents) -> int:
                 print(json.dumps(registry.snapshot(), sort_keys=True),
                       file=sys.stderr, flush=True)
         tracer.close()
-    if args.cache_max_bytes is not None:
-        from .resilience.cache import CacheStore
-        evicted = CacheStore(args.cache_dir,
-                             max_bytes=args.cache_max_bytes).evict()
-        if evicted:
-            print(f"cache: evicted {len(evicted)} least-recently-used "
-                  f"fingerprint file(s) to fit --cache-max-bytes "
-                  f"{args.cache_max_bytes}", file=sys.stderr)
     if cache is not None and not args.json:
         print(f"cache: {cache.loop_hits} loop hit(s), "
               f"{cache.question_hits} question hit(s), "
@@ -879,9 +883,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "analyze" and args.cache_max_bytes is not None \
-            and not args.cache_dir:
-        parser.error("analyze: --cache-max-bytes needs --cache-dir")
     _configure_logging(getattr(args, "log_level", None))
     if args.command == "cache":
         return _run_cache(args)

@@ -116,6 +116,22 @@ class TraceValidationError(ValueError):
     """A trace stream violates the schema."""
 
 
+def missing_fields(event: dict) -> List[str]:
+    """What *event* lacks that every reader needs, worded as
+    :func:`validate_event` words it: its missing common fields or, when
+    it has them all, the missing required fields of its (known) type. A
+    trace with such an event cannot be replayed; any other finding of
+    :func:`validate_event` leaves it replayable."""
+    missing = [f"missing common field {name!r}" for name in _COMMON
+               if name not in event]
+    if missing:
+        return missing
+    etype = event["type"]
+    required = EVENT_FIELDS.get(etype, ()) if isinstance(etype, str) else ()
+    return [f"{etype}: missing field {name!r}" for name in required
+            if name not in event]
+
+
 def validate_event(event: dict) -> List[str]:
     """Structural errors of a single event (empty list = valid)."""
     errors: List[str] = []
@@ -128,7 +144,7 @@ def validate_event(event: dict) -> List[str]:
         errors.append(f"schema version {event['v']!r}, expected "
                       f"{SCHEMA_VERSION}")
     etype = event["type"]
-    required = EVENT_FIELDS.get(etype)
+    required = EVENT_FIELDS.get(etype) if isinstance(etype, str) else None
     if required is None:
         errors.append(f"unknown event type {etype!r}")
         return errors

@@ -312,7 +312,8 @@ class JsonlTracer(Tracer):
 
 
 def load_trace(path: str) -> List[Dict[str, Any]]:
-    """Parse a JSONL trace file back into its event list."""
+    """Parse a JSONL trace file back into its event list. A line that
+    is not a JSON object raises :class:`ValueError` naming the line."""
     events: List[Dict[str, Any]] = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -320,7 +321,10 @@ def load_trace(path: str) -> List[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
+                event = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{number}: not JSON: {exc}") from exc
+            if not isinstance(event, dict):
+                raise ValueError(f"{path}:{number}: not a JSON object")
+            events.append(event)
     return events

@@ -519,6 +519,9 @@ def analyze_sharded(
                                         worker_id=wid, clock=client.clock,
                                         window=client.last_window)
                                 except WorkerGone as exc:
+                                    # It answered garbage: a fresh
+                                    # worker serves the next shard.
+                                    pool.drop(k)
                                     degrade(index, loop, key, exc.status,
                                             exc.detail, elapsed,
                                             worker_id=wid)

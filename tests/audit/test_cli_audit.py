@@ -30,7 +30,8 @@ class TestAuditCommand:
         code = main(["audit", "--seed", "0", "--count", "3",
                      "--trace", str(trace)])
         assert code == 0
-        from repro.obs import load_trace, validate_events
+        from repro.obs.events import validate_events
+        from repro.obs.tracer import load_trace
         events = load_trace(str(trace))
         assert validate_events(events) == []
         assert sum(1 for e in events if e["type"] == "audit_case") == 3

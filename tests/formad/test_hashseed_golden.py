@@ -29,7 +29,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.obs import COUNTER_KEYS
+from repro.obs.metrics import COUNTER_KEYS
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 SEEDS = range(8)
@@ -39,7 +39,7 @@ CHILD = r'''
 import json, sys
 from repro.analysis import ActivityAnalysis
 from repro.formad import FormADEngine
-from repro.obs import COUNTER_KEYS, stats_metrics
+from repro.obs.metrics import COUNTER_KEYS, stats_metrics
 from repro.obs.tracer import CollectingTracer
 from repro.programs import build_gfmc, build_greengauss, build_lbm, build_stencil
 from repro.smt import clausify_cache_clear

@@ -112,6 +112,49 @@ class TestProfile:
         assert "error" in capsys.readouterr().err
 
 
+class TestMalformedTrace:
+    """``explain`` and ``profile`` load traces through one path: a line
+    that is not an object, or an event without a common or required
+    field, is an ``error:`` line and exit 1, never a traceback."""
+
+    COMMANDS = {"explain": ["--array", "uoldb"], "profile": []}
+
+    def _write(self, stencil_trace, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(Path(stencil_trace).read_text() + line + "\n")
+        return str(bad)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("line", [
+        '{"bad": 1}', "[1]", '{"type": "verdict"}',
+        '{"type": "span_end", "name": "x"}'],
+        ids=["not-an-event", "not-an-object", "verdict-without-fields",
+             "span-end-without-fields"])
+    def test_unreplayable_line_is_an_error(self, stencil_trace, tmp_path,
+                                           capsys, command, line):
+        bad = self._write(stencil_trace, tmp_path, line)
+        capsys.readouterr()
+        assert main([command, bad, *self.COMMANDS[command]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_missing_required_field_is_an_error(self, stencil_trace,
+                                                tmp_path, capsys):
+        events = [json.loads(line)
+                  for line in Path(stencil_trace).read_text().splitlines()]
+        verdict = next(e for e in events if e["type"] == "verdict")
+        del verdict["array"]
+        bad = self._write(stencil_trace, tmp_path, json.dumps(verdict))
+        capsys.readouterr()
+        for command, extra in self.COMMANDS.items():
+            assert main([command, bad, *extra]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: event {len(events)}: ")
+            assert "verdict: missing field 'array'" in err
+
+
 class TestOlderTraceSchema:
     def test_v1_trace_still_replays_with_a_warning(self, stencil_trace,
                                                     tmp_path, capsys):

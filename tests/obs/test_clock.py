@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import ClockSync
+from repro.obs.clock import ClockSync
 
 
 class TestClockSync:

@@ -19,7 +19,8 @@ import pytest
 from repro.analysis.activity import ActivityAnalysis
 from repro.audit.chaos import ChaosConfig, chaos_factory
 from repro.formad import FormADEngine
-from repro.obs import CollectingTracer, validate_events
+from repro.obs.events import validate_events
+from repro.obs.tracer import CollectingTracer
 from repro.programs import build_gfmc, build_stencil
 
 KERNELS = {

@@ -1,8 +1,8 @@
 """Schema extensions for distributed traces: worker-re-emitted events,
 the new scheduler/cache event types, and metrics-payload validation."""
 
-from repro.obs import validate_event, validate_events
-from repro.obs.events import SCHEMA_NAME, SCHEMA_VERSION
+from repro.obs.events import (SCHEMA_NAME, SCHEMA_VERSION, missing_fields,
+                              validate_event, validate_events)
 from repro.obs.metrics import METRICS_SCHEMA_V2
 
 
@@ -81,6 +81,12 @@ class TestSchemaVersionRejection:
         bad = _fact()
         bad["v"] = 99
         assert any("version" in e for e in validate_event(bad))
+
+    def test_non_string_type_is_an_unknown_type(self):
+        # a trace is outside input: an unhashable type must not crash
+        bad = _event(["verdict"])
+        assert missing_fields(bad) == []
+        assert validate_event(bad) == ["unknown event type ['verdict']"]
 
 
 class TestMetricsPayloadValidation:

@@ -4,9 +4,9 @@ import threading
 
 import pytest
 
-from repro.obs import (METRICS_SCHEMA, METRICS_SCHEMA_V2, MetricsRegistry,
-                       migrate_metrics, validate_metrics)
-from repro.obs.metrics import COUNTER_KEYS, DEFAULT_BUCKETS
+from repro.obs.metrics import (COUNTER_KEYS, DEFAULT_BUCKETS, METRICS_SCHEMA,
+                               METRICS_SCHEMA_V2, MetricsRegistry,
+                               migrate_metrics, validate_metrics)
 
 
 class TestMetricsRegistry:

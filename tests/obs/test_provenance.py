@@ -15,7 +15,8 @@ Two properties gate the observability layer:
 import pytest
 
 from repro import analyze_formad
-from repro.obs import CollectingTracer, validate_events
+from repro.obs.events import validate_events
+from repro.obs.tracer import CollectingTracer
 from repro.programs import (build_gfmc, build_greengauss, build_lbm,
                             build_stencil)
 

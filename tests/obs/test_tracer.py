@@ -5,9 +5,9 @@ import threading
 
 import pytest
 
-from repro.obs import (NULL_TRACER, CollectingTracer, JsonlTracer, NullTracer,
-                       load_trace, validate_events)
-from repro.obs.events import SCHEMA_NAME, SCHEMA_VERSION
+from repro.obs.events import SCHEMA_NAME, SCHEMA_VERSION, validate_events
+from repro.obs.tracer import (NULL_TRACER, CollectingTracer, JsonlTracer,
+                              NullTracer, load_trace)
 
 
 def by_type(events, etype):
@@ -119,6 +119,14 @@ class TestJsonlSink:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"v": 1}\nnot json\n')
         with pytest.raises(ValueError, match="bad.jsonl:2"):
+            load_trace(str(path))
+
+    def test_load_rejects_a_line_that_is_not_an_object(self, tmp_path):
+        # JSON, but no event: every reader would index it by field name
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"v": 1}\n\n7\n')
+        with pytest.raises(ValueError,
+                           match="bad.jsonl:3: not a JSON object"):
             load_trace(str(path))
 
 

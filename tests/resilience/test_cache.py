@@ -16,14 +16,12 @@ What must hold (docs/SCALING.md, "The verdict cache"):
 * ``readonly`` mode (serve workers) never writes;
 * it is the crash-recovery store: a rerun on the same store recovers
   loops that timed out or never finished;
-* ``analyze --cache-max-bytes`` evicts least-recently-used fingerprint
-  files after the run, and needs ``--cache-dir``.
+* ``repro cache evict --max-bytes`` evicts least-recently-used
+  fingerprint files of a store that ``analyze --cache-dir`` filled.
 """
 
 import os
 import time
-
-import pytest
 
 from repro.analysis.activity import ActivityAnalysis
 from repro.audit.campaign import CAMPAIGN_SCHEMA
@@ -317,20 +315,19 @@ end subroutine one
 
 class TestSizeBudget:
     def test_size_budget_evicts_after_the_run(self, tmp_path, capsys):
-        """Three analyses of different sources share one store; the
-        last one's ``--cache-max-bytes`` budget fits only the two
-        newest files, so exactly the oldest is evicted after the run."""
+        """Three analyses of different sources share one store; then
+        ``repro cache evict`` with a budget that fits only the two
+        newest files evicts exactly the oldest."""
         from repro.cli import main
 
         store = tmp_path / "store"
 
-        def analyze(name, text, outs, *extra):
+        def analyze(name, text, outs):
             src = tmp_path / f"{name}.f90"
             src.write_text(text)
             before = set(os.listdir(store)) if store.exists() else set()
             assert main(["analyze", str(src), "-i", "x", "-o", outs,
-                         "--json", "--cache-dir", str(store),
-                         *extra]) == 0
+                         "--json", "--cache-dir", str(store)]) == 0
             new = [n for n in set(os.listdir(store)) - before
                    if n.endswith(".jsonl")]
             assert len(new) == 1
@@ -341,23 +338,16 @@ class TestSizeBudget:
         os.utime(oldest, (now - 200, now - 200))
         middle = analyze("b", _one_loop("2.0"), "y")
         os.utime(middle, (now - 100, now - 100))
+        newest = analyze("c", _one_loop("3.0"), "y")
         # The two-loop file outweighs a one-loop file, so the budget
         # "oldest + middle - 1" holds the two newest but not all three.
         budget = oldest.stat().st_size + middle.stat().st_size - 1
         capsys.readouterr()
-        newest = analyze("c", _one_loop("3.0"), "y",
-                         "--cache-max-bytes", str(budget))
-        err = capsys.readouterr().err
+        assert main(["cache", "evict", "--cache-dir", str(store),
+                     "--max-bytes", str(budget)]) == 0
+        out = capsys.readouterr().out
 
         assert not oldest.exists()
         assert middle.exists() and newest.exists()
         assert middle.stat().st_size + newest.stat().st_size <= budget
-        assert "evicted 1 least-recently-used fingerprint file(s)" in err
-
-        src = tmp_path / "c.f90"
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", str(src), "-i", "x", "-o", "y",
-                  "--cache-max-bytes", str(budget)])
-        assert exc.value.code == 2
-        assert "--cache-max-bytes needs --cache-dir" in \
-            capsys.readouterr().err
+        assert out.startswith("evicted 1 file(s); store now ")

@@ -26,8 +26,9 @@ import pytest
 from repro.analysis.activity import ActivityAnalysis
 from repro.formad import FormADEngine
 from repro.ir import parse_program
-from repro.obs import CollectingTracer, validate_events
+from repro.obs.events import validate_events
 from repro.obs.metrics import METRICS_SCHEMA_V2
+from repro.obs.tracer import CollectingTracer
 from repro.resilience.shards import ShardConfig, analyze_sharded
 
 SAFE_TWO_LOOPS = """

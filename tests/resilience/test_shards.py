@@ -164,7 +164,8 @@ class TestFaultContainment:
     def test_unusable_reply_degrades_its_loop(self, monkeypatch):
         # A reply without its serialized analysis fails to apply while
         # the apply lock is held; its loop must still degrade exactly
-        # like a crashed worker's, and the next shard is unaffected.
+        # like a crashed worker's. The worker that answered garbage is
+        # dropped, so the next shard runs on a fresh one.
         real = WorkerClient.request
 
         def lossy(self, request, timeout):
@@ -197,6 +198,10 @@ class TestFaultContainment:
                 if e["type"] == "worker"] == [("0:i", "crash"), ("1:j", "ok")]
         assert [(e["loop"], e["phase"]) for e in events
                 if e["type"] == "degraded"] == [("i", "worker")]
+        counters = events[-1]["counters"]
+        assert counters.get("scheduler.respawns") == 1
+        # its events did arrive (folded as partial): none were lost
+        assert "telemetry.dropped_events" not in counters
 
     def test_primal_race_reraises_in_the_parent(self):
         proc = parse_program(RACY)["racy"]

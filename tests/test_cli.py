@@ -137,7 +137,6 @@ class TestNumericFlags:
         [*ANALYZE, "--jobs", "0"],
         [*ANALYZE, "--jobs", "-2"],
         ["campaign", "--jobs", "0"],
-        [*ANALYZE, "--cache-dir", "d", "--cache-max-bytes", "-1"],
         ["cache", "evict", "--cache-dir", "d", "--max-bytes", "-1"],
         [*ANALYZE, "--deadline", "-1"],
         [*ANALYZE, "--deadline", "nan"],
@@ -166,7 +165,7 @@ class TestNumericFlags:
     ], ids=["analyze-progress-0", "analyze-progress-negative",
             "analyze-progress-inf", "campaign-progress-0", "analyze-jobs-0",
             "analyze-process-jobs-negative", "campaign-jobs-0",
-            "analyze-cache-max-bytes-negative", "cache-max-bytes-negative",
+            "cache-max-bytes-negative",
             "analyze-deadline-negative", "analyze-deadline-nan",
             "analyze-deadline-inf", "analyze-question-timeout-negative",
             "analyze-kill-timeout-negative", "analyze-escalate-0",
@@ -188,14 +187,15 @@ class TestNumericFlags:
 
     def test_boundary_values_parse(self):
         args = build_parser().parse_args(
-            [*ANALYZE, "--jobs", "1", "--cache-dir", "d",
-             "--cache-max-bytes", "0", "--progress", "0.5",
+            [*ANALYZE, "--jobs", "1", "--progress", "0.5",
              "--deadline", "0", "--question-timeout", "0",
              "--kill-timeout", "0", "--escalate", "1"])
-        assert (args.jobs, args.cache_max_bytes, args.progress) \
-            == (1, 0, 0.5)
+        assert (args.jobs, args.progress) == (1, 0.5)
         assert (args.deadline, args.question_timeout, args.kill_timeout,
                 args.escalate) == (0.0, 0.0, 0.0, 1)
+        args = build_parser().parse_args(
+            ["cache", "evict", "--cache-dir", "d", "--max-bytes", "0"])
+        assert args.max_bytes == 0
         args = build_parser().parse_args(["campaign", "--progress"])
         assert args.progress == 2.0
         args = build_parser().parse_args(
@@ -273,10 +273,10 @@ class TestSurface:
                 if a.option_strings] == [
             ("-h", "--help"), ("--log-level",), ("-i", "--independents"),
             ("-o", "--dependents"), ("--head",), ("--jobs",),
-            ("--cache-dir",), ("--cache-max-bytes",),
-            ("--trace",), ("--progress",), ("--json",), ("--deadline",),
-            ("--question-timeout",), ("--escalate",), ("--kill-timeout",),
-            ("--strict",), ("--strategy",), ("--fallback",)]
+            ("--cache-dir",), ("--trace",), ("--progress",), ("--json",),
+            ("--deadline",), ("--question-timeout",), ("--escalate",),
+            ("--kill-timeout",), ("--strict",), ("--strategy",),
+            ("--fallback",)]
         experiments = subparsers.choices["experiments"]
         assert [tuple(a.option_strings) for a in experiments._actions
                 if a.option_strings] == [
@@ -288,6 +288,7 @@ class TestSurface:
                      [*base, "--journal", "j"], [*base, "--resume"],
                      [*base, "--connect", "a"], ["serve"],
                      [*base, "--backend", "process"],
+                     [*base, "--cache-dir", "d", "--cache-max-bytes", "1"],
                      ["experiments", "--jobs", "2"],
                      ["experiments", "--backend", "process"],
                      ["campaign", "--count", "1", "--resume"]):
