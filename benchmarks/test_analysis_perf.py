@@ -200,25 +200,34 @@ def test_worker_pool_beats_inline():
     """``analyze --jobs 4`` vs the inline analysis on a generated 4-loop
     workload: identical analyses, and at least ``MIN_POOL_SPEEDUP``x
     faster wall-clock wherever more than one CPU is actually
-    available."""
+    available. Each side is timed ``REPEATS`` times, alternately, and
+    the floor compares each side's fastest sample, so one busy moment
+    on a shared host cannot decide it."""
     source = _pool_source()
     outs = [f"u{k}" for k in range(POOL_LOOPS)]
-    inline_run, inline_t = _inline(source, outs)
-    pool_run, pool_t = _pool(source, outs)
-    assert len(inline_run) == len(pool_run) == POOL_LOOPS
-    for local, remote in zip(inline_run, pool_run):
-        assert not remote.degraded
-        assert {n: v.safe for n, v in local.verdicts.items()} \
-            == {n: v.safe for n, v in remote.verdicts.items()}
-        assert all(v.safe for v in remote.verdicts.values())
-        for name in POOL_INVARIANT:
-            assert getattr(local.stats, name) \
-                == getattr(remote.stats, name), name
+    inline_times, pool_times = [], []
+    for _ in range(REPEATS):
+        inline_run, inline_t = _inline(source, outs)
+        pool_run, pool_t = _pool(source, outs)
+        inline_times.append(inline_t)
+        pool_times.append(pool_t)
+        assert len(inline_run) == len(pool_run) == POOL_LOOPS
+        for local, remote in zip(inline_run, pool_run):
+            assert not remote.degraded
+            assert {n: v.safe for n, v in local.verdicts.items()} \
+                == {n: v.safe for n, v in remote.verdicts.items()}
+            assert all(v.safe for v in remote.verdicts.values())
+            for name in POOL_INVARIANT:
+                assert getattr(local.stats, name) \
+                    == getattr(remote.stats, name), name
 
     cpus = len(os.sched_getaffinity(0))
-    speedup = inline_t / max(pool_t, 1e-9)
+    speedup = min(inline_times) / max(min(pool_times), 1e-9)
     if cpus >= 2:
+        samples = ", ".join(f"{i:.2f}/{p:.2f}"
+                            for i, p in zip(inline_times, pool_times))
         assert speedup >= MIN_POOL_SPEEDUP, (
             f"worker pool only {speedup:.2f}x the inline analysis "
-            f"at jobs={POOL_JOBS} on {cpus} CPUs "
-            f"(need >= {MIN_POOL_SPEEDUP}x)")
+            f"at jobs={POOL_JOBS} on {cpus} CPUs (need >= "
+            f"{MIN_POOL_SPEEDUP}x, fastest against fastest; inline/pool "
+            f"samples: {samples} s)")

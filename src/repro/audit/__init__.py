@@ -9,11 +9,10 @@ degrades to safeguards instead of crashing or over-claiming, and a
 delta-debugging shrinker for anything that fails. Exposed on the
 command line as ``repro audit``; see ``docs/AUDIT.md``.
 
-The campaign layer (:mod:`repro.audit.campaign`, ``repro campaign``)
-scales the same audit to thousands of cases across a persistent worker
-pool, with a crash-safe resume journal, flake quarantine, and a
-replayable regression corpus (:mod:`repro.audit.corpus`,
-``repro corpus replay``).
+The campaign runner (:mod:`repro.audit.campaign`) runs the audit
+inline or, with ``--jobs N``, across a persistent worker pool, with a
+crash-safe resume journal, flake quarantine, and a replayable
+regression corpus (:mod:`repro.audit.corpus`, ``repro corpus replay``).
 
 Import what you need from the submodules. The package itself imports
 none of them, so loading one (say :mod:`repro.audit.numcheck`, which

@@ -1,6 +1,6 @@
 """The replayable regression corpus of minimized soundness failures.
 
-Every violation a campaign (:mod:`repro.audit.campaign`) confirms is
+Every violation ``repro audit`` (:mod:`repro.audit.campaign`) confirms is
 ddmin-minimized and committed here as one small JSON file — the
 *complete* recipe for reproducing the failure: the minimized
 :class:`~repro.audit.generator.CaseSpec`, the chaos rate and seed (for
@@ -8,7 +8,7 @@ fault-injection failures), and the violation kinds observed. Files are
 **content-addressed** (the name is a truncated SHA-256 of the
 canonical entry JSON), so committing the same failure twice is a
 no-op, renames cannot desynchronize name from content, and two
-campaigns on two machines produce byte-identical corpus entries.
+audits on two machines produce byte-identical corpus entries.
 
 ``repro corpus replay`` re-runs every entry as an ordinary test gate:
 an entry that still reproduces its violation exits non-zero (the bug
@@ -36,10 +36,10 @@ CORPUS_SCHEMA = "repro-corpus/1"
 class CorpusEntry:
     """One minimized, reproducible soundness failure."""
 
-    case: str                 # campaign case id, e.g. "17" or "17@0.5"
+    case: str                 # audit case id, e.g. "17" or "17@0.5"
     index: int                # generator case index (oracle seeds)
     rate: float               # chaos rate (0.0 = clean differential case)
-    seed: int                 # campaign seed (chaos fault schedule)
+    seed: int                 # run seed (chaos fault schedule)
     family: str
     kinds: Tuple[str, ...]    # violation kinds the case exhibited
     spec: CaseSpec            # the minimized spec

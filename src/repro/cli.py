@@ -53,8 +53,7 @@ def positive_int(text: str) -> int:
 
 
 def nonnegative_int(text: str) -> int:
-    """argparse type of a byte budget or a retry cap: an integer of at
-    least 0."""
+    """argparse type of a byte budget: an integer of at least 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
@@ -293,28 +292,39 @@ def build_parser() -> argparse.ArgumentParser:
                        help="differential soundness audit: fuzz the "
                             "analysis against dynamic race detection, "
                             "concrete collision witnesses, and numeric "
-                            "checks (see docs/AUDIT.md)")
+                            "checks, with a crash-safe journal, flake "
+                            "quarantine, and a regression corpus "
+                            "(docs/AUDIT.md)")
     p.add_argument("--seed", type=int, default=0,
-                   help="generator seed (the run is fully deterministic)")
+                   help="generator seed (the unit stream is fully "
+                        "deterministic)")
     p.add_argument("--count", type=positive_int, default=50,
-                   help="number of generated kernels to audit")
+                   help="number of generated kernels (each adds one "
+                        "clean case plus one per --chaos rate)")
     p.add_argument("--chaos", nargs="*", type=rate, default=None,
                    metavar="RATE",
-                   help="also fault-inject the solver on the four paper "
-                        "kernels at these rates (bare --chaos uses the "
-                        "default 0.1..1.0 sweep)")
-    p.add_argument("--minimize", action="store_true",
-                   help="delta-debug failing cases down to minimal "
-                        "reproducers")
+                   help="fault-inject the solver on every kernel of the "
+                        "run, generated and paper kernels alike, at these "
+                        "rates (bare --chaos uses the default 0.1..1.0 "
+                        "sweep)")
+    p.add_argument("--jobs", type=positive_int, default=None,
+                   help="run the cases on N persistent worker processes; "
+                        "a crashed or hung worker degrades only its case. "
+                        "Without --jobs the cases run inline (the report "
+                        "is the same either way)")
+    p.add_argument("--journal", default=None, metavar="OUT.jsonl",
+                   help="checkpoint every settled case to a crash-safe "
+                        "journal (schema repro-audit/2); rerunning the "
+                        "same command skips the cases it settled (the "
+                        "kill -9 recovery path), and a journal of another "
+                        "audit is refused")
     p.add_argument("--report", default=None, metavar="OUT.json",
                    help="write the machine-readable audit report "
-                        "(schema repro-audit/1)")
-    p.add_argument("--trace", default=None, metavar="OUT.jsonl",
-                   help="record the structured event stream of the run")
-    p.add_argument("--deadline", type=seconds, default=None, metavar="S",
-                   help="wall-clock budget: the audit stops cleanly "
-                        "between cases when it expires (the report "
-                        "notes the truncation)")
+                        "(schema repro-audit/2)")
+    p.add_argument("--corpus", default=None, metavar="DIR",
+                   help="commit minimized confirmed violations to this "
+                        "content-addressed regression corpus "
+                        "(replay with 'repro corpus replay')")
     p.add_argument("--case-timeout", type=seconds, default=None, metavar="S",
                    help="wall-clock cap per case: a hung oracle or "
                         "pathological kernel truncates its own case "
@@ -322,57 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--question-timeout", type=seconds, default=None,
                    metavar="S",
                    help="wall-clock cap per SMT question inside a case")
-
-    p = sub.add_parser("campaign", parents=[common],
-                       help="crash-safe soundness campaign: the audit at "
-                            "corpus scale across a persistent worker "
-                            "pool, with a crash-safe journal, flake "
-                            "quarantine, and a regression corpus "
-                            "(docs/AUDIT.md)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="generator seed (the unit stream is fully "
-                        "deterministic)")
-    p.add_argument("--count", type=positive_int, default=1000,
-                   help="number of generated kernels (each adds one "
-                        "clean case plus one per --chaos rate)")
-    p.add_argument("--chaos", nargs="*", type=rate, default=None,
-                   metavar="RATE",
-                   help="fault-injection sweep rates per kernel (bare "
-                        "--chaos uses the default 0.1..1.0 sweep)")
-    p.add_argument("--jobs", type=positive_int, default=2,
-                   help="persistent worker processes (default 2)")
-    p.add_argument("--journal", default=None, metavar="OUT.jsonl",
-                   help="checkpoint every settled case to a crash-safe "
-                        "journal (schema repro-campaign/1); rerunning "
-                        "the same command skips the cases it settled "
-                        "(the kill -9 recovery path), and a journal of "
-                        "another campaign is refused")
-    p.add_argument("--report", default=None, metavar="OUT.json",
-                   help="write the machine-readable campaign report")
-    p.add_argument("--corpus", default=None, metavar="DIR",
-                   help="commit minimized confirmed violations to this "
-                        "content-addressed regression corpus "
-                        "(replay with 'repro corpus replay')")
-    p.add_argument("--no-minimize", action="store_true",
-                   help="skip ddmin minimization of confirmed violations")
-    p.add_argument("--flake-cap", type=nonnegative_int, default=3,
-                   help="extra clean retries a flaky case gets before "
-                        "being parked as quarantined (default 3)")
-    p.add_argument("--retry-cap", type=nonnegative_int, default=2,
-                   help="retries after worker loss per case run "
-                        "(default 2)")
-    p.add_argument("--case-timeout", type=seconds, default=None, metavar="S",
-                   help="cooperative wall-clock cap per case")
-    p.add_argument("--question-timeout", type=seconds, default=None,
-                   metavar="S",
-                   help="wall-clock cap per SMT question inside a case")
     p.add_argument("--kill-timeout", type=seconds, default=60.0, metavar="S",
-                   help="hard cap per worker request before SIGKILL "
-                        "(default 60)")
+                   help="with --jobs: hard cap per worker request before "
+                        "SIGKILL (default 60)")
     p.add_argument("--deadline", type=seconds, default=None, metavar="S",
-                   help="wall-clock budget for the whole campaign; "
-                        "rerun the same command with --journal to "
-                        "settle the cases it left")
+                   help="wall-clock budget for the whole audit: it stops "
+                        "cleanly between cases (the report counts the "
+                        "truncation); rerun the same command with "
+                        "--journal to settle the cases it left")
     p.add_argument("--trace", default=None, metavar="OUT.jsonl",
                    help="record the structured event stream of the run")
     p.add_argument("--progress", nargs="?", const=2.0, type=interval_seconds,
@@ -557,35 +524,10 @@ def _deadline_of(args):
 
 
 def _run_audit(args) -> int:
-    from .audit.harness import DEFAULT_CHAOS_RATES, format_report, run_audit
-    chaos_rates = args.chaos
-    if chaos_rates is not None and not chaos_rates:
-        chaos_rates = DEFAULT_CHAOS_RATES
-    tracer = _open_tracer(args.trace)
-    try:
-        report = run_audit(seed=args.seed, count=args.count,
-                           chaos_rates=chaos_rates,
-                           shrink=args.minimize, tracer=tracer,
-                           deadline=_deadline_of(args),
-                           case_timeout=args.case_timeout,
-                           question_timeout=args.question_timeout)
-    finally:
-        tracer.close()
-    print(format_report(report))
-    if args.report is not None:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.report}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
-def _run_campaign(args) -> int:
     import time
 
-    from .audit.campaign import (CampaignConfig, format_campaign,
-                                 run_campaign)
-    from .audit.harness import DEFAULT_CHAOS_RATES
+    from .audit.campaign import (DEFAULT_CHAOS_RATES, CampaignConfig,
+                                 format_campaign, run_campaign)
     from .resilience.journal import JournalError
 
     chaos_rates = args.chaos
@@ -594,11 +536,10 @@ def _run_campaign(args) -> int:
     config = CampaignConfig(
         seed=args.seed, count=args.count,
         chaos_rates=tuple(chaos_rates or ()),
-        flake_cap=args.flake_cap, retry_cap=args.retry_cap,
         case_timeout=args.case_timeout,
         question_timeout=args.question_timeout,
         jobs=args.jobs, kill_timeout=args.kill_timeout,
-        shrink=not args.no_minimize, corpus_dir=args.corpus)
+        corpus_dir=args.corpus)
     tracer = _open_tracer(args.trace, progress=args.progress)
     heartbeat = None
     if args.progress is not None:
@@ -622,7 +563,7 @@ def _run_campaign(args) -> int:
     print(format_campaign(report))
     # Wall clock stays on stderr: the report itself is timer-free so a
     # resumed run's report matches the uninterrupted one's exactly.
-    print(f"campaign: {len(report.entries)} settled unit(s) in "
+    print(f"audit: {len(report.entries)} settled unit(s) in "
           f"{time.monotonic() - started:.1f}s", file=sys.stderr)
     if args.report is not None:
         with open(args.report, "w") as fh:
@@ -888,8 +829,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return _run_cache(args)
     if args.command == "audit":
         return _run_audit(args)
-    if args.command == "campaign":
-        return _run_campaign(args)
     if args.command == "corpus":
         return _run_corpus(args)
     if args.command == "explain":

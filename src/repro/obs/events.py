@@ -56,8 +56,9 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     "solver_check": ("result", "dur_s", "translate_s", "clausify_s",
                      "search_s", "theory_checks", "branches", "propagations",
                      "clausify_hits", "clausify_misses"),
-    # One audit case finished (repro audit --trace); ``violations`` is
-    # the (usually empty) list of violation kinds observed.
+    # One audit unit settled (repro audit --trace, inline or --jobs):
+    # ``case`` is its case id, ``violations`` the (usually empty) list
+    # of violation kinds it confirmed.
     "audit_case": ("case", "family", "violations"),
     # One shard request completed (``analyze --jobs``); status is
     # "ok", "crash", or "timeout" (docs/RESILIENCE.md, docs/SCALING.md).

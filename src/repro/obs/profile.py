@@ -17,7 +17,10 @@ views that come out:
   scheduler's registry counters (the "why is the 1-CPU speedup 0.79x"
   view);
 * the **critical path** — the longest chain of nested spans, the lower
-  bound no amount of extra workers can beat.
+  bound no amount of extra workers can beat;
+* the **audit accounting** — the ``audit.*`` counters of a ``repro
+  audit`` trace, inline or ``--jobs``: units settled per status,
+  confirmed violations, the classification tally, retries, respawns.
 """
 
 from __future__ import annotations
@@ -194,11 +197,11 @@ def utilization_table(events: Sequence[dict]
 
 
 def audit_table(events: Sequence[dict]) -> List[Tuple[str, float]]:
-    """The soundness-accounting rows of an audit or campaign trace: the
-    ``audit.*`` and ``campaign.*`` registry counters (cases run,
-    violations, classification histogram, retries, quarantines, worker
-    respawns, cases/sec) carried by the final ``metrics`` event. Empty
-    for non-audit traces."""
+    """The soundness-accounting rows of a ``repro audit`` trace: the
+    ``audit.*`` registry counters (cases settled per status,
+    violations, classification histogram, retries, worker respawns,
+    cases/sec) carried by the final ``metrics`` event. Empty for
+    non-audit traces."""
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
     for event in events:
@@ -206,9 +209,9 @@ def audit_table(events: Sequence[dict]) -> List[Tuple[str, float]]:
             counters = event.get("counters") or {}
             gauges = event.get("gauges") or {}
     rows = [(name, float(value)) for name, value in counters.items()
-            if name.startswith(("audit.", "campaign."))]
+            if name.startswith("audit.")]
     rows += [(name, float(value)) for name, value in gauges.items()
-             if name.startswith(("audit.", "campaign."))]
+             if name.startswith("audit.")]
     return sorted(rows)
 
 
@@ -299,7 +302,7 @@ def format_profile(events: Sequence[dict]) -> str:
     audit = audit_table(events)
     if audit:
         lines.append("")
-        lines.append("soundness audit/campaign accounting:")
+        lines.append("soundness audit accounting:")
         for name, value in audit:
             rendered = int(value) if value == int(value) else round(value, 3)
             lines.append(f"  {name} = {rendered}")

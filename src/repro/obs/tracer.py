@@ -17,9 +17,9 @@ in-process ``repro explain``/``repro profile`` replay helpers.
 
 Both sinks are thread-safe; every event records its emitting thread's
 name, which is what attributes work to the ``--jobs`` pool's feeder
-threads (``shard-<k>``) and a campaign's feeders. Span nesting is
-tracked per thread, so a span opened inside a feeder is a root span of
-that feeder's timeline.
+threads (``shard-<k>``, and ``audit-<k>`` under ``repro audit --jobs``).
+Span nesting is tracked per thread, so a span opened inside a feeder is
+a root span of that feeder's timeline.
 """
 
 from __future__ import annotations

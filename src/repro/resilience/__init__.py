@@ -12,7 +12,7 @@ The analysis must degrade, never fail (docs/RESILIENCE.md):
   budgets before giving up.
 * :mod:`~repro.resilience.journal` — the append-only, checksummed,
   fsync'd JSONL record codec that survives ``kill -9``, shared by the
-  run-state store and the campaign journal.
+  run-state store and the ``repro audit`` journal.
 * :mod:`~repro.resilience.shards` — the ``analyze --jobs N`` shard
   scheduler: up to N worker processes pulling loop shards off a work
   queue, each solving on its own interpreter (docs/SCALING.md). It is

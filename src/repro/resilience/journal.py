@@ -2,8 +2,8 @@
 
 Two stores share this module: the ``--cache-dir`` run-state store
 (:mod:`~repro.resilience.cache`, schema ``repro-cache/1``) and the
-campaign stream journal (:mod:`~repro.audit.campaign`, schema
-``repro-campaign/1``). Each line carries a CRC-32 of its
+``repro audit --journal`` stream journal (:mod:`~repro.audit.campaign`,
+schema ``repro-audit/2``). Each line carries a CRC-32 of its
 canonically-serialized payload, so every line is independently
 verifiable. The writer flushes and ``fsync``\\ s each record before
 returning — a ``kill -9`` therefore loses at most the one record being

@@ -173,7 +173,7 @@ class WorkerClient:
 
     def init(self, init_request: dict, timeout: float) -> None:
         """Send the worker its one ``init`` request (the program and
-        engine flags of the run, or campaign mode)."""
+        engine flags of the run, or audit mode)."""
         reply = self.request(init_request, timeout=timeout)
         if not reply.get("ok"):
             raise WorkerGone("crash", f"worker init failed: {reply!r}")

@@ -13,12 +13,12 @@ worker's **readonly** store received, for the parent — the single
 writer — to apply (:mod:`~repro.resilience.shards`). The store, when
 configured, answers questions locally; storing is the parent's job.
 
-The serve loop also backs ``repro campaign``: an ``init`` with
-``"mode": "audit"`` puts the worker in campaign mode, and each
+The serve loop also backs ``repro audit --jobs``: an ``init`` with
+``"mode": "audit"`` puts the worker in audit mode, and each
 ``audit_case`` request runs one self-contained soundness-audit case
-(:func:`repro.audit.campaign.execute_unit`) inside this process, so a
-crash, hang, or injected fault takes down one case — never the
-campaign.
+through :func:`repro.audit.campaign.execute_unit` (the function the
+inline audit calls too) inside this process, so a crash, hang, or
+injected fault takes down one case — never the audit.
 
 A :class:`~repro.formad.engine.PrimalRaceError` is a genuine finding,
 not a failure: it is reported in the reply (``error``) and re-raised
@@ -126,24 +126,18 @@ def serve() -> int:
         if op == "shutdown":
             break
         if op == "init" and request.get("mode") == "audit":
-            # Campaign mode: no program to parse — every audit_case
-            # request is self-contained (it ships its own CaseSpec).
+            # Audit mode: no program to parse — every audit_case
+            # request is self-contained (it ships its own CaseSpec or
+            # names its paper kernel).
             reply({"ok": True, "loops": []})
             continue
         if op == "audit_case":
             # One subprocess-contained soundness-audit case. Faults
-            # inject against the campaign case id, so a test can kill
+            # inject against the audit case id, so a test can kill
             # exactly one case's worker and leave the rest honest.
-            case_id = str(request.get("case", ""))
-            _inject_fault(case_id)
+            _inject_fault(str(request.get("case", "")))
             from ..audit.campaign import execute_unit
-            try:
-                payload = execute_unit(request)
-            except Exception as exc:  # contained: the parent retries
-                payload = {"case": case_id,
-                           "error": {"type": type(exc).__name__,
-                                     "message": str(exc)}}
-            reply(payload)
+            reply(execute_unit(request))
             continue
         if op == "init":
             tracer = BufferTracer() if request.get("trace") else None

@@ -1,4 +1,4 @@
-"""Campaign orchestration: quarantine state machine, crash-safe resume
+"""The audit runner: quarantine state machine, crash-safe resume
 identity, worker-loss containment, the violation → ddmin → corpus →
 replay pipeline, and the CLI kill -9 + rerun smoke test.
 
@@ -26,9 +26,10 @@ import time
 
 import pytest
 
-from repro.audit.campaign import (CampaignConfig, QuarantineState,
-                                  campaign_fingerprint, enumerate_units,
-                                  run_campaign, run_unit_inline)
+from repro.audit.campaign import (RETRY_CAP, CampaignConfig,
+                                  QuarantineState, campaign_fingerprint,
+                                  enumerate_units, run_campaign,
+                                  run_unit_inline)
 from repro.audit.corpus import commit_entry, load_corpus, replay_corpus
 from repro.audit.generator import (CaseSpec, IndexSpec, ReadSpec, StmtSpec,
                                    generate_case)
@@ -92,15 +93,21 @@ class TestUnitStream:
         cfg = CampaignConfig(seed=3, count=2, families=("elementwise",),
                              chaos_rates=(0.5,))
         units = enumerate_units(cfg)
-        assert [u.case_id for u in units] == ["0", "0@0.5", "1", "1@0.5"]
+        assert [u.case_id for u in units] == [
+            "0", "0@0.5", "1", "1@0.5", "stencil_small@0.5",
+            "stencil_large@0.5", "gfmc@0.5", "greengauss@0.5"]
         assert units[0].spec == units[1].spec
         assert units[0].rate == 0.0 and units[1].rate == 0.5
+        # after the generated cases, one unit per (paper kernel, rate)
+        assert [(u.kernel, u.index, u.spec) for u in units[4:5]] \
+            == [("stencil_small", -1, None)]
 
     def test_fingerprint_pins_stream_not_resources(self):
         base = CampaignConfig(seed=0, count=4, families=("elementwise",))
         same = dataclasses.replace(base, jobs=8, kill_timeout=5.0,
-                                   backoff=1.0, retry_cap=9,
-                                   case_timeout=1.0, shrink=False)
+                                   case_timeout=1.0)
+        assert campaign_fingerprint(base) == campaign_fingerprint(same)
+        same = dataclasses.replace(base, jobs=None)
         assert campaign_fingerprint(base) == campaign_fingerprint(same)
         for other in (dataclasses.replace(base, seed=1),
                       dataclasses.replace(base, count=5),
@@ -143,7 +150,7 @@ class TestCampaignResume:
         _clean_env(monkeypatch)
         journal = tmp_path / "campaign.jsonl"
         cfg = CampaignConfig(seed=0, count=3, families=("elementwise",),
-                             jobs=2, shrink=False)
+                             jobs=2)
 
         first = run_campaign(cfg, journal_path=str(journal))
         assert first.ok
@@ -165,7 +172,7 @@ class TestCampaignResume:
         _clean_env(monkeypatch)
         journal = tmp_path / "campaign.jsonl"
         cfg = CampaignConfig(seed=0, count=1, families=("elementwise",),
-                             jobs=1, shrink=False)
+                             jobs=1)
         run_campaign(cfg, journal_path=str(journal))
         before = journal.read_bytes()
         other = dataclasses.replace(cfg, seed=1)
@@ -179,7 +186,7 @@ class TestCampaignResume:
         journal = tmp_path / "campaign.jsonl"
         journal.write_text("not a journal line\n")
         cfg = CampaignConfig(seed=0, count=1, families=("elementwise",),
-                             jobs=1, shrink=False)
+                             jobs=1)
         with pytest.raises(JournalError, match="no intact"):
             run_campaign(cfg, journal_path=str(journal))
         assert journal.read_text() == "not a journal line\n"
@@ -189,7 +196,7 @@ class TestCampaignResume:
         journal = tmp_path / "campaign.jsonl"
         journal.write_text("")
         cfg = CampaignConfig(seed=0, count=1, families=("elementwise",),
-                             jobs=1, shrink=False)
+                             jobs=1)
         report = run_campaign(cfg, journal_path=str(journal))
         assert report.resumed == 0
         assert report.statuses() == {"pass": 1}
@@ -204,7 +211,6 @@ class TestCampaignContainment:
         _clean_env(monkeypatch)
         cfg = CampaignConfig(
             seed=0, count=3, families=("elementwise",), jobs=1,
-            retry_cap=1, backoff=0.01, shrink=False,
             extra_env={"REPRO_WORKER_FAULT": "exit:3@1"})
         report = run_campaign(cfg)
         statuses = {e["case"]: e["status"] for e in report.entries}
@@ -212,18 +218,18 @@ class TestCampaignContainment:
         assert report.ok, "a lost worker is not a soundness violation"
         unknown = next(e for e in report.entries if e["case"] == "1")
         assert unknown["detail"].startswith("worker lost")
-        assert unknown["retries"] == cfg.retry_cap + 1
+        assert unknown["retries"] == RETRY_CAP + 1
 
     def test_case_deadline_settles_as_contained_unknown(self, monkeypatch):
         _clean_env(monkeypatch)
         cfg = CampaignConfig(seed=0, count=1, families=("elementwise",),
-                             jobs=1, shrink=False, case_timeout=1e-6)
+                             jobs=1, case_timeout=1e-6)
         report = run_campaign(cfg)
         assert report.statuses() == {"unknown": 1}
         assert report.entries[0]["detail"] == "case deadline expired"
         assert report.ok
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [None, 1, 2])
     def test_feeder_exception_reaches_the_caller(self, tmp_path, jobs,
                                                  monkeypatch):
         # Worker loss is contained per case; an exception of the
@@ -237,7 +243,7 @@ class TestCampaignContainment:
         monkeypatch.setattr(campaign, "_run_unit", broken)
         journal = tmp_path / "campaign.jsonl"
         cfg = CampaignConfig(seed=0, count=2, families=("elementwise",),
-                             jobs=jobs, shrink=False)
+                             jobs=jobs)
         with pytest.raises(OSError, match="journal disk full"):
             run_campaign(cfg, journal_path=str(journal))
         meta, records, _ = read_journal(str(journal))
@@ -326,15 +332,15 @@ def _env():
     return env
 
 
-def _campaign_cmd(*extra):
-    return [sys.executable, "-m", "repro", "campaign", "--seed", "0",
-            "--count", "6", "--jobs", "1", "--no-minimize", *extra]
+def _audit_cmd(*extra):
+    return [sys.executable, "-m", "repro", "audit", "--seed", "0",
+            "--count", "6", *extra]
 
 
 class TestKillCampaignResume:
-    """SIGKILL the whole campaign process group mid-round; rerunning the
-    same command must skip every settled case and produce a report
-    identical to an uninterrupted run's."""
+    """SIGKILL the whole ``audit --jobs 1`` process group mid-round;
+    rerunning the same command must skip every settled case and produce
+    a report identical to an uninterrupted (inline) run's."""
 
     @pytest.mark.slow
     def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path):
@@ -342,7 +348,7 @@ class TestKillCampaignResume:
 
         base_report = tmp_path / "base.json"
         baseline = subprocess.run(
-            _campaign_cmd("--report", str(base_report)),
+            _audit_cmd("--report", str(base_report)),
             cwd=str(tmp_path), env=env, capture_output=True, text=True)
         assert baseline.returncode == 0, baseline.stderr
         base_doc = json.loads(base_report.read_text())
@@ -353,8 +359,8 @@ class TestKillCampaignResume:
         journal = tmp_path / "campaign.jsonl"
         hang_env = dict(env, REPRO_WORKER_FAULT="hang:120@3")
         victim = subprocess.Popen(
-            _campaign_cmd("--journal", str(journal),
-                          "--kill-timeout", "120"),
+            _audit_cmd("--jobs", "1", "--journal", str(journal),
+                       "--kill-timeout", "120"),
             cwd=str(tmp_path), env=hang_env, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
@@ -384,8 +390,8 @@ class TestKillCampaignResume:
 
         resume_report = tmp_path / "resumed.json"
         resumed = subprocess.run(
-            _campaign_cmd("--journal", str(journal),
-                          "--report", str(resume_report)),
+            _audit_cmd("--jobs", "1", "--journal", str(journal),
+                       "--report", str(resume_report)),
             cwd=str(tmp_path), env=env, capture_output=True, text=True)
         assert resumed.returncode == 0, resumed.stderr
         assert f"resumed: {len(done)} settled case(s)" in resumed.stdout

@@ -24,7 +24,7 @@ import os
 import time
 
 from repro.analysis.activity import ActivityAnalysis
-from repro.audit.campaign import CAMPAIGN_SCHEMA
+from repro.audit.campaign import AUDIT_SCHEMA
 from repro.formad import FormADEngine
 from repro.ir import parse_program
 from repro.resilience.cache import CACHE_SCHEMA, VerdictCache
@@ -143,9 +143,9 @@ class TestStoreRules:
 
 class TestFileIdentity:
     def test_foreign_meta_is_ignored_and_abandoned(self, tmp_path):
-        # a campaign journal (different schema) parked at the path
+        # an audit journal (different schema) parked at the path
         path = str(tmp_path / "fp.jsonl")
-        writer = JournalWriter(path, meta={"schema": CAMPAIGN_SCHEMA,
+        writer = JournalWriter(path, meta={"schema": AUDIT_SCHEMA,
                                            "fingerprint": "fp"})
         writer.record("question", loop="0:i", ctx="[root]", q="q",
                       result="unsat")
