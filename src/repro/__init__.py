@@ -14,6 +14,10 @@ Strategies mirror the paper's program versions — ``"serial"``,
 drops every safeguard without proof — only for experiments) — plus the
 related-work safeguards ``"preaccumulate"`` and ``"transposed"`` from
 the pluggable registry in :mod:`repro.ad.strategies`.
+
+Analysis and code generation need no numpy. The runtime names
+(``profile_run``, ``detect_races``, ``Memory``, ...) load the
+interpreter in :mod:`repro.runtime`, and numpy with it, on first access.
 """
 
 import logging
@@ -31,14 +35,29 @@ from .ad import (ALL_ATOMIC, ALL_PREACCUMULATE, ALL_REDUCTION, ALL_SHARED,
 from .analysis import ActivityAnalysis
 from .formad import (AnalysisReport, FormADEngine, FormADGuardPolicy,
                      LoopAnalysis, PrimalRaceError, format_table1)
-from .runtime import (BROADWELL_18, MachineModel, Memory, detect_races,
-                      profile_run, run_procedure, simulate_thread_sweep)
 
 __version__ = "1.0.0"
 
 # Library convention: the `repro` root logger stays silent unless the
 # application configures handlers (the CLI's --log-level does).
 logging.getLogger(__name__).addHandler(logging.NullHandler())
+
+#: Names resolved from :mod:`repro.runtime` on access (PEP 562).
+_RUNTIME_NAMES = frozenset((
+    "BROADWELL_18", "MachineModel", "Memory", "detect_races", "profile_run",
+    "run_procedure", "simulate_thread_sweep"))
+
+
+def __getattr__(name: str):
+    if name in _RUNTIME_NAMES:
+        from . import runtime
+        return getattr(runtime, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | _RUNTIME_NAMES)
+
 
 #: Strategy names accepted by :func:`differentiate`.
 STRATEGIES = ("serial", "atomic", "reduction", "shared", "formad",

@@ -165,6 +165,16 @@ class CampaignConfig:
     #: Worker environment overrides (tests inject REPRO_WORKER_FAULT).
     extra_env: Optional[Dict[str, str]] = None
 
+    def __post_init__(self) -> None:
+        # A rate names its units (``3@0.5``), so a repeated one would
+        # run the same units twice and settle them once.
+        labels = [f"{rate:g}" for rate in self.chaos_rates]
+        repeated = sorted({label for label in labels
+                           if labels.count(label) > 1})
+        if repeated:
+            raise ValueError(f"chaos rates must be distinct, got "
+                             f"{', '.join(repeated)} more than once")
+
 
 @dataclass(frozen=True)
 class CampaignUnit:
@@ -481,8 +491,10 @@ def run_campaign(config: CampaignConfig, *,
     started = time.monotonic()
     done_fresh = [0]
 
-    def settle(entry: dict) -> None:
-        """The single choke point: journal first, then publish."""
+    def settle(entry: dict, dur_s: float) -> None:
+        """The single choke point: journal first, then publish. The
+        unit's run time goes to the trace only: the journal and the
+        report stay timer-free."""
         with lock:
             if journal is not None:
                 journal.record("case_done", **entry)
@@ -499,7 +511,8 @@ def run_campaign(config: CampaignConfig, *,
                 tracer.emit("audit_case", case=entry["case"],
                             family=entry["family"],
                             violations=[v["kind"]
-                                        for v in entry["violations"]])
+                                        for v in entry["violations"]],
+                            dur_s=dur_s)
             elapsed = time.monotonic() - started
             if elapsed > 0:
                 tracer.gauge("audit.cases_per_sec",
@@ -512,8 +525,8 @@ def run_campaign(config: CampaignConfig, *,
             for unit in pending:
                 if deadline is not None and deadline.expired():
                     break   # left unsettled: a rerun picks it up
-                settle(_run_unit(unit, config, tracer, execute_unit,
-                                 lambda: None))
+                settle(*_run_unit(unit, config, tracer,
+                                  lambda: execute_unit, lambda: None))
         elif pending:
             _run_pool(pending, config, tracer, settle, deadline)
     finally:
@@ -530,7 +543,7 @@ def run_campaign(config: CampaignConfig, *,
 
 
 def _run_pool(pending: List[CampaignUnit], config: CampaignConfig,
-              tracer: NullTracer, settle: Callable[[dict], None],
+              tracer: NullTracer, settle: Callable[[dict, float], None],
               deadline) -> None:
     """Settle *pending* on ``config.jobs`` worker processes, one feeder
     thread per pool slot. Re-raises the first exception of the
@@ -566,7 +579,7 @@ def _run_pool(pending: List[CampaignUnit], config: CampaignConfig,
 
 def _feed(k: int, pool: WorkerPool, pending: "queue.Queue[CampaignUnit]",
           config: CampaignConfig, budget: float, tracer: NullTracer,
-          settle: Callable[[dict], None], deadline,
+          settle: Callable[[dict, float], None], deadline,
           failure: List[Exception]) -> None:
     """One feeder thread: pull units, run each to a settled entry on
     this feeder's pool slot. Worker loss degrades the *case* (bounded
@@ -574,9 +587,9 @@ def _feed(k: int, pool: WorkerPool, pending: "queue.Queue[CampaignUnit]",
     exception (a failed journal write, say) is the campaign's own
     fault: the first one lands in *failure*, which stops every feeder,
     and :func:`_run_pool` re-raises it."""
-    def send(request: dict) -> dict:
-        return pool.client(k, tracer=tracer).request(request,
-                                                     timeout=budget)
+    def connect() -> Callable[[dict], dict]:
+        client = pool.client(k, tracer=tracer)
+        return lambda request: client.request(request, timeout=budget)
 
     try:
         while not failure:
@@ -589,19 +602,41 @@ def _feed(k: int, pool: WorkerPool, pending: "queue.Queue[CampaignUnit]",
                 # Draining the queue here lets every sibling feeder
                 # exit promptly.
                 continue
-            settle(_run_unit(unit, config, tracer, send,
-                             lambda: pool.drop(k)))
+            settle(*_run_unit(unit, config, tracer, connect,
+                              lambda: pool.drop(k)))
     except Exception as exc:
         failure.append(exc)
 
 
 def _run_unit(unit: CampaignUnit, config: CampaignConfig,
-              tracer: NullTracer, send: Callable[[dict], dict],
-              drop: Callable[[], None]) -> dict:
+              tracer: NullTracer,
+              connect: Callable[[], Callable[[dict], dict]],
+              drop: Callable[[], None]) -> Tuple[dict, float]:
     """Drive one unit through quarantine: dispatch, observe, retry.
-    *send* turns the request into its reply (on a worker, or
-    :func:`execute_unit` inline); *drop* discards that worker, so the
-    next *send* runs on a fresh one."""
+    *connect* returns the function that turns a request into its reply
+    (:func:`execute_unit` inline, or a worker's round trip, spawning
+    the worker first if its slot is empty); *drop* discards that
+    worker, so the next run goes to a fresh one. Returns the settled
+    entry and the seconds its runs took, worker start-up excluded."""
+    spent = 0.0
+
+    def timed_send(request: dict) -> dict:
+        nonlocal spent
+        send = connect()
+        start = time.perf_counter()
+        try:
+            return send(request)
+        finally:
+            spent += time.perf_counter() - start
+
+    entry = _settle_unit(unit, config, tracer, timed_send, drop)
+    return entry, spent
+
+
+def _settle_unit(unit: CampaignUnit, config: CampaignConfig,
+                 tracer: NullTracer, send: Callable[[dict], dict],
+                 drop: Callable[[], None]) -> dict:
+    """The quarantine loop of :func:`_run_unit`, on a plain *send*."""
     quarantine = QuarantineState()
     retries = 0
     detail = ""

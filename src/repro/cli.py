@@ -82,6 +82,19 @@ def rate(text: str) -> float:
     return value
 
 
+class DistinctRates(argparse.Action):
+    """argparse action of ``--chaos RATE...``: each rate names one unit
+    per kernel, so a rate given twice (as printed) is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        labels = [f"{value:g}" for value in values]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise argparse.ArgumentError(
+                    self, f"rates must be distinct, got {label} twice")
+        setattr(namespace, self.dest, values)
+
+
 def interval_seconds(text: str) -> float:
     """argparse type of a heartbeat interval: seconds above 0 and no
     longer than a thread can wait (``threading.TIMEOUT_MAX``)."""
@@ -302,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of generated kernels (each adds one "
                         "clean case plus one per --chaos rate)")
     p.add_argument("--chaos", nargs="*", type=rate, default=None,
-                   metavar="RATE",
+                   action=DistinctRates, metavar="RATE",
                    help="fault-inject the solver on every kernel of the "
                         "run, generated and paper kernels alike, at these "
                         "rates (bare --chaos uses the default 0.1..1.0 "

@@ -58,7 +58,7 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
                      "clausify_hits", "clausify_misses"),
     # One audit unit settled (repro audit --trace, inline or --jobs):
     # ``case`` is its case id, ``violations`` the (usually empty) list
-    # of violation kinds it confirmed.
+    # of violation kinds it confirmed; optional ``dur_s`` its run time.
     "audit_case": ("case", "family", "violations"),
     # One shard request completed (``analyze --jobs``); status is
     # "ok", "crash", or "timeout" (docs/RESILIENCE.md, docs/SCALING.md).
@@ -94,6 +94,11 @@ OPTIONAL_FIELDS: Dict[str, Tuple[str, ...]] = {
     "solver_check": ("reason",),
     # The worker's crash/timeout detail (exit status, signal, stderr).
     "worker": ("detail",),
+    # The unit's run time, summed over its retries: inline the wall
+    # time around execute_unit, under --jobs the request-to-reply round
+    # trip (a worker's start-up excluded). Traces written before the
+    # field existed lack it.
+    "audit_case": ("dur_s",),
     # Per-kind miss counts and the damaged-line tally of the cache file.
     "cache_summary": ("loop_misses", "question_misses", "dropped_lines",
                       "hits", "conflicts"),

@@ -20,7 +20,9 @@ views that come out:
   bound no amount of extra workers can beat;
 * the **audit accounting** — the ``audit.*`` counters of a ``repro
   audit`` trace, inline or ``--jobs``: units settled per status,
-  confirmed violations, the classification tally, retries, respawns.
+  confirmed violations, the classification tally, retries, respawns;
+* the **slowest audit units** — the ``audit_case`` events with the
+  longest run time.
 """
 
 from __future__ import annotations
@@ -215,6 +217,18 @@ def audit_table(events: Sequence[dict]) -> List[Tuple[str, float]]:
     return sorted(rows)
 
 
+def slowest_units(events: Sequence[dict], limit: int = 10
+                  ) -> List[Tuple[str, str, float]]:
+    """``(case, family, dur_s)`` of the *limit* slowest settled units
+    of an audit trace, slowest first. Empty for other traces, and for
+    audit traces older than the ``dur_s`` field."""
+    rows = [(str(e["case"]), str(e["family"]), float(e["dur_s"]))
+            for e in events
+            if e["type"] == "audit_case" and "dur_s" in e]
+    rows.sort(key=lambda r: (-r[2], r[0]))
+    return rows[:limit]
+
+
 def critical_path(events: Sequence[dict]) -> List[Tuple[int, str, float]]:
     """The longest root-to-leaf chain of nested spans:
     ``(depth, label, dur_s)`` rows, outermost first. Every span keeps
@@ -306,6 +320,14 @@ def format_profile(events: Sequence[dict]) -> str:
         for name, value in audit:
             rendered = int(value) if value == int(value) else round(value, 3)
             lines.append(f"  {name} = {rendered}")
+    units = slowest_units(events)
+    if units:
+        lines.append("")
+        lines.append("slowest audit units (run time per unit):")
+        width = max(len(case) for case, _, _ in units)
+        for case, family, dur_s in units:
+            lines.append(f"  {case:<{width}}  {dur_s * 1000.0:>9.1f} ms  "
+                         f"{family}")
     for event in events:
         if event["type"] == "metrics" and event["counters"]:
             lines.append("")

@@ -1,4 +1,8 @@
-"""The paper's benchmark kernels (§7) and their workload generators."""
+"""The paper's benchmark kernels (§7) and their workload generators.
+
+The generators (``make_*_workload``, ``make_linear_mesh``) import numpy
+inside the function, so building a kernel for analysis never loads it.
+"""
 
 from .stencil import (PAPER_POINTS, PAPER_SWEEPS, build_large_stencil,
                       build_small_stencil, build_stencil,

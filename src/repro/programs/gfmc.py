@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from ..ir.parser import parse_procedure
 from ..ir.program import Procedure
 
@@ -142,6 +140,8 @@ def make_gfmc_workload(
     index, producing the paper's "large load imbalance" under a static
     schedule.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     ng = np.maximum(
         1, (ngroups_max * np.exp(-imbalance * np.arange(npair) / npair))

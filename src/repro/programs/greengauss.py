@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from ..ir.parser import parse_procedure
 from ..ir.program import Procedure
 
@@ -75,6 +73,8 @@ def make_linear_mesh(nnodes: int, seed: int = 0) -> Dict[str, object]:
     color 2 — no two edges of a color share a node, so each color's
     parallel loop is correctly parallelized.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     nedges = nnodes - 1
     color1 = [e for e in range(nedges) if e % 2 == 0]

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from ..ir.parser import parse_procedure
 from ..ir.program import Procedure
 
@@ -103,6 +101,8 @@ def make_lbm_workload(ncells: int = 600, seed: int = 0) -> Dict[str, object]:
     ``ncells`` interior cells are updated; the flat arrays carry enough
     halo for the largest stream offset (±(Z_STRIDE + Y_STRIDE) cells).
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     max_off = max(abs(off) for _, off in DIRECTIONS)
     bases = {}

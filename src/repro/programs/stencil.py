@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from ..ir.builder import ProcedureBuilder
 from ..ir.expr import Var
 from ..ir.program import Procedure
@@ -90,6 +88,8 @@ def build_large_stencil(sweeps: int = 1) -> Procedure:
 
 def make_stencil_workload(radius: int, n: int, seed: int = 0) -> Dict[str, object]:
     """Input bindings for a stencil of the given radius and grid size."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return {
         "uold": rng.standard_normal(n),

@@ -168,8 +168,10 @@ class WorkerClient:
             env=_worker_env(config))
         self._lines: "queue.Queue[Optional[str]]" = queue.Queue()
         self._stderr_tail: deque = deque(maxlen=20)
-        threading.Thread(target=self._read_stdout, daemon=True).start()
-        threading.Thread(target=self._read_stderr, daemon=True).start()
+        self._readers = [threading.Thread(target=read, daemon=True)
+                         for read in (self._read_stdout, self._read_stderr)]
+        for reader in self._readers:
+            reader.start()
 
     def init(self, init_request: dict, timeout: float) -> None:
         """Send the worker its one ``init`` request (the program and
@@ -249,7 +251,8 @@ class WorkerClient:
         try:
             self._proc.wait(timeout=5)
         except subprocess.TimeoutExpired:  # pragma: no cover
-            pass
+            return
+        self._close_pipes()
 
     def shutdown(self) -> None:
         try:
@@ -262,6 +265,24 @@ class WorkerClient:
             self._proc.wait(timeout=5)
         except subprocess.TimeoutExpired:
             self.kill()
+            return
+        self._close_pipes()
+
+    def _close_pipes(self) -> None:
+        """Close the pipes of the reaped worker. A read end is closed
+        only after its reader thread has seen EOF, so a close never
+        blocks on a read still in progress."""
+        pipes = (self._proc.stdout, self._proc.stderr)
+        for reader, pipe in zip(self._readers, pipes):
+            reader.join(timeout=5)
+            if not reader.is_alive():
+                pipe.close()
+        try:
+            # A killed worker leaves unflushed requests: the flush in
+            # close() fails, but the pipe is closed all the same.
+            self._proc.stdin.close()
+        except OSError:
+            pass
 
 
 class WorkerPool:

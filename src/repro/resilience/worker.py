@@ -128,7 +128,9 @@ def serve() -> int:
         if op == "init" and request.get("mode") == "audit":
             # Audit mode: no program to parse — every audit_case
             # request is self-contained (it ships its own CaseSpec or
-            # names its paper kernel).
+            # names its paper kernel). The audit machinery is imported
+            # now, so the first case's round trip does not pay for it.
+            from ..audit import campaign  # noqa: F401
             reply({"ok": True, "loops": []})
             continue
         if op == "audit_case":

@@ -26,10 +26,10 @@ import time
 
 import pytest
 
-from repro.audit.campaign import (RETRY_CAP, CampaignConfig,
-                                  QuarantineState, campaign_fingerprint,
-                                  enumerate_units, run_campaign,
-                                  run_unit_inline)
+from repro.audit.campaign import (DEFAULT_CHAOS_RATES, RETRY_CAP,
+                                  CampaignConfig, QuarantineState,
+                                  campaign_fingerprint, enumerate_units,
+                                  run_campaign, run_unit_inline)
 from repro.audit.corpus import commit_entry, load_corpus, replay_corpus
 from repro.audit.generator import (CaseSpec, IndexSpec, ReadSpec, StmtSpec,
                                    generate_case)
@@ -101,6 +101,19 @@ class TestUnitStream:
         # after the generated cases, one unit per (paper kernel, rate)
         assert [(u.kernel, u.index, u.spec) for u in units[4:5]] \
             == [("stencil_small", -1, None)]
+
+    def test_case_ids_are_unique(self):
+        cfg = CampaignConfig(seed=0, count=3, families=("elementwise",),
+                             chaos_rates=DEFAULT_CHAOS_RATES)
+        ids = [u.case_id for u in enumerate_units(cfg)]
+        assert len(ids) == 3 * 6 + 4 * 5
+        assert len(set(ids)) == len(ids)
+
+    @pytest.mark.parametrize("rates", [(0.5, 0.5), (0.1, 0.25, 0.1000001)])
+    def test_repeated_rate_is_refused(self, rates):
+        # 0.1000001 prints as 0.1: it would name the units of 0.1.
+        with pytest.raises(ValueError, match="distinct"):
+            CampaignConfig(count=2, chaos_rates=rates)
 
     def test_fingerprint_pins_stream_not_resources(self):
         base = CampaignConfig(seed=0, count=4, families=("elementwise",))

@@ -4,7 +4,29 @@ import json
 
 from repro.audit.campaign import DEFAULT_CHAOS_RATES
 from repro.cli import main
+from repro.obs.events import validate_events
+from repro.obs.tracer import load_trace
 from repro.resilience.journal import JournalWriter
+
+
+def _check_unit_times(tmp_path, capsys, *extra):
+    """An audit trace validates and times each unit, the report does
+    not, and ``repro profile`` lists the units by time."""
+    trace, report = tmp_path / "audit.jsonl", tmp_path / "audit.json"
+    assert main(["audit", "--seed", "0", "--count", "3", *extra,
+                 "--trace", str(trace), "--report", str(report)]) == 0
+    events = load_trace(str(trace))
+    assert validate_events(events) == []
+    cases = [e for e in events if e["type"] == "audit_case"]
+    assert len(cases) == 3
+    assert all(e["dur_s"] > 0 for e in cases)
+    assert "dur_s" not in report.read_text()
+    capsys.readouterr()
+    assert main(["profile", str(trace)]) == 0
+    out = capsys.readouterr().out
+    listed = out.split("slowest audit units")[1].split("\n\n")[0]
+    assert sorted(line.split()[0] for line in listed.splitlines()[1:]) \
+        == ["0", "1", "2"]
 
 
 class TestAuditCommand:
@@ -66,16 +88,13 @@ class TestAuditCommand:
         assert "repro-campaign/1" in err[0]
         assert journal.read_bytes() == before
 
-    def test_trace_stream_is_schema_valid(self, tmp_path):
-        trace = tmp_path / "audit.jsonl"
-        code = main(["audit", "--seed", "0", "--count", "3",
-                     "--trace", str(trace)])
-        assert code == 0
-        from repro.obs.events import validate_events
-        from repro.obs.tracer import load_trace
-        events = load_trace(str(trace))
-        assert validate_events(events) == []
-        assert sum(1 for e in events if e["type"] == "audit_case") == 3
+    def test_trace_stream_is_schema_valid(self, tmp_path, capsys):
+        _check_unit_times(tmp_path, capsys)
+
+    def test_jobs_trace_times_each_unit(self, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.delenv("REPRO_WORKER_FAULT", raising=False)
+        _check_unit_times(tmp_path, capsys, "--jobs", "2")
 
     def test_report_is_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -111,6 +111,15 @@ class TestProfile:
         assert main(["profile", "/no/such/file.jsonl"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_slowest_units_skip_units_without_a_time(self):
+        # Audit traces older than audit_case's dur_s carry no unit time.
+        from repro.obs.profile import slowest_units
+        unit = {"type": "audit_case", "family": "f", "violations": []}
+        events = [{**unit, "case": "0"}, {**unit, "case": "1", "dur_s": 0.2},
+                  {**unit, "case": "2", "dur_s": 0.5}]
+        assert slowest_units(events) == [("2", "f", 0.5), ("1", "f", 0.2)]
+        assert slowest_units(events, limit=1) == [("2", "f", 0.5)]
+
 
 class TestMalformedTrace:
     """``explain`` and ``profile`` load traces through one path: a line

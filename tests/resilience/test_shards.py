@@ -225,6 +225,19 @@ class TestFaultContainment:
             _sharded(proc, jobs=jobs)
 
 
+class TestWorkerPipes:
+    @pytest.mark.parametrize("end", ["kill", "shutdown"])
+    def test_reaped_worker_leaves_no_open_pipe(self, end):
+        # A dropped or shut-down worker closes its three pipes itself
+        # instead of leaving them to the garbage collector.
+        client = WorkerClient(ShardConfig(jobs=1))
+        getattr(client, end)()
+        proc = client._proc
+        assert proc.returncode is not None
+        assert [pipe.closed for pipe in (proc.stdin, proc.stdout,
+                                         proc.stderr)] == [True] * 3
+
+
 class TestParentalReplay:
     def test_cache_warm_loops_never_reach_a_worker(self, tmp_path):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]

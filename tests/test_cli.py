@@ -148,6 +148,7 @@ class TestNumericFlags:
         ["experiments", "--deadline", "-1"],
         ["audit", "--count", "-2"],
         ["audit", "--count", "0"],
+        ["audit", "--count", "2", "--chaos", "0.5", "0.5"],
         ["audit", "--deadline", "nan"],
         ["audit", "--case-timeout", "-1"],
         ["audit", "--question-timeout", "-1"],
@@ -169,7 +170,8 @@ class TestNumericFlags:
             "analyze-deadline-inf", "analyze-question-timeout-negative",
             "analyze-kill-timeout-negative", "analyze-escalate-0",
             "analyze-escalate-negative", "experiments-deadline-negative",
-            "audit-count-negative", "audit-count-0", "audit-deadline-nan",
+            "audit-count-negative", "audit-count-0",
+            "audit-chaos-repeated-rate", "audit-deadline-nan",
             "audit-case-timeout-negative",
             "audit-question-timeout-negative", "campaign-count-0",
             "campaign-case-timeout-negative", "audit-question-timeout-nan",
