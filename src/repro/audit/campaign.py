@@ -8,9 +8,10 @@ fault-injection case per (paper kernel, rate). Every unit is settled
 through the same request→reply function, :func:`execute_unit`. Without
 ``--jobs`` it runs in this process; with ``--jobs N`` it runs on the
 persistent :class:`~repro.resilience.shards.WorkerPool`, one
-subprocess-contained case at a time, exactly as ``analyze --jobs``
-runs loops. Both modes write the same report, byte for byte. The
-design goals, in order:
+subprocess-contained case at a time, through the same driver
+(:meth:`~repro.resilience.shards.WorkerPool.run`) that runs
+``analyze --jobs``'s loops. Both modes write the same report, byte for
+byte. The design goals, in order:
 
 * **Nothing stalls the campaign.** Every case runs under a per-case
   deadline. On workers, a hung oracle is SIGKILLed by the request
@@ -47,12 +48,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-import queue
 import threading
 import time
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..experiments.specs import ALL_FIGURE_SPECS
@@ -60,7 +61,7 @@ from ..obs.tracer import NULL_TRACER, NullTracer
 from ..resilience.deadline import Deadline, per_question
 from ..resilience.journal import (JournalError, JournalWriter, _canonical,
                                   read_journal)
-from ..resilience.shards import (_DEADLINE_GRACE, ShardConfig, WorkerGone,
+from ..resilience.shards import (DEADLINE_GRACE, ShardConfig, WorkerGone,
                                  WorkerPool)
 from .chaos import ChaosConfig
 from .corpus import CorpusEntry, commit_entry
@@ -162,8 +163,6 @@ class CampaignConfig:
     kill_timeout: float = 60.0
     #: Commit minimized violations here (None = don't).
     corpus_dir: Optional[str] = None
-    #: Worker environment overrides (tests inject REPRO_WORKER_FAULT).
-    extra_env: Optional[Dict[str, str]] = None
 
     def __post_init__(self) -> None:
         # A rate names its units (``3@0.5``), so a repeated one would
@@ -520,15 +519,32 @@ def run_campaign(config: CampaignConfig, *,
             if progress is not None:
                 progress(entry)
 
+    def run(unit: CampaignUnit,
+            connect: Callable[[], Callable[[dict], dict]],
+            drop: Callable[[], None]) -> None:
+        # Past the deadline a unit stays unsettled: a rerun picks it up.
+        if deadline is None or not deadline.expired():
+            settle(*_run_unit(unit, config, tracer, connect, drop))
+
     try:
         if config.jobs is None:
             for unit in pending:
-                if deadline is not None and deadline.expired():
-                    break   # left unsettled: a rerun picks it up
-                settle(*_run_unit(unit, config, tracer,
-                                  lambda: execute_unit, lambda: None))
+                run(unit, lambda: execute_unit, lambda: None)
         elif pending:
-            _run_pool(pending, config, tracer, settle, deadline)
+            # Worker loss degrades the unit (bounded retry, then a
+            # contained ``unknown``), never the campaign. Anything else
+            # a unit raises (a failed journal write, say) stops the pool
+            # and reaches the caller; what settled is journaled already,
+            # so rerunning the same command continues from there.
+            pool = _audit_pool(config, len(pending))
+
+            def serve(k: int, unit: CampaignUnit) -> None:
+                run(unit,
+                    lambda: partial(pool.client(k, tracer=tracer).request,
+                                    timeout=pool.config.kill_timeout),
+                    lambda: pool.drop(k))
+
+            pool.run(pending, serve, name="audit")
     finally:
         if journal is not None:
             journal.close()
@@ -542,70 +558,16 @@ def run_campaign(config: CampaignConfig, *,
     return report
 
 
-def _run_pool(pending: List[CampaignUnit], config: CampaignConfig,
-              tracer: NullTracer, settle: Callable[[dict, float], None],
-              deadline) -> None:
-    """Settle *pending* on ``config.jobs`` worker processes, one feeder
-    thread per pool slot. Re-raises the first exception of the
-    campaign's own (not a worker's) once every feeder has stopped;
-    what settled is journaled already, so rerunning the same command
-    continues from there once the cause is fixed."""
+def _audit_pool(config: CampaignConfig, units: int) -> WorkerPool:
+    """The audit-mode pool for *units* pending units. Its kill budget
+    leaves room for a case that cooperates with its own ``case_timeout``
+    before a worker counts as hung."""
     budget = config.kill_timeout
     if config.case_timeout is not None:
-        budget = max(budget, config.case_timeout + _DEADLINE_GRACE)
-    shard_config = ShardConfig(jobs=config.jobs, kill_timeout=budget,
-                               extra_env=config.extra_env)
-    pool = WorkerPool(shard_config, min(config.jobs, len(pending)),
+        budget = max(budget, config.case_timeout + DEADLINE_GRACE)
+    return WorkerPool(ShardConfig(jobs=config.jobs, kill_timeout=budget),
+                      min(config.jobs, units),
                       {"op": "init", "mode": "audit"})
-    work: "queue.Queue[CampaignUnit]" = queue.Queue()
-    for unit in pending:
-        work.put(unit)
-    failure: List[Exception] = []
-    threads = [threading.Thread(
-        target=_feed, name=f"audit-{k}",
-        args=(k, pool, work, config, budget, tracer, settle, deadline,
-              failure))
-        for k in range(pool.size)]
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    finally:
-        pool.shutdown()
-    if failure:
-        raise failure[0]
-
-
-def _feed(k: int, pool: WorkerPool, pending: "queue.Queue[CampaignUnit]",
-          config: CampaignConfig, budget: float, tracer: NullTracer,
-          settle: Callable[[dict, float], None], deadline,
-          failure: List[Exception]) -> None:
-    """One feeder thread: pull units, run each to a settled entry on
-    this feeder's pool slot. Worker loss degrades the *case* (bounded
-    retry, then a contained ``unknown``), never the campaign. Any other
-    exception (a failed journal write, say) is the campaign's own
-    fault: the first one lands in *failure*, which stops every feeder,
-    and :func:`_run_pool` re-raises it."""
-    def connect() -> Callable[[dict], dict]:
-        client = pool.client(k, tracer=tracer)
-        return lambda request: client.request(request, timeout=budget)
-
-    try:
-        while not failure:
-            try:
-                unit = pending.get_nowait()
-            except queue.Empty:
-                return
-            if deadline is not None and deadline.expired():
-                # Leave the unit unsettled: a rerun picks it up.
-                # Draining the queue here lets every sibling feeder
-                # exit promptly.
-                continue
-            settle(*_run_unit(unit, config, tracer, connect,
-                              lambda: pool.drop(k)))
-    except Exception as exc:
-        failure.append(exc)
 
 
 def _run_unit(unit: CampaignUnit, config: CampaignConfig,

@@ -22,6 +22,7 @@ pipeline's stdlib-``logging`` diagnostics.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -169,23 +170,35 @@ def _open_tracer(path: Optional[str],
     return NULL_TRACER
 
 
-def _start_heartbeat(tracer, interval: float):
-    """``--progress``: a daemon thread printing one ``repro-metrics/2``
-    registry snapshot line to stderr every *interval* seconds. Returns
-    the stop event, or None when the tracer carries no registry."""
-    registry = getattr(tracer, "registry", None)
-    if registry is None:
-        return None
+@contextlib.contextmanager
+def _run_tracer(args):
+    """The ``--trace``/``--progress`` tracer of an ``analyze`` or
+    ``audit`` run. With ``--progress``, a daemon thread prints one
+    ``repro-metrics/2`` registry snapshot line to stderr every
+    interval, and one last line when the run ends. The tracer closes
+    after that, sealing its final ``metrics`` event, so whatever the
+    run records must be recorded inside the ``with`` block."""
+    tracer = _open_tracer(args.trace, progress=args.progress)
+    stop = threading.Event()
+
+    def snapshot() -> None:
+        print(json.dumps(tracer.registry.snapshot(), sort_keys=True),
+              file=sys.stderr, flush=True)
 
     def beat() -> None:
-        while not stop.wait(interval):
-            print(json.dumps(registry.snapshot(), sort_keys=True),
-                  file=sys.stderr, flush=True)
+        while not stop.wait(args.progress):
+            snapshot()
 
-    stop = threading.Event()
-    threading.Thread(target=beat, name="progress-heartbeat",
-                     daemon=True).start()
-    return stop
+    if args.progress is not None:
+        threading.Thread(target=beat, name="progress-heartbeat",
+                         daemon=True).start()
+    try:
+        yield tracer
+    finally:
+        stop.set()
+        if args.progress is not None:
+            snapshot()
+        tracer.close()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,26 +566,15 @@ def _run_audit(args) -> int:
         question_timeout=args.question_timeout,
         jobs=args.jobs, kill_timeout=args.kill_timeout,
         corpus_dir=args.corpus)
-    tracer = _open_tracer(args.trace, progress=args.progress)
-    heartbeat = None
-    if args.progress is not None:
-        heartbeat = _start_heartbeat(tracer, args.progress)
     started = time.monotonic()
-    try:
-        report = run_campaign(config, tracer=tracer,
-                              journal_path=args.journal,
-                              deadline=_deadline_of(args))
-    except JournalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if heartbeat is not None:
-            heartbeat.set()
-            registry = getattr(tracer, "registry", None)
-            if registry is not None:
-                print(json.dumps(registry.snapshot(), sort_keys=True),
-                      file=sys.stderr, flush=True)
-        tracer.close()
+    with _run_tracer(args) as tracer:
+        try:
+            report = run_campaign(config, tracer=tracer,
+                                  journal_path=args.journal,
+                                  deadline=_deadline_of(args))
+        except JournalError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     print(format_campaign(report))
     # Wall clock stays on stderr: the report itself is timer-free so a
     # resumed run's report matches the uninterrupted one's exactly.
@@ -629,67 +631,57 @@ def _run_analyze(args, proc, independents, dependents) -> int:
     escalation = None
     if args.escalate > 1:
         escalation = EscalationPolicy(max_attempts=args.escalate)
-    tracer = _open_tracer(args.trace, progress=args.progress)
-    activity = ActivityAnalysis(proc, independents, dependents)
-    engine = FormADEngine(proc, activity, tracer=tracer,
-                          deadline=_deadline_of(args),
-                          question_timeout=args.question_timeout,
-                          escalation=escalation)
-    with open(args.file) as fh:
-        source = fh.read()
-    fingerprint = journal_fingerprint(source, proc.name, independents,
-                                      dependents, engine.fingerprint_flags())
-    cache = None
-    if args.cache_dir:
-        from .resilience.cache import VerdictCache
+    with _run_tracer(args) as tracer:
+        activity = ActivityAnalysis(proc, independents, dependents)
+        engine = FormADEngine(proc, activity, tracer=tracer,
+                              deadline=_deadline_of(args),
+                              question_timeout=args.question_timeout,
+                              escalation=escalation)
+        with open(args.file) as fh:
+            source = fh.read()
+        fingerprint = journal_fingerprint(source, proc.name, independents,
+                                          dependents,
+                                          engine.fingerprint_flags())
+        cache = None
+        if args.cache_dir:
+            from .resilience.cache import VerdictCache
+            try:
+                cache = VerdictCache(args.cache_dir, fingerprint)
+            except OSError as exc:
+                print(f"error: cannot open verdict cache: {exc}",
+                      file=sys.stderr)
+                return 1
+        engine.attach_run_state(cache=cache)
+        outcomes = None
         try:
-            cache = VerdictCache(args.cache_dir, fingerprint)
-        except OSError as exc:
-            print(f"error: cannot open verdict cache: {exc}",
-                  file=sys.stderr)
-            return 1
-    engine.attach_run_state(cache=cache)
-    outcomes = None
-    heartbeat = None
-    if args.progress is not None:
-        heartbeat = _start_heartbeat(tracer, args.progress)
-    try:
-        if args.jobs is None:
-            analyses = engine.analyze_all()
-        else:
-            from .resilience.shards import ShardConfig, analyze_sharded
-            config = ShardConfig(jobs=args.jobs,
-                                 kill_timeout=args.kill_timeout)
-            analyses, shard_outcomes = analyze_sharded(
-                engine, source, proc.name, independents, dependents,
-                config=config, cache_dir=args.cache_dir,
-                fingerprint=fingerprint)
-            # The shard outcomes only enter the JSON document when
-            # something actually went wrong — an all-ok pool run stays
-            # byte-identical to the inline one.
-            if any(o.status not in ("ok", "cached")
-                   for o in shard_outcomes):
-                outcomes = shard_outcomes
-    finally:
-        if cache is not None:
-            cache.close()
-            # The structured replacement for the old stderr-only
-            # summary: cache.* registry counters plus one
-            # cache_summary trace event, both before the tracer seals
-            # its final metrics event.
-            summary = cache.summary_data()
-            for name, value in summary.items():
-                if name != "path":
-                    tracer.counter(f"cache.{name}", value)
-            if tracer.enabled:
-                tracer.emit("cache_summary", **summary)
-        if heartbeat is not None:
-            heartbeat.set()
-            registry = getattr(tracer, "registry", None)
-            if registry is not None:
-                print(json.dumps(registry.snapshot(), sort_keys=True),
-                      file=sys.stderr, flush=True)
-        tracer.close()
+            if args.jobs is None:
+                analyses = engine.analyze_all()
+            else:
+                from .resilience.shards import ShardConfig, analyze_sharded
+                config = ShardConfig(jobs=args.jobs,
+                                     kill_timeout=args.kill_timeout)
+                analyses, shard_outcomes = analyze_sharded(
+                    engine, source, proc.name, independents, dependents,
+                    config=config, cache_dir=args.cache_dir,
+                    fingerprint=fingerprint)
+                # The shard outcomes only enter the JSON document when
+                # something actually went wrong — an all-ok pool run
+                # stays byte-identical to the inline one.
+                if any(o.status not in ("ok", "cached")
+                       for o in shard_outcomes):
+                    outcomes = shard_outcomes
+        finally:
+            if cache is not None:
+                cache.close()
+                # cache.* registry counters plus one cache_summary
+                # trace event, both before the tracer seals its final
+                # metrics event.
+                summary = cache.summary_data()
+                for name, value in summary.items():
+                    if name != "path":
+                        tracer.counter(f"cache.{name}", value)
+                if tracer.enabled:
+                    tracer.emit("cache_summary", **summary)
     if cache is not None and not args.json:
         print(f"cache: {cache.loop_hits} loop hit(s), "
               f"{cache.question_hits} question hit(s), "

@@ -14,8 +14,7 @@ from .knowledge import (KnowledgeBase, KnowledgeFact, disjointness_formula,
 from .engine import (AnalysisStats, ArrayVerdict, FormADEngine,
                      KnowledgeDegradedError, LoopAnalysis, PrimalRaceError)
 from .policy import FormADGuardPolicy
-from .report import (AnalysisReport, format_phase_table, format_table1,
-                     format_verdicts)
+from .report import AnalysisReport, format_table1, format_verdicts
 
 __all__ = [
     "IndexTranslator", "UntranslatableError", "render_term",
@@ -24,6 +23,5 @@ __all__ = [
     "AnalysisStats", "ArrayVerdict", "FormADEngine",
     "KnowledgeDegradedError", "LoopAnalysis", "PrimalRaceError",
     "FormADGuardPolicy",
-    "AnalysisReport", "format_phase_table", "format_table1",
-    "format_verdicts",
+    "AnalysisReport", "format_table1", "format_verdicts",
 ]

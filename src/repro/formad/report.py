@@ -5,8 +5,9 @@ columns: analysis time, model size, query count, unique index
 expression count, and the region size in source lines. The report also
 aggregates the per-phase performance breakdown (translate / clausify /
 search seconds, cache and memo hit counts) that the incremental
-pipeline records; :func:`format_phase_table` renders those columns,
-and DESIGN.md ("Performance architecture") explains how to read them.
+pipeline records; EXPERIMENTS.md's "Analysis phase breakdown" table
+shows those columns, and DESIGN.md ("Performance architecture")
+explains how to read them.
 """
 
 from __future__ import annotations
@@ -91,22 +92,6 @@ def format_table1(reports: Sequence[AnalysisReport]) -> str:
         lines.append(f"{r.problem:<12} {r.time_seconds:>7.3f} "
                      f"{r.model_size:>8d} {r.queries:>8d} "
                      f"{r.unique_exprs:>6d} {r.region_loc:>5d}")
-    return "\n".join(lines)
-
-
-def format_phase_table(reports: Sequence[AnalysisReport]) -> str:
-    """Render the per-phase performance columns: where each analysis
-    spends its solver time, how many checks actually reach the solver,
-    and what the caches absorb."""
-    header = (f"{'problem':<12} {'translate':>10} {'clausify':>9} "
-              f"{'search':>8} {'checks':>7} {'memo':>5} {'cache%':>7}")
-    lines = [header, "-" * len(header)]
-    for r in reports:
-        lookups = r.clausify_hits + r.clausify_misses
-        rate = 100.0 * r.clausify_hits / lookups if lookups else 0.0
-        lines.append(f"{r.problem:<12} {r.translate_seconds:>10.4f} "
-                     f"{r.clausify_seconds:>9.4f} {r.search_seconds:>8.4f} "
-                     f"{r.solver_checks:>7d} {r.memo_hits:>5d} {rate:>6.0f}%")
     return "\n".join(lines)
 
 

@@ -118,10 +118,6 @@ UNIVERSAL_OPTIONAL = ("worker_id", "partial")
 _COMMON = ("v", "seq", "t", "type", "thread", "span")
 
 
-class TraceValidationError(ValueError):
-    """A trace stream violates the schema."""
-
-
 def missing_fields(event: dict) -> List[str]:
     """What *event* lacks that every reader needs, worded as
     :func:`validate_event` words it: its missing common fields or, when

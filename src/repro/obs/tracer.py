@@ -139,13 +139,9 @@ class BufferTracer(NullTracer):
 
     def __init__(self) -> None:
         self._events: List[tuple] = []
-        #: Lifetime emission count (never reset by :meth:`drain`) — the
-        #: worker reports it so the parent can bound telemetry loss.
-        self.events_total = 0
 
     def emit(self, etype: str, **fields: Any) -> None:
         self._events.append((etype, fields, time.perf_counter()))
-        self.events_total += 1
 
     def drain(self) -> List[tuple]:
         """Return and clear the buffered ``(type, fields, wt)``

@@ -425,13 +425,6 @@ class VerdictCache:
         (and the CLI as the ``cache.hits`` metric counter)."""
         return self.question_hits + self.loop_hits
 
-    def summary(self) -> str:
-        return (f"verdict cache {self.path}: "
-                f"{self.loop_hits} loop hit(s), "
-                f"{self.question_hits} question hit(s), "
-                f"{self.loop_stores} loop(s) and "
-                f"{self.question_stores} question(s) stored")
-
     def summary_data(self) -> dict:
         """The structured end-of-run summary: the ``cache_summary``
         trace event's payload and ``analyze --json``'s ``cache`` key."""

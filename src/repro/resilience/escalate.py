@@ -23,6 +23,12 @@ from typing import Iterator
 #: UNKNOWN reasons that an escalation retry can plausibly fix.
 RETRYABLE_REASONS = frozenset({"timeout", "budget"})
 
+#: The ladder: attempt ``k`` scales the budgets by ``GROWTH ** k``,
+#: capped at ``MAX_SCALE``, plus/minus up to ``JITTER`` of the scale.
+GROWTH = 2.0
+MAX_SCALE = 16.0
+JITTER = 0.15
+
 
 @dataclass(frozen=True)
 class EscalationPolicy:
@@ -31,22 +37,15 @@ class EscalationPolicy:
     ``max_attempts`` counts *total* asks (1 = never retry — the
     default, so runs without resilience flags behave byte-identically
     to a build without this module). Attempt ``k`` (0-based) scales
-    the solver's node/theory-check budgets by ``growth ** k``, capped
-    at ``max_scale``, plus/minus up to ``jitter`` of the scale.
+    the solver's node/theory-check budgets along the module's ladder
+    (:data:`GROWTH`, :data:`MAX_SCALE`, :data:`JITTER`).
     """
 
     max_attempts: int = 1
-    growth: float = 2.0
-    max_scale: float = 16.0
-    jitter: float = 0.15
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.growth < 1.0:
-            raise ValueError("growth must be >= 1.0")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be within [0, 1)")
 
     @property
     def enabled(self) -> bool:
@@ -60,11 +59,11 @@ class EscalationPolicy:
         scale of attempt 0 is always exactly 1.0 and not yielded)."""
         seed = zlib.crc32(key.encode("utf-8", "replace"))
         for attempt in range(1, self.max_attempts):
-            scale = min(self.growth ** attempt, self.max_scale)
-            # Deterministic jitter in [-jitter, +jitter), different per
+            scale = min(GROWTH ** attempt, MAX_SCALE)
+            # Deterministic jitter in [-JITTER, +JITTER), different per
             # (question, attempt) but identical across runs.
             frac = ((seed ^ (attempt * 0x9E3779B1)) % 10_000) / 10_000.0
-            scale *= 1.0 + self.jitter * (2.0 * frac - 1.0)
+            scale *= 1.0 + JITTER * (2.0 * frac - 1.0)
             yield max(scale, 1.0)
 
 

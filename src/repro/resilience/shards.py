@@ -16,9 +16,11 @@ Division of labor (docs/SCALING.md):
   buffered trace events, and the decided answers the worker's
   read-only store received.
 * **The parent** owns all I/O: it is the single store writer and the
-  single trace sink. Each shard's feeder thread (named ``shard-<k>``
-  — the name trace events inherit) applies its worker's replies under
-  one lock, so per-loop record blocks stay contiguous in the store.
+  single trace sink. :meth:`WorkerPool.run` is the one driver of the
+  pool (``repro audit --jobs`` runs on it too): one feeder thread per
+  slot, named ``shard-<k>`` here (the name trace events inherit),
+  applies its worker's replies under one lock, so per-loop record
+  blocks stay contiguous in the store.
 * **Replay stays parental**: clean loops from the ``--cache-dir``
   store are replayed in the parent *before* sharding; only genuinely
   open loops are queued.
@@ -29,8 +31,8 @@ crashed, hung, or killed worker degrades the loop it was holding
 fault-independent) and the feeder respawns a fresh worker for its next
 shard. A :class:`~repro.formad.engine.PrimalRaceError` reported by any
 worker stops the pool and is re-raised, exactly as the inline analysis
-would; so is any other exception a feeder thread raises (a store write
-that fails, say), instead of leaving its loop without a result.
+would; so is any other exception a feeder raises (a store write that
+fails, say), instead of leaving its loop without a result.
 
 The pool's output is byte-identical to the inline run's, modulo
 timers (tests/resilience/test_backend_identity.py keeps that true).
@@ -38,6 +40,7 @@ timers (tests/resilience/test_backend_identity.py keeps that true).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import queue
@@ -47,15 +50,15 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.clock import ClockSync
 from .journal import rebuild_analysis
 
-#: Grace period added to a run deadline before the hard kill: the
-#: worker polls its own (tighter) deadline cooperatively, so the parent
-#: only kills workers that stopped cooperating.
-_DEADLINE_GRACE = 2.0
+#: Grace period added to a deadline before the hard kill: the worker
+#: polls its own (tighter) deadline cooperatively, so the parent only
+#: kills workers that stopped cooperating.
+DEADLINE_GRACE = 2.0
 
 
 @dataclass
@@ -114,29 +117,24 @@ class WorkerGone(RuntimeError):
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """How the ``--jobs`` pool runs its shard workers."""
+    """How the ``--jobs`` pool runs its workers."""
 
     #: Number of worker processes (capped by the open-loop count).
     jobs: int = 2
-    #: Hard wall-clock cap per shard request, enforced by SIGKILL.
+    #: Hard wall-clock cap per worker request, enforced by SIGKILL.
     kill_timeout: float = 60.0
-    #: Interpreter for the worker processes.
-    python: str = sys.executable
-    #: Extra environment entries for the workers (tests inject
-    #: ``REPRO_WORKER_FAULT`` here).
-    extra_env: Optional[Dict[str, str]] = None
 
 
-def _worker_env(config: ShardConfig) -> Dict[str, str]:
+def _worker_env() -> Dict[str, str]:
+    """This process's environment (``REPRO_WORKER_FAULT`` included),
+    with this ``repro`` first on ``PYTHONPATH``, so the worker imports
+    it the same way this process did."""
     env = dict(os.environ)
-    # The worker imports `repro` the same way this process did.
     src_root = os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     parts = [src_root] + [p for p in env.get("PYTHONPATH", "").split(
         os.pathsep) if p and p != src_root]
     env["PYTHONPATH"] = os.pathsep.join(parts)
-    if config.extra_env:
-        env.update(config.extra_env)
     return env
 
 
@@ -151,8 +149,7 @@ class WorkerClient:
     never deadlock on a full pipe.
     """
 
-    def __init__(self, config: ShardConfig,
-                 worker_id: Optional[str] = None) -> None:
+    def __init__(self, worker_id: Optional[str] = None) -> None:
         #: Stable pool-slot identity ("w0", "w1", ...) stamped onto
         #: every trace event this worker's replies carry.
         self.worker_id = worker_id
@@ -162,10 +159,9 @@ class WorkerClient:
         #: the clamp window for its buffered event timestamps.
         self.last_window: Optional[Tuple[float, float]] = None
         self._proc = subprocess.Popen(
-            [config.python, "-m", "repro.resilience.worker", "--serve"],
+            [sys.executable, "-m", "repro.resilience.worker", "--serve"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True,
-            env=_worker_env(config))
+            stderr=subprocess.PIPE, text=True, env=_worker_env())
         self._lines: "queue.Queue[Optional[str]]" = queue.Queue()
         self._stderr_tail: deque = deque(maxlen=20)
         self._readers = [threading.Thread(target=read, daemon=True)
@@ -286,7 +282,8 @@ class WorkerClient:
 
 
 class WorkerPool:
-    """The persistent worker processes of one run.
+    """The persistent worker processes of one run, and their one
+    driver, :meth:`run`.
 
     Slot ``k`` spawns on its first :meth:`client` call, receives the
     pool's *init_request*, and stays alive until it dies (:meth:`drop`)
@@ -306,6 +303,46 @@ class WorkerPool:
         self._init_request = init_request
         self._slots: List[Optional[WorkerClient]] = [None] * self.size
 
+    def run(self, items: Iterable, serve: Callable[[int, object], None],
+            *, name: str) -> None:
+        """Serve every item of *items* on this pool, then shut it down.
+
+        One feeder thread per slot, named ``<name>-<k>`` (the thread
+        name every trace event records), calls ``serve(k, item)`` on
+        the next queued item until the queue is empty, so a feeder
+        that finishes early takes the next item. *serve* contains its
+        worker's faults itself: any exception it raises is the run's
+        own, so the first one stops every feeder from pulling more work
+        and is re-raised here once all of them have joined."""
+        work: "queue.Queue" = queue.Queue()
+        for item in items:
+            work.put(item)
+        failure: List[Exception] = []
+
+        def feed(k: int) -> None:
+            try:
+                while not failure:
+                    try:
+                        item = work.get_nowait()
+                    except queue.Empty:
+                        return
+                    serve(k, item)
+            except Exception as exc:
+                failure.append(exc)
+
+        threads = [threading.Thread(target=feed, args=(k,),
+                                    name=f"{name}-{k}")
+                   for k in range(self.size)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            self.shutdown()
+        if failure:
+            raise failure[0]
+
     def is_live(self, k: int) -> bool:
         return self._slots[k] is not None
 
@@ -317,7 +354,7 @@ class WorkerPool:
         client = self._slots[k]
         if client is not None:
             return client
-        client = WorkerClient(self.config, worker_id=f"w{k}")
+        client = WorkerClient(worker_id=f"w{k}")
         self._slots[k] = client
         try:
             client.init(self._init_request,
@@ -359,12 +396,7 @@ def _init_request(engine, source: str, head: str,
         "dependents": list(dependents),
         "flags": engine.fingerprint_flags(),
         "question_timeout": engine.question_timeout,
-        "escalation": {
-            "max_attempts": engine.escalation.max_attempts,
-            "growth": engine.escalation.growth,
-            "max_scale": engine.escalation.max_scale,
-            "jitter": engine.escalation.jitter,
-        },
+        "max_attempts": engine.escalation.max_attempts,
         "cache_dir": cache_dir,
         "fingerprint": fingerprint,
         "trace": engine.tracer.enabled,
@@ -435,7 +467,7 @@ def analyze_sharded(
     loops = list(engine.proc.parallel_loops())
     slots: List[Optional[object]] = [None] * len(loops)
     outcomes: List[Optional[WorkerOutcome]] = [None] * len(loops)
-    pending: "queue.Queue" = queue.Queue()
+    pending = []
     for index, loop in enumerate(loops):
         key = engine.loop_key(loop)
         replayed = engine._replay_cached(loop)
@@ -443,23 +475,28 @@ def analyze_sharded(
             slots[index] = replayed
             outcomes[index] = WorkerOutcome(key, "cached")
             continue
-        pending.put((index, loop, time.perf_counter()))
-    if pending.empty():
-        return list(slots), list(outcomes)
+        pending.append((index, loop, time.perf_counter()))
+    if not pending:
+        return slots, outcomes
 
-    pool = WorkerPool(config, min(config.jobs, pending.qsize()),
+    pool = WorkerPool(config, min(config.jobs, len(pending)),
                       _init_request(engine, source, head, independents,
                                     dependents, cache_dir=cache_dir,
                                     fingerprint=fingerprint))
+    n = pool.size
     # Reentrant: a reply that fails to apply degrades its loop through
     # degrade() while the lock is still held.
     apply_lock = threading.RLock()
-    # The first exception of any feeder: a worker's PrimalRaceError, or
-    # whatever a feeder raised besides WorkerGone (a failed store
-    # write, a bad config). It stops every feeder from pulling new work
-    # and is re-raised in the caller once the feeders have joined.
-    failure: List[Exception] = []
-    tracer.gauge("scheduler.queue_depth", pending.qsize())
+    # next() on a count is one C call, atomic under the GIL: the i-th
+    # dispatch leaves len(pending) - i loops queued.
+    dispatched = itertools.count(1)
+    # Per slot: seconds inside requests, whether a worker was ever
+    # spawned, and when its feeder last finished a loop.
+    busy = [0.0] * n
+    spawned = [False] * n
+    started = time.perf_counter()
+    finished = [started] * n
+    tracer.gauge("scheduler.queue_depth", len(pending))
 
     def degrade(index: int, loop, key: str, status: str, detail: str,
                 elapsed: float, *, phase: str = "worker",
@@ -474,129 +511,114 @@ def analyze_sharded(
                 loop, f"shard {detail}", phase=phase)
             outcomes[index] = WorkerOutcome(key, status, detail, elapsed)
 
-    def shard(k: int) -> None:
+    def apply(k: int, client: WorkerClient, index: int, loop, key: str,
+              reply: dict, elapsed: float) -> None:
+        wid = client.worker_id
+        with apply_lock:
+            try:
+                analysis = _apply_reply(
+                    engine, cache, loop, key, reply, worker_id=wid,
+                    clock=client.clock, window=client.last_window)
+            except WorkerGone as exc:
+                # It answered garbage: a fresh worker serves the next
+                # shard.
+                pool.drop(k)
+                degrade(index, loop, key, exc.status, exc.detail,
+                        elapsed, worker_id=wid)
+                return
+            if tracer.enabled:
+                tracer.emit("worker", loop=key, status="ok",
+                            dur_s=elapsed, worker_id=wid)
+            slots[index] = analysis
+            outcomes[index] = WorkerOutcome(key, "ok", elapsed=elapsed)
+
+    def dispatch(k: int, index: int, loop, enqueued: float) -> None:
         wid = f"w{k}"
-        started = time.perf_counter()
-        busy = 0.0
-        spawned = False
+        wait_s = time.perf_counter() - enqueued
+        tracer.gauge("scheduler.queue_depth",
+                     len(pending) - next(dispatched))
+        tracer.counter("scheduler.dispatched")
+        tracer.observe("scheduler.queue_wait_seconds", wait_s)
+        key = engine.loop_key(loop)
+        if tracer.enabled:
+            tracer.emit("queue_wait", loop=key, wait_s=wait_s,
+                        worker_id=wid)
+        if index % n != k:
+            # Work-stealing made visible: under a balanced round-robin
+            # this feeder would serve loops with index ≡ k (mod pool
+            # size); any other pull means it out-ran a sibling and took
+            # its share.
+            tracer.counter("scheduler.steals")
+            if tracer.enabled:
+                tracer.emit("steal", loop=key, worker_id=wid)
+        deadline = engine.deadline
+        if deadline is not None and deadline.expired():
+            degrade(index, loop, key, "timeout",
+                    "run deadline expired before the shard was "
+                    "dispatched", 0.0, phase="deadline")
+            return
+        elapsed = 0.0
         try:
-            while not failure:
-                try:
-                    index, loop, enqueued = pending.get_nowait()
-                except queue.Empty:
-                    break
-                now = time.perf_counter()
-                wait_s = now - enqueued
-                tracer.gauge("scheduler.queue_depth", pending.qsize())
-                tracer.counter("scheduler.dispatched")
-                tracer.observe("scheduler.queue_wait_seconds", wait_s)
-                key = engine.loop_key(loop)
-                if tracer.enabled:
-                    tracer.emit("queue_wait", loop=key, wait_s=wait_s,
-                                worker_id=wid)
-                if index % n != k:
-                    # Work-stealing made visible: under a balanced
-                    # round-robin this feeder would serve loops with
-                    # index ≡ k (mod pool size); any other pull means
-                    # it out-ran a sibling and took its share.
-                    tracer.counter("scheduler.steals")
-                    if tracer.enabled:
-                        tracer.emit("steal", loop=key, worker_id=wid)
-                deadline = engine.deadline
-                if deadline is not None and deadline.expired():
-                    degrade(index, loop, key, "timeout",
-                            "run deadline expired before the shard was "
-                            "dispatched", 0.0, phase="deadline")
-                    continue
+            if spawned[k] and not pool.is_live(k):
+                # not the lazy first spawn: this slot's worker died
+                # earlier and a fresh one takes over
+                tracer.counter("scheduler.respawns")
+            client = pool.client(k, tracer=tracer)
+            spawned[k] = True
+            budget = config.kill_timeout
+            if deadline is not None:
+                budget = min(budget, max(deadline.remaining(), 0.0)
+                             + DEADLINE_GRACE)
+            with tracer.span("shard.request", loop=key, worker_id=wid):
+                # Timed from send to reply: the worker's spawn and init
+                # above never count as time spent on this loop.
                 start = time.perf_counter()
                 try:
-                    if not pool.is_live(k) and spawned:
-                        # not the lazy first spawn: this feeder's worker
-                        # died earlier and a fresh one takes over
-                        tracer.counter("scheduler.respawns")
-                    client = pool.client(k, tracer=tracer)
-                    spawned = True
-                    budget = config.kill_timeout
-                    if deadline is not None:
-                        budget = min(budget,
-                                     max(deadline.remaining(), 0.0)
-                                     + _DEADLINE_GRACE)
-                    with tracer.span("shard.request", loop=key,
-                                     worker_id=wid):
-                        reply = client.request(
-                            {"op": "analyze", "loop_key": key,
-                             "deadline_remaining": (deadline.remaining()
-                                                    if deadline is not None
-                                                    else None)},
-                            timeout=budget)
-                        elapsed = time.perf_counter() - start
-                        busy += elapsed
-                        error = reply.get("error")
-                        if error is None:
-                            with apply_lock:
-                                try:
-                                    analysis = _apply_reply(
-                                        engine, cache, loop, key, reply,
-                                        worker_id=wid, clock=client.clock,
-                                        window=client.last_window)
-                                except WorkerGone as exc:
-                                    # It answered garbage: a fresh
-                                    # worker serves the next shard.
-                                    pool.drop(k)
-                                    degrade(index, loop, key, exc.status,
-                                            exc.detail, elapsed,
-                                            worker_id=wid)
-                                    continue
-                                if tracer.enabled:
-                                    tracer.emit("worker", loop=key,
-                                                status="ok", dur_s=elapsed,
-                                                worker_id=wid)
-                                slots[index] = analysis
-                                outcomes[index] = WorkerOutcome(
-                                    key, "ok", elapsed=elapsed)
-                            continue
-                except WorkerGone as exc:
+                    reply = client.request(
+                        {"op": "analyze", "loop_key": key,
+                         "deadline_remaining": (deadline.remaining()
+                                                if deadline is not None
+                                                else None)},
+                        timeout=budget)
+                finally:
                     elapsed = time.perf_counter() - start
-                    busy += elapsed
-                    pool.drop(k)  # a fresh worker serves the next shard
-                    if tracer.enabled:
-                        # The worker died holding its event buffer: at
-                        # least this shard's telemetry never arrived.
-                        tracer.counter("telemetry.dropped_events")
-                    degrade(index, loop, key, exc.status, exc.detail,
-                            elapsed, worker_id=wid)
-                    continue
-                # error reply: fold any telemetry it carried, then
-                # degrade (PrimalRace aborts the whole pool instead).
-                if error.get("type") == "PrimalRaceError":
-                    failure.append(PrimalRaceError(error.get("message", "")))
-                    break
-                with apply_lock:
-                    _fold_worker_events(tracer, reply.get("events"),
-                                        worker_id=wid, clock=client.clock,
-                                        window=client.last_window,
-                                        partial=True)
-                degrade(index, loop, key, "crash",
-                        f"worker error: {error.get('message', '')}",
-                        elapsed, worker_id=wid)
-        except Exception as exc:
-            failure.append(exc)
-        finally:
-            wall = time.perf_counter() - started
-            tracer.counter(f"worker.{wid}.busy_seconds", busy)
-            tracer.counter(f"worker.{wid}.idle_seconds",
-                           max(wall - busy, 0.0))
+                    busy[k] += elapsed
+                if reply.get("error") is None:
+                    apply(k, client, index, loop, key, reply, elapsed)
+                    return
+        except WorkerGone as exc:
+            pool.drop(k)  # a fresh worker serves the next shard
+            if tracer.enabled:
+                # The worker died holding its event buffer: at least
+                # this shard's telemetry never arrived.
+                tracer.counter("telemetry.dropped_events")
+            degrade(index, loop, key, exc.status, exc.detail, elapsed,
+                    worker_id=wid)
+            return
+        # error reply: a worker's PrimalRaceError stops the whole pool;
+        # any other error folds its telemetry, then degrades the loop.
+        error = reply["error"]
+        if error.get("type") == "PrimalRaceError":
+            raise PrimalRaceError(error.get("message", ""))
+        with apply_lock:
+            _fold_worker_events(tracer, reply.get("events"), worker_id=wid,
+                                clock=client.clock,
+                                window=client.last_window, partial=True)
+        degrade(index, loop, key, "crash",
+                f"worker error: {error.get('message', '')}", elapsed,
+                worker_id=wid)
 
-    n = pool.size
-    threads = [threading.Thread(target=shard, args=(k,), name=f"shard-{k}")
-               for k in range(n)]
+    def serve(k: int, item: tuple) -> None:
+        try:
+            dispatch(k, *item)
+        finally:
+            finished[k] = time.perf_counter()
+
     try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        pool.run(pending, serve, name="shard")
     finally:
-        pool.shutdown()
-    if failure:
-        raise failure[0]
-    return list(slots), list(outcomes)
+        for k in range(n):
+            tracer.counter(f"worker.w{k}.busy_seconds", busy[k])
+            tracer.counter(f"worker.w{k}.idle_seconds",
+                           max(finished[k] - started - busy[k], 0.0))
+    return slots, outcomes

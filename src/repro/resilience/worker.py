@@ -78,9 +78,7 @@ def _build_engine(request: dict, *, tracer=None):
     deadline = None
     if request.get("deadline_remaining") is not None:
         deadline = Deadline(float(request["deadline_remaining"]))
-    escalation = None
-    if request.get("escalation"):
-        escalation = EscalationPolicy(**request["escalation"])
+    escalation = EscalationPolicy(max_attempts=request["max_attempts"])
     cache = None
     if request.get("cache_dir") and request.get("fingerprint"):
         from .cache import VerdictCache
@@ -113,7 +111,6 @@ def serve() -> int:
         payload["clock"] = time.perf_counter()
         if tracer is not None and "events" not in payload:
             payload["events"] = tracer.drain()
-            payload["events_total"] = tracer.events_total
         sys.stdout.write(json.dumps(payload) + "\n")
         sys.stdout.flush()
 

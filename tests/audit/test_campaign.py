@@ -221,10 +221,9 @@ class TestCampaignResume:
 
 class TestCampaignContainment:
     def test_lost_worker_degrades_only_its_case(self, monkeypatch):
-        _clean_env(monkeypatch)
-        cfg = CampaignConfig(
-            seed=0, count=3, families=("elementwise",), jobs=1,
-            extra_env={"REPRO_WORKER_FAULT": "exit:3@1"})
+        monkeypatch.setenv("REPRO_WORKER_FAULT", "exit:3@1")
+        cfg = CampaignConfig(seed=0, count=3, families=("elementwise",),
+                             jobs=1)
         report = run_campaign(cfg)
         statuses = {e["case"]: e["status"] for e in report.entries}
         assert statuses == {"0": "pass", "1": "unknown", "2": "pass"}

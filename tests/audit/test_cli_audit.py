@@ -11,7 +11,8 @@ from repro.resilience.journal import JournalWriter
 
 def _check_unit_times(tmp_path, capsys, *extra):
     """An audit trace validates and times each unit, the report does
-    not, and ``repro profile`` lists the units by time."""
+    not, and ``repro profile`` lists the units by time. Returns the
+    trace's ``audit_case`` events."""
     trace, report = tmp_path / "audit.jsonl", tmp_path / "audit.json"
     assert main(["audit", "--seed", "0", "--count", "3", *extra,
                  "--trace", str(trace), "--report", str(report)]) == 0
@@ -27,6 +28,7 @@ def _check_unit_times(tmp_path, capsys, *extra):
     listed = out.split("slowest audit units")[1].split("\n\n")[0]
     assert sorted(line.split()[0] for line in listed.splitlines()[1:]) \
         == ["0", "1", "2"]
+    return cases
 
 
 class TestAuditCommand:
@@ -94,7 +96,9 @@ class TestAuditCommand:
     def test_jobs_trace_times_each_unit(self, tmp_path, capsys,
                                         monkeypatch):
         monkeypatch.delenv("REPRO_WORKER_FAULT", raising=False)
-        _check_unit_times(tmp_path, capsys, "--jobs", "2")
+        cases = _check_unit_times(tmp_path, capsys, "--jobs", "2")
+        # settled on the pool driver's feeders, which name the events
+        assert {e["thread"] for e in cases} <= {"audit-0", "audit-1"}
 
     def test_report_is_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -113,7 +113,8 @@ class TestCacheSummary:
         assert main(["analyze", STENCIL_F90, *STENCIL,
                      "--cache-dir", cache_dir, "--trace", trace]) == 0
         assert validate_file(trace) == []
-        events = [json.loads(line) for line in open(trace)]
+        events = [json.loads(line)
+                  for line in Path(trace).read_text().splitlines()]
         summaries = [e for e in events if e["type"] == "cache_summary"]
         assert len(summaries) == 1
         assert summaries[0]["loop_stores"] > 0

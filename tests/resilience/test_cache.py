@@ -239,7 +239,8 @@ class TestEngineWarmReplay:
 
         # drop the second loop's loop_done record (as if the run had
         # been killed before finishing it); its questions survive
-        lines = open(cold.path).read().splitlines(keepends=True)
+        with open(cold.path) as fh:
+            lines = fh.read().splitlines(keepends=True)
         kept = [ln for ln in lines
                 if (_decode_line(ln) or {}).get("kind") != "loop_done"
                 or (_decode_line(ln) or {}).get("loop") != "1:j"]

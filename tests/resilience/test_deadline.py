@@ -16,7 +16,8 @@ from repro.analysis.activity import ActivityAnalysis
 from repro.experiments.specs import small_stencil_spec
 from repro.formad import FormADEngine
 from repro.resilience.deadline import NEVER, Deadline, combine, per_question
-from repro.resilience.escalate import (NO_ESCALATION, RETRYABLE_REASONS,
+from repro.resilience.escalate import (GROWTH, JITTER, MAX_SCALE,
+                                       NO_ESCALATION, RETRYABLE_REASONS,
                                        EscalationPolicy)
 from repro.smt import Int, Solver
 from repro.smt.intsolver import Result, check_int
@@ -87,20 +88,23 @@ class TestEscalationPolicy:
         assert RETRYABLE_REASONS == {"timeout", "budget"}
 
     def test_scales_grow_deterministically_and_cap(self):
-        policy = EscalationPolicy(max_attempts=5, growth=2.0,
-                                  max_scale=4.0, jitter=0.25)
+        # Uncapped, attempts 5 and 6 would scale by 32 and 64.
+        policy = EscalationPolicy(max_attempts=7)
         once = list(policy.scales("loop/array/q"))
         again = list(policy.scales("loop/array/q"))
         assert once == again, "jitter must be deterministic per key"
-        assert len(once) == 4  # attempts beyond the first
+        assert len(once) == 6  # attempts beyond the first
         for n, scale in enumerate(once, start=1):
-            nominal = min(2.0 ** n, 4.0)
-            assert nominal * 0.75 <= scale <= nominal * 1.25
-        assert once == sorted(once) or once[-1] == max(once), \
-            "ladder trends upward"
+            nominal = min(GROWTH ** n, MAX_SCALE)
+            assert nominal * (1 - JITTER) <= scale <= nominal * (1 + JITTER)
+        assert GROWTH ** 6 > MAX_SCALE * (1 + JITTER) >= max(once), \
+            "growth is capped at the maximum scale"
+        uncapped = [scale for n, scale in enumerate(once, start=1)
+                    if GROWTH ** n <= MAX_SCALE]
+        assert uncapped == sorted(uncapped), "ladder trends upward"
 
     def test_different_keys_jitter_differently(self):
-        policy = EscalationPolicy(max_attempts=4, jitter=0.15)
+        policy = EscalationPolicy(max_attempts=4)
         assert list(policy.scales("a")) != list(policy.scales("b"))
 
 

@@ -66,9 +66,13 @@ def _traced_sharded(sharder, *, jobs=2, extra_env=None):
     proc = parse_program(SAFE_TWO_LOOPS)["two"]
     tracer = CollectingTracer()
     engine = _engine(proc, tracer)
-    analyses, outcomes = sharder(
-        engine, SAFE_TWO_LOOPS, "two", ["x"], ["y", "z"],
-        config=ShardConfig(jobs=jobs, extra_env=extra_env))
+    # Workers inherit the parent's environment at spawn.
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (extra_env or {}).items():
+            patch.setenv(name, value)
+        analyses, outcomes = sharder(
+            engine, SAFE_TWO_LOOPS, "two", ["x"], ["y", "z"],
+            config=ShardConfig(jobs=jobs))
     tracer.close()
     return tracer.events, analyses, outcomes
 

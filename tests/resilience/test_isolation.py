@@ -75,11 +75,11 @@ class TestIsolationIdentity:
 
 
 class TestFaultContainment:
-    def test_worker_crash_degrades_only_that_loop(self):
+    def test_worker_crash_degrades_only_that_loop(self, monkeypatch):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
         inline = _engine(proc).analyze_all()
-        isolated, outcomes = _isolated(
-            proc, extra_env={"REPRO_WORKER_FAULT": "exit:3@1:j"})
+        monkeypatch.setenv("REPRO_WORKER_FAULT", "exit:3@1:j")
+        isolated, outcomes = _isolated(proc)
 
         assert [o.status for o in outcomes] == ["ok", "crash"]
         assert "status 3" in outcomes[1].detail
@@ -95,22 +95,21 @@ class TestFaultContainment:
             == inline[1].stats.exploitation_checks
         assert degraded.stats.exploitation_checks > 0
 
-    def test_worker_exception_is_contained(self):
+    def test_worker_exception_is_contained(self, monkeypatch):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
-        isolated, outcomes = _isolated(
-            proc, extra_env={"REPRO_WORKER_FAULT": "raise@0:i"})
+        monkeypatch.setenv("REPRO_WORKER_FAULT", "raise@0:i")
+        isolated, outcomes = _isolated(proc)
         assert outcomes[0].status == "crash"
         assert "injected worker fault" in outcomes[0].detail
         assert isolated[0].degraded
         assert outcomes[1].status == "ok"
         assert not isolated[1].degraded
 
-    def test_hung_worker_is_killed_and_degraded(self):
+    def test_hung_worker_is_killed_and_degraded(self, monkeypatch):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
+        monkeypatch.setenv("REPRO_WORKER_FAULT", "hang:30@0:i")
         start = time.monotonic()
-        isolated, outcomes = _isolated(
-            proc, kill_timeout=1.5,
-            extra_env={"REPRO_WORKER_FAULT": "hang:30@0:i"})
+        isolated, outcomes = _isolated(proc, kill_timeout=1.5)
         assert time.monotonic() - start < 20.0
         assert outcomes[0].status == "timeout"
         assert "kill timeout" in outcomes[0].detail

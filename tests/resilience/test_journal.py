@@ -112,7 +112,8 @@ class TestReadJournal:
         for q in ("a", "b", "c"):
             writer.record("question", loop="0:i", q=q, result="unsat")
         writer.close()
-        lines = open(path).read().splitlines(keepends=True)
+        with open(path) as fh:
+            lines = fh.read().splitlines(keepends=True)
         lines[2] = lines[2].replace('"q":"b"', '"q":"x"', 1)
         with open(path, "w") as fh:
             fh.writelines(lines)

@@ -15,7 +15,9 @@ The contract under test (docs/SCALING.md):
 * the parent is the single store writer: a sharded run's store replays
   exactly like an inline run's, including after the whole run is
   SIGKILLed mid-flight;
-* without ``--jobs`` no pool is started at all.
+* without ``--jobs`` no pool is started at all;
+* a request is timed from send to reply, so a worker's spawn never
+  counts as a loop's time or as the worker's busy time.
 """
 
 import json
@@ -114,14 +116,14 @@ class TestShardIdentity:
 
 
 class TestFaultContainment:
-    def test_crash_degrades_one_loop_and_respawns_for_the_next(self):
+    def test_crash_degrades_one_loop_and_respawns_for_the_next(
+            self, monkeypatch):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
         inline = _engine(proc).analyze_all()
         # jobs=1 forces both shards through the same feeder: the loop
         # after the crash must be served by a respawned worker
-        sharded, outcomes = _sharded(
-            proc, jobs=1,
-            extra_env={"REPRO_WORKER_FAULT": "exit:3@0:i"})
+        monkeypatch.setenv("REPRO_WORKER_FAULT", "exit:3@0:i")
+        sharded, outcomes = _sharded(proc, jobs=1)
 
         assert [o.status for o in outcomes] == ["crash", "ok"]
         assert "status 3" in outcomes[0].detail
@@ -137,23 +139,21 @@ class TestFaultContainment:
         assert {n: v.safe for n, v in healthy.verdicts.items()} \
             == {n: v.safe for n, v in inline[1].verdicts.items()}
 
-    def test_worker_exception_is_contained(self):
+    def test_worker_exception_is_contained(self, monkeypatch):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
-        sharded, outcomes = _sharded(
-            proc, jobs=2,
-            extra_env={"REPRO_WORKER_FAULT": "raise@1:j"})
+        monkeypatch.setenv("REPRO_WORKER_FAULT", "raise@1:j")
+        sharded, outcomes = _sharded(proc, jobs=2)
         assert outcomes[0].status == "ok"
         assert outcomes[1].status == "crash"
         assert "injected worker fault" in outcomes[1].detail
         assert not sharded[0].degraded
         assert sharded[1].degraded
 
-    def test_hung_worker_is_killed_and_degraded(self):
+    def test_hung_worker_is_killed_and_degraded(self, monkeypatch):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
+        monkeypatch.setenv("REPRO_WORKER_FAULT", "hang:30@0:i")
         start = time.monotonic()
-        sharded, outcomes = _sharded(
-            proc, jobs=1, kill_timeout=1.5,
-            extra_env={"REPRO_WORKER_FAULT": "hang:30@0:i"})
+        sharded, outcomes = _sharded(proc, jobs=1, kill_timeout=1.5)
         assert time.monotonic() - start < 20.0
         assert outcomes[0].status == "timeout"
         assert "kill timeout" in outcomes[0].detail
@@ -225,12 +225,50 @@ class TestFaultContainment:
             _sharded(proc, jobs=jobs)
 
 
+MULTILOOP = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, os.pardir, "examples", "multiloop.f90")
+
+
+class TestRequestTiming:
+    def test_worker_time_excludes_the_spawn(self, tmp_path, capsys,
+                                            monkeypatch):
+        # A request is timed from send to reply: the spawn and init of
+        # the worker that serves it never count as the loop's time, nor
+        # as the worker's busy time.
+        monkeypatch.delenv("REPRO_WORKER_FAULT", raising=False)
+        trace = tmp_path / "t.jsonl"
+        assert main(["analyze", MULTILOOP, "-i", "x", "-o", "a,b,c,d,e,f",
+                     "--jobs", "2", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        events = load_trace(str(trace))
+        begins = {e["id"]: e["attrs"] for e in events
+                  if e["type"] == "span_begin"
+                  and e["name"] == "shard.request"}
+        span_s = {}
+        worker_span_s = {}
+        for event in events:
+            if event["type"] == "span_end" and event["id"] in begins:
+                attrs = begins[event["id"]]
+                span_s[attrs["loop"]] = event["dur_s"]
+                worker_span_s[attrs["worker_id"]] = \
+                    worker_span_s.get(attrs["worker_id"], 0.0) \
+                    + event["dur_s"]
+        served = [e for e in events if e["type"] == "worker"]
+        assert len(served) == len(span_s) == 6
+        assert {e["thread"] for e in served} <= {"shard-0", "shard-1"}
+        for event in served:
+            assert event["dur_s"] <= span_s[event["loop"]], event
+        counters = events[-1]["counters"]
+        for wid, total in worker_span_s.items():
+            assert counters[f"worker.{wid}.busy_seconds"] <= total, wid
+
+
 class TestWorkerPipes:
     @pytest.mark.parametrize("end", ["kill", "shutdown"])
     def test_reaped_worker_leaves_no_open_pipe(self, end):
         # A dropped or shut-down worker closes its three pipes itself
         # instead of leaving them to the garbage collector.
-        client = WorkerClient(ShardConfig(jobs=1))
+        client = WorkerClient()
         getattr(client, end)()
         proc = client._proc
         assert proc.returncode is not None
@@ -239,7 +277,8 @@ class TestWorkerPipes:
 
 
 class TestParentalReplay:
-    def test_cache_warm_loops_never_reach_a_worker(self, tmp_path):
+    def test_cache_warm_loops_never_reach_a_worker(self, tmp_path,
+                                                   monkeypatch):
         proc = parse_program(SAFE_TWO_LOOPS)["two"]
         engine = _engine(proc)
         fingerprint = journal_fingerprint(
@@ -261,10 +300,10 @@ class TestParentalReplay:
         warm_engine.attach_run_state(cache=warm_cache)
         # a crashing fault is armed for every loop: if any shard were
         # dispatched, its outcome would be "crash", not "cached"
+        monkeypatch.setenv("REPRO_WORKER_FAULT", "exit:3")
         warm, warm_outcomes = _sharded(
             proc, engine=warm_engine, cache_dir=cache_dir,
-            fingerprint=fingerprint,
-            extra_env={"REPRO_WORKER_FAULT": "exit:3"})
+            fingerprint=fingerprint)
         warm_cache.close()
         assert [o.status for o in warm_outcomes] == ["cached", "cached"]
         assert warm_cache.loop_hits == 2
