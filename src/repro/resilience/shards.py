@@ -149,11 +149,16 @@ class WorkerClient:
     never deadlock on a full pipe.
     """
 
-    def __init__(self, worker_id: Optional[str] = None) -> None:
+    def __init__(self, worker_id: Optional[str] = None, *,
+                 tracer=None) -> None:
         #: Stable pool-slot identity ("w0", "w1", ...) stamped onto
         #: every trace event this worker's replies carry.
         self.worker_id = worker_id
-        #: The clock-offset handshake estimate (updated every reply).
+        #: Receives the ``clock_sync`` event of this worker's first
+        #: reply after ``init``.
+        self.tracer = tracer
+        #: The clock-offset handshake estimate (updated by every reply
+        #: after ``init``).
         self.clock = ClockSync()
         #: The (send, recv) perf_counter bracket of the last request —
         #: the clamp window for its buffered event timestamps.
@@ -237,8 +242,19 @@ class WorkerClient:
             raise WorkerGone("crash", "worker produced a non-object reply")
         recv_pc = time.perf_counter()
         self.last_window = (send_pc, recv_pc)
-        if isinstance(reply.get("clock"), (int, float)):
+        # The init round trip spans the worker's interpreter start-up,
+        # so it is no clock sample.
+        if request.get("op") != "init" \
+                and isinstance(reply.get("clock"), (int, float)):
+            first = self.clock.offset is None
             self.clock.update(float(reply["clock"]), send_pc, recv_pc)
+            if first and self.tracer is not None and self.tracer.enabled:
+                # Stamped when the round trip began, so it precedes the
+                # reply's worker events, which are clamped into it.
+                self.tracer.emit("clock_sync", worker_id=self.worker_id,
+                                 offset_s=self.clock.offset,
+                                 rtt_s=self.clock.rtt,
+                                 t=self.tracer.to_trace_time(send_pc))
         return reply
 
     def kill(self) -> None:
@@ -347,14 +363,14 @@ class WorkerPool:
         return self._slots[k] is not None
 
     def client(self, k: int, *, tracer=None) -> WorkerClient:
-        """The worker of slot *k*, spawned and initialized on first use.
-        Emits the ``clock_sync`` trace event on a fresh spawn. Raises
-        :class:`WorkerGone` (with the slot already dropped) when the
-        spawn or init fails."""
+        """The worker of slot *k*, spawned and initialized on first use;
+        its first reply after ``init`` emits the ``clock_sync`` trace
+        event through *tracer*. Raises :class:`WorkerGone` (with the
+        slot already dropped) when the spawn or init fails."""
         client = self._slots[k]
         if client is not None:
             return client
-        client = WorkerClient(worker_id=f"w{k}")
+        client = WorkerClient(worker_id=f"w{k}", tracer=tracer)
         self._slots[k] = client
         try:
             client.init(self._init_request,
@@ -362,11 +378,6 @@ class WorkerPool:
         except WorkerGone:
             self.drop(k)
             raise
-        if tracer is not None and tracer.enabled \
-                and client.clock.offset is not None:
-            tracer.emit("clock_sync", worker_id=client.worker_id,
-                        offset_s=client.clock.offset,
-                        rtt_s=client.clock.rtt)
         return client
 
     def drop(self, k: int) -> None:

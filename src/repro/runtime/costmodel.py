@@ -127,11 +127,12 @@ class ExecutionProfile:
 class CostTracer(Tracer):
     """Collects an :class:`ExecutionProfile` during interpretation.
 
-    It counts by compiled region (:attr:`Tracer.op_counter`, see
+    It counts by region (:attr:`Tracer.op_counter`, see
     :mod:`repro.runtime.interp`): the interpreter sums each region's
-    operation counts when it compiles the run and charges them through
-    :meth:`charger`, so the only callbacks this tracer receives are the
-    four parallel-loop ones, which switch the slice being charged.
+    operation counts when it emits the run's code and charges them
+    through :meth:`charger`, so the only callbacks this tracer receives
+    are the four parallel-loop ones, which switch the slice being
+    charged.
     """
 
     def __init__(self, counter_names: Sequence[str] = (),
@@ -143,7 +144,7 @@ class CostTracer(Tracer):
         self._counters = frozenset(counter_names)
         self._array_sizes = array_sizes or {}
         #: ``(array, flat >> 3)`` of the running parallel loop's gather
-        #: accesses; cleared in place, because compiled runs hold its
+        #: accesses; cleared in place, because emitted runs hold its
         #: ``add``.
         self.gather_lines: set = set()
 

@@ -141,6 +141,27 @@ class TestMergedTrace:
             checked += 1
         assert checked > 0, "no worker event was re-emitted under a span"
 
+    def test_clock_sync_measures_a_request_not_the_spawn(self):
+        """Each worker's ``clock_sync`` comes from its first reply after
+        ``init``, not from the ``init`` round trip, which spans the
+        worker's start-up: its round trip fits in that worker's first
+        ``shard.request`` span, and since parent and worker read one
+        monotonic clock, the offset is within half the round trip."""
+        events, _, _ = _traced_sharded(analyze_sharded)
+        first = {}
+        begins = {}
+        for event in events:
+            if event["type"] == "span_begin" \
+                    and event["name"] == "shard.request":
+                begins[event["id"]] = event["attrs"]["worker_id"]
+            elif event["type"] == "span_end" and event["id"] in begins:
+                first.setdefault(begins[event["id"]], event["dur_s"])
+        syncs = [e for e in events if e["type"] == "clock_sync"]
+        assert sorted(e["worker_id"] for e in syncs) == sorted(first)
+        for sync in syncs:
+            assert sync["rtt_s"] <= first[sync["worker_id"]], sync
+            assert abs(sync["offset_s"]) <= sync["rtt_s"] / 2, sync
+
     def test_worker_events_under_spans_are_time_ordered(self):
         events, _, _ = _traced_sharded(analyze_sharded, jobs=1)
         per_span = {}
