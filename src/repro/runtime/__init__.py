@@ -12,6 +12,7 @@ from .memory import ArrayStorage, BoundsError, Memory
 from .interp import (Interpreter, InterpreterError, InterpreterTimeout,
                      TapeError, Tracer, loop_iterations, run_procedure,
                      NULL_TRACER)
+from . import emit  # noqa: F401  (parsed on import, not in the first run)
 from .machine import BROADWELL_18, MachineModel
 from .costmodel import (CostTracer, ExecutionProfile, OpCounts,
                         ParallelLoopRecord, loop_time, static_chunks,

@@ -1,9 +1,10 @@
 """The interpreter's code generator: each run as one Python function.
 
-:meth:`~repro.runtime.interp.Interpreter.run` has :class:`Emitter` write
-the procedure as the source of one function, then compiles it (once
-per distinct source) and calls it. This module is the one place that
-builds a run's code.
+:meth:`~repro.runtime.interp.Interpreter.run` calls :func:`run`, which
+has :class:`Emitter` write the procedure as the source of one function,
+then compiles it (once per distinct source) and calls it. This module
+is the one place that builds a run's code, and it owns every name the
+emitted code uses (:data:`_GLOBALS`).
 
 The source holds only the *shape* of the run. Every value is a
 parameter ``_<k>`` of the function: array storages (whose flat view,
@@ -21,9 +22,9 @@ a ``finally``, so memory holds every write made before an error or an
 expired deadline. Each array access runs its bounds check and its
 row-major stride arithmetic inline (``flat.item(off)``, ``flat[off] =
 v``). Within a straight-line block a subscript's offset is reused while
-no scalar it reads has been stored, where skipping the subscript's
-evaluation cannot be observed (no scalar-read or flop callback; region
-counts still add every subscript). Statements become lines and
+no scalar or array its subscripts read has been stored, where skipping
+their evaluation cannot be observed (no scalar-read or flop callback;
+region counts still add every subscript). Statements become lines and
 expressions Python expressions; whatever must happen at one point of
 the evaluation order (a bounds check, a callback, a charge) is a line
 of its own, and an expression evaluated before such a line is first
@@ -35,12 +36,16 @@ functions, deeper expressions into temporaries.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+import builtins
+import threading
+from types import CodeType, FunctionType
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir.expr import (ArrayRef, BinOp, Call, CmpOp, Compare, Const, Logical,
                        LogicOp, Op, UnOp, Var)
 from ..ir.stmt import Assign, If, Loop, Pop, Push, walk_stmts
-from .interp import _INTRINSICS, Tracer
+from .interp import (INTRINSICS, InterpreterError, InterpreterTimeout,
+                     TapeError, Tracer, divide, loop_iterations, trip_count)
 
 _ARITH = {Op.ADD: "+", Op.SUB: "-", Op.MUL: "*", Op.POW: "**", Op.DIV: "/"}
 _COMPARE = {CmpOp.EQ: "==", CmpOp.NE: "!=", CmpOp.LT: "<", CmpOp.LE: "<=",
@@ -49,6 +54,57 @@ _COMPARE = {CmpOp.EQ: "==", CmpOp.NE: "!=", CmpOp.LT: "<", CmpOp.LE: "<=",
 _CALLBACKS = [(name, fn) for name, fn in vars(Tracer).items()
               if name.startswith("on_")]
 _MAX_BLOCKS, _MAX_INDENT, _MAX_DEPTH = 12, 40, 40
+
+
+def _fail(message: str, *operands):
+    """The error of a node that cannot execute, raised after its
+    operands (the arguments) are evaluated."""
+    raise InterpreterError(message)
+
+
+def _nested():
+    raise InterpreterError("nested parallel loops are not supported")
+
+
+def _tape_error(channel: str, key):
+    raise TapeError(f"pop from empty tape channel {channel!r} "
+                    f"(iteration key {key!r})")
+
+
+#: The globals of every emitted function: helpers, no run value.
+_GLOBALS = {"__builtins__": builtins, "_div": divide, "_fail": _fail,
+            "_nested": _nested, "_tape_error": _tape_error,
+            "_trips": trip_count, "_timeout": InterpreterTimeout,
+            "loop_iterations": loop_iterations}
+
+#: Emitted source -> code object of its function, least recently used
+#: first. Every value the code uses is a parameter, so one code object
+#: serves every run of its source.
+_CODE_CACHE: Dict[str, CodeType] = {}
+_CODE_CACHE_SIZE = 64
+_CODE_LOCK = threading.Lock()
+
+
+def _code(source: str) -> CodeType:
+    """The (cached) code object of the function *source* defines."""
+    with _CODE_LOCK:
+        code = _CODE_CACHE.pop(source, None)
+        if code is None:
+            module = compile(source, "<interp>", "exec")
+            code = next(c for c in module.co_consts
+                        if isinstance(c, CodeType))
+        _CODE_CACHE[source] = code
+        while len(_CODE_CACHE) > _CODE_CACHE_SIZE:
+            del _CODE_CACHE[next(iter(_CODE_CACHE))]
+    return code
+
+
+def run(interp) -> None:
+    """Run *interp*'s procedure as one emitted function, over its
+    memory, tracer, deadline and tape."""
+    emitter = Emitter(interp)
+    source = emitter.source()
+    FunctionType(_code(source), _GLOBALS)(*emitter.args)
 
 
 class _Fn:
@@ -82,13 +138,14 @@ class Emitter:
         self.reuse = self.on_scalar_read is None and self.on_flop is None
         self.n, self.ind, self.fn, self.par_key = 0, "  ", _Fn(1), "None"
         # The block's reusable offsets, ``(array, subscript texts) ->
-        # (offset, scalars read)``, and the offsets whose gather line
-        # it has added.
+        # (offset, locals and flat views read)``, and the offsets whose
+        # gather line it has added.
         self.avail, self.lined = {}, set()
         # Names that hold a Python int: integer constants, and loop
         # counters in bodies that never store to them.
         self.int_consts, self.ints, self.stored = set(), frozenset(), None
-        # The scalars read by the subscript being emitted, the region's
+        # The locals and flat views read by the subscript being
+        # emitted (directly or through a reused offset), the region's
         # counts, the gather-line set's ``add`` inside a parallel loop
         # and ``(array, target offset)`` inside an atomic update's RHS.
         self.reads = self.counts = self.lines = self.rmw = None
@@ -121,9 +178,14 @@ class Emitter:
         return self.locals[name]
 
     def assigned(self, local: str) -> None:
-        """Note a store to *local*: forget the offsets read from it."""
+        """Note a store to scalar *local*."""
         self.fn.assigned.add(local)
-        for key in [k for k, v in self.avail.items() if local in v[1]]:
+        self.forget(local)
+
+    def forget(self, name: str) -> None:
+        """Forget the offsets whose subscripts read *name*, a scalar's
+        local or an array's flat view ``a<k>``, just stored to."""
+        for key in [k for k, v in self.avail.items() if name in v[1]]:
             del self.avail[key]
 
     def int_counter(self, var: str) -> bool:
@@ -313,6 +375,8 @@ class Emitter:
         report the write."""
         name, array = target.name, self.storage(target.name)
         out.append(f"{self.ind}{array and 'a' + array[0]}[{offset}] = {value}")
+        if array:
+            self.forget("a" + array[0])
         if self.counter is None:
             if self.on_write is not None:
                 out.append(f"{self.ind}{self.on_write}({self.name(name)}, "
@@ -444,6 +508,8 @@ class Emitter:
             parts.append([])
             texts.append(self.expr(index, parts[-1])[0])
         used, self.reads = self.reads, reads
+        if reads is not None:  # an enclosing subscript reads them too
+            reads |= used
         k, rank = array or (None, 0)
         key = rank == len(texts) and (ref.name, tuple(texts))
         if key and self.reuse and not any(parts):
@@ -492,6 +558,9 @@ class Emitter:
     def load(self, ref: ArrayRef, out: List[str]) -> Tuple[str, int]:
         name, ind = ref.name, self.ind
         offset = self.offset(ref, out)
+        array = self.storages[name]
+        if array and self.reads is not None:
+            self.reads.add("a" + array[0])
         if self.counter is not None:
             field, lines = self.access(ref)
             if self.rmw is None or self.rmw[0] != name:
@@ -511,7 +580,6 @@ class Emitter:
                        f"ref={self.node(ref)})")
         # A checked load cannot fail and nothing is stored before the
         # statement ends, so the load need not be spilled.
-        array = self.storages[name]
         return f"{array and 'i' + array[0]}({offset})", 0
 
     # -- expressions: ``(text, depth)``; depth 0 marks text that may be
@@ -656,7 +724,7 @@ class Emitter:
                              out)
         args = self.operands(call.args, out)
         texts = [text for text, _ in args]
-        impl = _INTRINSICS.get(call.func)
+        impl = INTRINSICS.get(call.func)
         if impl is None:
             texts.insert(0, self.arg(f"unknown intrinsic {call.func!r}"))
         fn = "_fail" if impl is None else self.arg(impl, impl)

@@ -6,17 +6,13 @@ interpreted adjoints against finite differences, and the parallel
 executor drives it iteration-by-iteration to attribute costs and detect
 races.
 
-Each :meth:`Interpreter.run` writes the procedure as the source of one
-Python function (:mod:`repro.runtime.emit`), compiles it and calls it.
-The source holds only the shape of the run: every value (array
-storages, constants, names, the tracer's bound callbacks, region
-charges, the AST nodes handed to tracers) is a parameter of the
-function, so the source keys a small module-level cache of code objects
-and runs of one shape compile once. The procedure's scalars live in the
-function's locals and are written back to memory in a ``finally``. A
-callback the tracer inherits from :class:`Tracer`'s no-op is never
-called. Errors (bounds, tape, unknown names, bad intrinsics) are raised
-when the offending node executes, never while emitting.
+Each :meth:`Interpreter.run` runs the procedure as one emitted Python
+function: :mod:`repro.runtime.emit` writes, compiles (once per distinct
+source) and calls it, and owns every name that code uses. This module
+keeps the interface and the language's semantics. A callback the
+tracer inherits from :class:`Tracer`'s no-op is never called. Errors
+(bounds, tape, unknown names, bad intrinsics) are raised when the
+offending node executes, never while emitting.
 
 Parallel loops are executed sequentially in iteration order (which is a
 valid schedule; correct parallel programs are schedule-independent).
@@ -52,10 +48,7 @@ stack.
 
 from __future__ import annotations
 
-import builtins
 import math
-import threading
-from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.expr import int_div
@@ -131,7 +124,7 @@ class Tracer:
 NULL_TRACER = Tracer()
 
 
-def _trips(start: int, stop: int, step: int) -> int:
+def trip_count(start: int, stop: int, step: int) -> int:
     """Fortran do-loop trip count, never negative."""
     if step == 0:
         raise InterpreterError("loop step is zero")
@@ -140,10 +133,11 @@ def _trips(start: int, stop: int, step: int) -> int:
 
 def loop_iterations(start: int, stop: int, step: int) -> List[int]:
     """Fortran do-loop trip values."""
-    return list(range(start, start + _trips(start, stop, step) * step, step))
+    return list(range(start, start + trip_count(start, stop, step) * step,
+                      step))
 
 
-def _div(a, b):
+def divide(a, b):
     """Fortran ``/``. Scalar types come from the bindings, so whether
     the division truncates is decided per call, not when emitting."""
     if isinstance(a, int) and isinstance(b, int):
@@ -176,7 +170,7 @@ def _unary(name: str, fn: Callable):
 
 #: Intrinsic implementations over the evaluated arguments (``size``,
 #: which takes an array name, is emitted separately).
-_INTRINSICS: Dict[str, Callable] = {
+INTRINSICS: Dict[str, Callable] = {
     **{name: _unary(name, fn) for name, fn in (
         ("sin", math.sin), ("cos", math.cos), ("tan", math.tan),
         ("exp", math.exp), ("log", math.log), ("sqrt", math.sqrt),
@@ -188,49 +182,6 @@ _INTRINSICS: Dict[str, Callable] = {
     "real": lambda x, *_: float(x),
     "sign": lambda a, b: abs(a) if b >= 0 else -abs(a),
 }
-
-
-def _fail(message: str, *operands):
-    """The error of a node that cannot execute, raised after its
-    operands (the arguments) are evaluated."""
-    raise InterpreterError(message)
-
-
-def _nested():
-    raise InterpreterError("nested parallel loops are not supported")
-
-
-def _tape_error(channel: str, key):
-    raise TapeError(f"pop from empty tape channel {channel!r} "
-                    f"(iteration key {key!r})")
-
-
-#: The globals of every emitted function: helpers, no run value.
-_GLOBALS = {"__builtins__": builtins, "_div": _div, "_fail": _fail,
-            "_nested": _nested, "_tape_error": _tape_error,
-            "_trips": _trips, "_timeout": InterpreterTimeout,
-            "loop_iterations": loop_iterations}
-
-#: Emitted source -> code object of its function, least recently used
-#: first. Every value the code uses is a parameter, so one code object
-#: serves every run of its source.
-_CODE_CACHE: Dict[str, CodeType] = {}
-_CODE_CACHE_SIZE = 64
-_CODE_LOCK = threading.Lock()
-
-
-def _code(source: str) -> CodeType:
-    """The (cached) code object of the function *source* defines."""
-    with _CODE_LOCK:
-        code = _CODE_CACHE.pop(source, None)
-        if code is None:
-            module = compile(source, "<interp>", "exec")
-            code = next(c for c in module.co_consts
-                        if isinstance(c, CodeType))
-        _CODE_CACHE[source] = code
-        while len(_CODE_CACHE) > _CODE_CACHE_SIZE:
-            del _CODE_CACHE[next(iter(_CODE_CACHE))]
-    return code
 
 
 class Interpreter:
@@ -250,12 +201,10 @@ class Interpreter:
         self._in_parallel: Optional[Loop] = None
 
     def run(self) -> Memory:
-        """Emit the procedure as the source of one Python function
-        (:class:`~repro.runtime.emit.Emitter`), compile it once per
-        distinct source, and call it."""
-        emitter = Emitter(self)
-        source = emitter.source()
-        FunctionType(_code(source), _GLOBALS)(*emitter.args)
+        """Run the procedure as one emitted Python function
+        (:func:`repro.runtime.emit.run`)."""
+        from .emit import run  # emit builds on this module's names
+        run(self)
         return self.memory
 
 
@@ -272,7 +221,3 @@ def run_procedure(
     Interpreter(proc, memory, tracer, deadline=deadline).run()
     return memory
 
-
-# The emitter builds on the names above; importing it with the
-# interpreter keeps its parse out of the first run.
-from .emit import Emitter  # noqa: E402

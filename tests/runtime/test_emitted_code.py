@@ -13,6 +13,8 @@ own values.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,10 @@ from repro import parse_procedure, profile_run
 from repro.ir import (INTEGER, REAL, ArrayRef, BinOp, Call, Const,
                       ProcedureBuilder, Var, integer_array, real_array)
 from repro.ir.expr import Op
-from repro.runtime import (BoundsError, Interpreter, InterpreterError,
-                           InterpreterTimeout, Memory, TapeError, detect_races,
-                           run_procedure)
-from repro.runtime import interp as interp_module
+from repro.runtime import (NULL_TRACER, BoundsError, Interpreter,
+                           InterpreterError, InterpreterTimeout, Memory,
+                           TapeError, Tracer, detect_races, run_procedure)
+from repro.runtime import emit as emit_module
 from repro.runtime.costmodel import CostTracer
 from repro.runtime.emit import Emitter
 from repro.runtime.racecheck import RaceDetector
@@ -246,6 +248,152 @@ def test_source_holds_no_run_value():
 
 
 # ----------------------------------------------------------------------
+# Offset reuse
+# ----------------------------------------------------------------------
+#: ``name -> (body, expected a)``: each body stores to what a subscript
+#: reads (an index array, by a plain store, a pop, an atomic update or
+#: through another index array; a scalar) between two accesses through
+#: the same subscript text, so the second access must not reuse the
+#: first one's offset.
+REINDEXED = {
+    "store": ("""
+  idx(1) = 2
+  a(idx(1)) = 1.0
+  idx(1) = 3
+  a(idx(1)) = 5.0""", [0.0, 1.0, 5.0, 0.0]),
+    "pop": ("""
+  idx(1) = 2
+  a(idx(1)) = 1.0
+  call push('c', 3)
+  call pop('c', idx(1))
+  a(idx(1)) = a(idx(1)) + 5.0""", [0.0, 1.0, 5.0, 0.0]),
+    "atomic": ("""
+  idx(1) = 2
+  a(idx(1)) = 1.0
+  !$omp atomic
+  idx(1) = idx(1) + 2
+  a(idx(1)) = 5.0""", [0.0, 1.0, 0.0, 5.0]),
+    "two-level": ("""
+  idx(1) = 2
+  idx(2) = 4
+  jdx(1) = 1
+  a(idx(jdx(1))) = 1.0
+  jdx(1) = 2
+  a(idx(jdx(1))) = 5.0""", [0.0, 1.0, 0.0, 5.0]),
+    "scalar": ("""
+  idx(1) = 2
+  idx(2) = 3
+  k = 1
+  a(idx(k)) = 1.0
+  k = 2
+  a(idx(k)) = 5.0""", [0.0, 1.0, 5.0, 0.0]),
+    "parallel": ("""
+  !$omp parallel do
+  do i = 1, 2
+    idx(i) = 2 * i - 1
+    a(idx(i)) = 1.0
+    idx(i) = 2 * i
+    a(idx(i)) = a(idx(i)) + 5.0
+  end do""", [1.0, 5.0, 1.0, 5.0]),
+}
+
+
+@pytest.mark.parametrize("tracer", ["null", "cost", "races"])
+@pytest.mark.parametrize("name", sorted(REINDEXED))
+def test_no_offset_reused_after_a_store_to_what_it_reads(name, tracer):
+    body, want = REINDEXED[name]
+    proc = parse_procedure(f"""
+subroutine reindex(a, idx, jdx, k, i)
+  real :: a(4)
+  integer :: idx(2)
+  integer :: jdx(2)
+  integer :: k
+  integer :: i
+{body}
+end subroutine reindex
+""")
+    if tracer == "races":
+        report = detect_races(proc)
+        assert not report.races
+        memory = report.memory
+    else:
+        memory = (run_procedure(proc) if tracer == "null"
+                  else profile_run(proc).memory)
+    np.testing.assert_array_equal(memory.array("a").data, want)
+    assert_matches_reference(proc, {})
+
+
+class ReadsScalars(Tracer):
+    """Observes scalar reads, so the emitter reuses no offset."""
+
+    def on_scalar_read(self, name: str) -> None:
+        pass
+
+
+def _subscript(r, depth: int = 0) -> str:
+    """A constant, ``k``, or a load of an index array."""
+    c = r.random()
+    if c < 0.3 or depth > 1:
+        return str(r.randint(1, 4))
+    if c < 0.45:
+        return "k"
+    return f"{r.choice(['idx', 'jdx'])}({_subscript(r, depth + 1)})"
+
+
+def _statements(r, depth: int = 0):
+    """One random statement (as lines): a store into an index array
+    (plain, popped or atomic), into ``k`` or into ``a``, or a branch."""
+    ind, s, t = "  " * (depth + 1), _subscript(r), _subscript(r)
+    c = r.random()
+    if c < 0.25:
+        return [f"{ind}{r.choice(['idx', 'jdx'])}({s}) = {_subscript(r)}"]
+    if c < 0.5:
+        return [f"{ind}a({s}) = a({s}) + 2.0 * a({t})"]
+    if c < 0.6:
+        return [f"{ind}k = {_subscript(r)}"]
+    if c < 0.7:
+        return [f"{ind}call push('c', {t})", f"{ind}call pop('c', idx({s}))"]
+    if c < 0.8:
+        return [f"{ind}!$omp atomic", f"{ind}jdx({s}) = jdx({s}) + 1"]
+    if depth < 2:
+        body = [line for _ in range(r.randint(1, 3))
+                for line in _statements(r, depth + 1)]
+        return [f"{ind}if (a({s}) > 2.0) then", *body, f"{ind}end if"]
+    return [f"{ind}a({t}) = a({s}) + a({s})"]
+
+
+def _final_state(proc, tracer):
+    """Memory after the run, and the error it raised (if any)."""
+    memory = Memory.for_procedure(proc, {
+        "a": np.arange(1.0, 9.0), "idx": np.array([2, 3, 4, 1]),
+        "jdx": np.array([3, 1, 2, 4]), "k": 2})
+    try:
+        Interpreter(proc, memory, tracer).run()
+        error = None
+    except BoundsError as exc:
+        error = str(exc)
+    return ([memory.array(n).data.tolist() for n in ("a", "idx", "jdx")],
+            memory.get_scalar("k"), error)
+
+
+@pytest.mark.parametrize("seed", range(0, 400, 50))
+def test_offset_reuse_never_changes_a_run(seed):
+    """Random blocks that store into index arrays between accesses
+    through them run as they do with no offset reused."""
+    for case in range(seed, seed + 50):
+        r = random.Random(case)
+        body = [line for _ in range(r.randint(4, 10))
+                for line in _statements(r)]
+        proc = parse_procedure("\n".join([
+            "subroutine f(a, idx, jdx, k)", "  real :: a(8)",
+            "  integer :: idx(4)", "  integer :: jdx(4)", "  integer :: k",
+            *body, "end subroutine f"]))
+        want = _final_state(proc, ReadsScalars())
+        for tracer in (NULL_TRACER, CostTracer(), RaceDetector()):
+            assert _final_state(proc, tracer) == want, (case, tracer)
+
+
+# ----------------------------------------------------------------------
 # Memory after an error
 # ----------------------------------------------------------------------
 class ExpiresOnPoll:
@@ -344,15 +492,15 @@ def test_memory_holds_every_write_before_the_error(raising, tracer,
 @pytest.fixture
 def codes(monkeypatch):
     """The code object of every run, in order, from an empty cache."""
-    monkeypatch.setattr(interp_module, "_CODE_CACHE", {})
+    monkeypatch.setattr(emit_module, "_CODE_CACHE", {})
     seen = []
-    code = interp_module._code
+    code = emit_module._code
 
     def record(source):
         seen.append(code(source))
         return seen[-1]
 
-    monkeypatch.setattr(interp_module, "_code", record)
+    monkeypatch.setattr(emit_module, "_code", record)
     return seen
 
 
@@ -410,7 +558,7 @@ def test_runs_of_one_procedure_share_one_code_object(codes, tracer):
             assert_matches_reference(proc, memory_bindings)
     assert used[0] is used[1]
     # The reference counter's callbacks make a second shape.
-    assert len(interp_module._CODE_CACHE) == 1 + (tracer == "cost")
+    assert len(emit_module._CODE_CACHE) == 1 + (tracer == "cost")
 
 
 def test_mutated_statement_gets_new_code(codes):
@@ -438,7 +586,7 @@ def test_mutated_statement_gets_new_code(codes):
 
 
 def test_cache_never_grows_past_its_bound(codes):
-    bound = interp_module._CODE_CACHE_SIZE
+    bound = emit_module._CODE_CACHE_SIZE
     procs = []
     for k in range(1, bound + 12):
         b = ProcedureBuilder(f"p{k}")
@@ -452,10 +600,10 @@ def test_cache_never_grows_past_its_bound(codes):
     for proc, k in procs:
         memory = run_procedure(proc, {"x": np.arange(1.0, k + 1)})
         assert memory.get_scalar("s") == k * (k + 1) / 2
-        assert len(interp_module._CODE_CACHE) <= bound
-    assert len(interp_module._CODE_CACHE) == bound
+        assert len(emit_module._CODE_CACHE) <= bound
+    assert len(emit_module._CODE_CACHE) == bound
     # The oldest shapes were evicted; running one again compiles anew.
     proc, k = procs[0]
     assert run_procedure(proc, {"x": np.ones(1)}).get_scalar("s") == 1.0
     assert codes[-1] is not codes[0]
-    assert len(interp_module._CODE_CACHE) == bound
+    assert len(emit_module._CODE_CACHE) == bound
