@@ -49,9 +49,12 @@ KERNELS = {
 }
 
 #: Floors on the fresh/incremental translate+clausify ratio: 0.75x the
-#: ratios recorded on a 2-CPU host (stencil 8 5.99x, GFMC 3.22x, LBM
-#: 28.2x). Stencil 8's gap is re-translating the whole assertion stack,
-#: which no cache hides. GreenGauss (1.50x) has no floor: that close to
+#: ratios first recorded on a 2-CPU host (stencil 8 5.99x, GFMC 3.22x,
+#: LBM 28.2x). Three runs on a 2-CPU host, with Ackermann rewrites kept
+#: per term (which also speeds the fresh side's re-ackermannizing),
+#: measured stencil 8 11.4-14.3x, GFMC 3.84-4.48x and LBM 46.3-50.2x.
+#: Stencil 8's gap is re-translating the whole assertion stack, which no
+#: cache hides. GreenGauss (1.35-1.50x) has no floor: that close to
 #: parity, constant overheads swamp any band, so its ratio is only
 #: reported.
 SPEEDUP_FLOORS = {"stencil 8": 4.49, "GFMC": 2.42, "LBM": 21.15}

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Set
 
-from ..ir.expr import ArrayRef, Expr, arrays_in, variables_in, walk
+from ..ir.expr import names_in
 from ..ir.program import Procedure
 from ..ir.stmt import Assign, If, Loop, Pop, Push, Stmt
 from ..ir.types import Kind
@@ -30,10 +30,6 @@ def _real_names(proc: Procedure, names: Iterable[str]) -> Set[str]:
         if proc.has_symbol(n) and proc.type_of(n).kind is Kind.REAL:
             out.add(n)
     return out
-
-
-def _names_read(expr: Expr) -> Set[str]:
-    return variables_in(expr) | arrays_in(expr)
 
 
 @dataclass
@@ -72,7 +68,7 @@ class ActivityAnalysis:
             for stmt in self.proc.statements():
                 if not isinstance(stmt, Assign):
                     continue
-                reads = _real_names(self.proc, _names_read(stmt.value))
+                reads = _real_names(self.proc, names_in(stmt.value))
                 if reads & varied and stmt.target.name not in varied:
                     if self.proc.has_symbol(stmt.target.name) and \
                             self.proc.type_of(stmt.target.name).kind is Kind.REAL:
@@ -89,7 +85,7 @@ class ActivityAnalysis:
                 if not isinstance(stmt, Assign):
                     continue
                 if stmt.target.name in useful:
-                    reads = _real_names(self.proc, _names_read(stmt.value))
+                    reads = _real_names(self.proc, names_in(stmt.value))
                     new = reads - useful
                     if new:
                         useful |= new

@@ -34,9 +34,14 @@ class AccessKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayAccess:
-    """One array reference at one program point."""
+    """One array reference at one program point.
+
+    Compared and hashed by identity, like the statement it sits in: an
+    access is one occurrence, and the index translator keys its
+    per-region cache on the access object.
+    """
 
     array: str
     indices: Tuple[Expr, ...]

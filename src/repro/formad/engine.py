@@ -35,7 +35,7 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.activity import ActivityAnalysis
 from ..analysis.references import (AccessKind, ArrayAccess, RegionReferences,
@@ -52,7 +52,7 @@ from ..smt.intsolver import Result
 from ..smt.solver import SAT, UNKNOWN, UNSAT, Solver
 from ..smt.terms import And, FAtom, Formula, Rel, Term, formula_vars
 from .knowledge import KnowledgeBase, extract_knowledge, is_atomic_access
-from .translate import IndexTranslator, UntranslatableError, render_term
+from .translate import IndexTranslator, UntranslatableError
 
 logger = logging.getLogger(__name__)
 
@@ -248,12 +248,6 @@ class _ZeroInstances:
 
     def qualified_name(self, stmt, var: str) -> str:
         return f"{var}_0"
-
-
-def _render_tuple(terms: Sequence[Term]) -> str:
-    if len(terms) == 1:
-        return render_term(terms[0])
-    return "(" + ", ".join(render_term(t) for t in terms) + ")"
 
 
 class _ContextModel:
@@ -698,7 +692,7 @@ class FormADEngine:
         # extracted from the primal. Their number is Table 1's "unique
         # index expressions included in the model" (LBM: 19) — the
         # knowledge side, not the question expressions.
-        safe_writes = list(dict.fromkeys(_render_tuple(fact.right)
+        safe_writes = list(dict.fromkeys(fact.right_rendering
                                          for fact in kb.facts))
         stats.unique_exprs = len(safe_writes)
         stats.region_loc = max(0, len(format_stmt(loop)) - 2)
@@ -774,21 +768,20 @@ class FormADEngine:
             if is_atomic_access(access):
                 raise UntranslatableError(
                     f"atomic primal access to active array {array!r}")
-            plain = translator.translate_tuple(access.indices, access.stmt,
-                                               primed=False)
-            prime = translator.translate_tuple(access.indices, access.stmt,
-                                               primed=True)
+            plain, rendering = translator.translate_access(access,
+                                                          primed=False)
+            prime, _ = translator.translate_access(access, primed=True)
             ctx = (refs.context_of(access) if self.use_contexts
                    else refs.contexts.root)
             # §5.4: primal exact increments yield read-only adjoints.
             # With increment detection ablated they count as writes too.
             is_write = access.kind in (AccessKind.READ, AccessKind.WRITE) \
                 or not self.use_increment_detection
-            key = (_render_tuple(plain), ctx.uid, is_write)
+            key = (rendering, ctx.uid, is_write)
             if key in seen:
                 continue
             seen.add(key)
-            q = _QuestionRef(plain, prime, ctx, _render_tuple(plain))
+            q = _QuestionRef(plain, prime, ctx, rendering)
             # read -> adjoint increment (write); write -> adjoint zero
             # (write); increment -> adjoint read (§5.4).
             if is_write:

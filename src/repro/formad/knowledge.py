@@ -35,6 +35,7 @@ class KnowledgeFact:
     source_array: str
     left: Tuple[Term, ...]   # primed side
     right: Tuple[Term, ...]
+    right_rendering: str     # render_tuple(right)
 
     def __str__(self) -> str:
         return f"[{self.context.path()}] {self.formula}"
@@ -85,11 +86,6 @@ def extract_knowledge(
     size is ``1 + e²`` in the unique expression count ``e``), so
     repeated accesses through the same expression contribute one fact.
     """
-    from .translate import render_term
-
-    def rendering(terms) -> str:
-        return "|".join(render_term(t) for t in terms)
-
     seen: Set[Tuple[str, str, int]] = set()
     kb = KnowledgeBase()
     for array in refs.arrays():
@@ -122,22 +118,22 @@ def extract_knowledge(
                     kb.skipped_pairs += 1
                     continue
                 try:
-                    left = translator.translate_tuple(w.indices, w.stmt,
-                                                      primed=True)
-                    right = translator.translate_tuple(other.indices,
-                                                       other.stmt, primed=False)
+                    left, left_text = translator.translate_access(
+                        w, primed=True)
+                    right, right_text = translator.translate_access(
+                        other, primed=False)
                 except UntranslatableError:
                     kb.skipped_pairs += 1
                     continue
                 # target.uid, not id(target): object ids are reused
                 # after collection and would alias dedup entries.
-                key = (rendering(left), rendering(right), target.uid)
+                key = (left_text, right_text, target.uid)
                 if key in seen:
                     continue
                 seen.add(key)
                 kb.facts.append(KnowledgeFact(
                     target, disjointness_formula(left, right), array,
-                    left, right))
+                    left, right, right_text))
     logger.debug("extracted %d disjointness facts over %d arrays "
                  "(%d pairs skipped)", kb.size, len(refs.arrays()),
                  kb.skipped_pairs)

@@ -13,9 +13,10 @@ expression untranslatable — the conservative outcome).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
 
+from ..analysis.references import ArrayAccess
 from ..cfg.instances import InstanceNumbering
 from ..ir.expr import (ArrayRef, BinOp, Const, Expr, Op, UnOp, Var)
 from ..ir.stmt import Stmt
@@ -26,13 +27,30 @@ class UntranslatableError(ValueError):
     """The expression falls outside the linear+indirection fragment."""
 
 
+#: An access's index tuple translated, with its :func:`render_tuple`.
+Translation = Tuple[Tuple[Term, ...], str]
+
+
 @dataclass
 class IndexTranslator:
-    """Translates index expressions of one parallel region."""
+    """Translates index expressions of one parallel region.
+
+    :meth:`translate_access` translates and renders each (access, side)
+    of the region once and keeps the outcome, an
+    :class:`UntranslatableError` included, for the translator's
+    lifetime. Its first call for a pair makes exactly the
+    ``instance_at`` calls an uncached translation would, in the same
+    order, so instance numbers do not depend on the cache.
+    """
 
     instancer: InstanceNumbering
     primed_names: FrozenSet[str]
     written_arrays: FrozenSet[str]
+    # (access, primed) -> its Translation, or the message of the
+    # UntranslatableError translating it raised. Keyed by the access
+    # object itself (identity hash), which the entry keeps alive.
+    _accesses: Dict[Tuple[ArrayAccess, bool], Union[Translation, str]] = \
+        field(default_factory=dict, init=False, repr=False, compare=False)
 
     def scalar_term(self, name: str, stmt: Stmt, primed: bool) -> TVar:
         inst = self.instancer.instance_at(stmt, name)
@@ -83,9 +101,24 @@ class IndexTranslator:
             raise UntranslatableError(f"operator {expr.op} in index expression")
         raise UntranslatableError(f"cannot translate {expr}")
 
-    def translate_tuple(self, indices: Tuple[Expr, ...], stmt: Stmt,
-                        *, primed: bool) -> Tuple[Term, ...]:
-        return tuple(self.translate(e, stmt, primed=primed) for e in indices)
+    def translate_access(self, access: ArrayAccess, *,
+                         primed: bool) -> Translation:
+        """The index tuple of *access*, translated as used at its
+        statement, and its :func:`render_tuple` rendering; raises
+        :class:`UntranslatableError` when the tuple has no translation."""
+        key = (access, primed)
+        outcome = self._accesses.get(key)
+        if outcome is None:
+            try:
+                terms = tuple(self.translate(e, access.stmt, primed=primed)
+                              for e in access.indices)
+                outcome = (terms, render_tuple(terms))
+            except UntranslatableError as exc:
+                outcome = str(exc)
+            self._accesses[key] = outcome
+        if isinstance(outcome, str):
+            raise UntranslatableError(outcome)
+        return outcome
 
 
 def _negate(term: Term) -> Term:
@@ -105,6 +138,14 @@ def _const_int(expr: Expr) -> Optional[int]:
             and not isinstance(expr.value, bool):
         return -expr.value if neg else expr.value
     return None
+
+
+def render_tuple(terms: Sequence[Term]) -> str:
+    """Paper-style rendering of an index tuple: ``(a, b)``, or the one
+    term of a 1-tuple."""
+    if len(terms) == 1:
+        return render_term(terms[0])
+    return "(" + ", ".join(render_term(t) for t in terms) + ")"
 
 
 def render_term(term: Term) -> str:

@@ -15,11 +15,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Tuple
+from typing import FrozenSet, Iterator, Mapping, Tuple
 
 
 class _ExprOps:
     """Mixin providing Python operator overloading on expressions."""
+
+    #: ``(variables, arrays)`` the node names, set once by
+    #: :func:`_name_sets` (a frozen node can never name anything else).
+    #: Not a dataclass field: it takes no part in equality or hashing.
+    _names = None
 
     def __add__(self, other) -> "BinOp":
         return BinOp(Op.ADD, self, as_expr(other))
@@ -309,20 +314,74 @@ def walk(expr: Expr) -> Iterator[Expr]:
         stack.extend(reversed(children(e)))
 
 
+_NO_NAMES: FrozenSet[str] = frozenset()
+
+
+def _union(a: FrozenSet[str], b: FrozenSet[str]) -> FrozenSet[str]:
+    """``a | b``, returning an operand itself when it already holds the
+    other, so nested nodes share their children's sets."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _name_sets(expr: Expr) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """``(variables, arrays)`` named by *expr*.
+
+    Each node computes its pair once, from its children's pairs, and
+    keeps it in ``_names``. The walk runs bottom-up over an explicit
+    stack, so no nesting depth can exhaust the interpreter's recursion
+    limit, and a later query on any visited node is one attribute read.
+    """
+    names = expr._names
+    if names is not None:
+        return names
+    stack = [expr]
+    while stack:
+        node = stack[-1]
+        if node._names is not None:
+            stack.pop()
+            continue
+        kids = children(node)
+        pending = [k for k in kids if k._names is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if isinstance(node, Var):
+            names = (frozenset((node.name,)), _NO_NAMES)
+        else:
+            variables = arrays = _NO_NAMES
+            for kid in kids:
+                kid_vars, kid_arrays = kid._names
+                variables = _union(variables, kid_vars)
+                arrays = _union(arrays, kid_arrays)
+            if isinstance(node, ArrayRef):
+                arrays = _union(arrays, frozenset((node.name,)))
+            names = (variables, arrays)
+        object.__setattr__(node, "_names", names)
+    return expr._names
+
+
 def variables_in(expr: Expr) -> set[str]:
     """Names of all scalar variables referenced by *expr* (array names
-    excluded — use :func:`arrays_in` for those)."""
-    return {e.name for e in walk(expr) if isinstance(e, Var)}
+    excluded — use :func:`arrays_in` for those). The set is the
+    caller's own: changing it changes no later answer."""
+    return set(_name_sets(expr)[0])
 
 
 def arrays_in(expr: Expr) -> set[str]:
-    """Names of all arrays referenced by *expr*."""
-    return {e.name for e in walk(expr) if isinstance(e, ArrayRef)}
+    """Names of all arrays referenced by *expr* (a fresh set)."""
+    return set(_name_sets(expr)[1])
 
 
 def names_in(expr: Expr) -> set[str]:
-    """All variable and array names referenced by *expr*."""
-    return variables_in(expr) | arrays_in(expr)
+    """All variable and array names referenced by *expr* (a fresh
+    set)."""
+    variables, arrays = _name_sets(expr)
+    return {*variables, *arrays}
 
 
 def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -381,7 +440,6 @@ def references_location(expr: Expr, ref: "Var | ArrayRef") -> bool:
     to the same array counts as *may* overlap and also returns True
     (conservative).
     """
-    if isinstance(ref, Var):
-        return ref.name in variables_in(expr)
-    return any(isinstance(e, ArrayRef) and e.name == ref.name for e in walk(expr))
+    variables, arrays = _name_sets(expr)
+    return ref.name in (variables if isinstance(ref, Var) else arrays)
 

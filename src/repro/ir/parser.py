@@ -27,7 +27,7 @@ when declared as arrays, otherwise intrinsic calls.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .expr import (ArrayRef, BinOp, Call, CmpOp, Compare, Const, Expr,
                    INTRINSICS, Logical, LogicOp, Op, UnOp, Var)
@@ -188,6 +188,15 @@ _CMP_TOKENS = {
 }
 
 
+#: Deepest nesting of parenthesized groups, argument lists and unary
+#: operators an expression may have. One level costs this
+#: recursive-descent parser up to eleven Python frames, so the limit
+#: keeps a parse well inside the interpreter's default recursion limit
+#: of 1000 frames: deeper input is a :class:`ParseError`, not a
+#: ``RecursionError``.
+MAX_NESTING = 64
+
+
 class ExprParser:
     """Precedence-climbing expression parser over a token stream.
 
@@ -199,9 +208,21 @@ class ExprParser:
     def __init__(self, stream: _TokenStream, array_names: set[str]) -> None:
         self.s = stream
         self.array_names = array_names
+        self.depth = 0
 
     def parse(self) -> Expr:
         return self._or()
+
+    def _nested(self, parse: Callable[[], Expr]) -> Expr:
+        """Run *parse* one nesting level deeper."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"expression nests more than {MAX_NESTING} "
+                             f"levels deep", self.s.line)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     def _or(self) -> Expr:
         left = self._and()
@@ -220,7 +241,7 @@ class ExprParser:
     def _not(self) -> Expr:
         if self.s.peek() is not None and self.s.peek().text == ".not.":
             self.s.next()
-            return Logical(LogicOp.NOT, (self._not(),))
+            return Logical(LogicOp.NOT, (self._nested(self._not),))
         return self._comparison()
 
     def _comparison(self) -> Expr:
@@ -256,13 +277,13 @@ class ExprParser:
         tok = self.s.peek()
         if tok is not None and tok.text == "-":
             self.s.next()
-            inner = self._unary()
+            inner = self._nested(self._unary)
             if isinstance(inner, Const) and not isinstance(inner.value, bool):
                 return Const(-inner.value)
             return UnOp(Op.NEG, inner)
         if tok is not None and tok.text == "+":
             self.s.next()
-            return self._unary()
+            return self._nested(self._unary)
         return self._power()
 
     def _power(self) -> Expr:
@@ -270,7 +291,7 @@ class ExprParser:
         if self.s.peek() is not None and self.s.peek().text == "**":
             self.s.next()
             # Fortran ** is right-associative.
-            return BinOp(Op.POW, base, self._unary())
+            return BinOp(Op.POW, base, self._nested(self._unary))
         return base
 
     def _primary(self) -> Expr:
@@ -286,16 +307,16 @@ class ExprParser:
                 return Const(False)
             raise ParseError(f"unexpected operator {tok.text!r}", self.s.line)
         if tok.text == "(":
-            inner = self.parse()
+            inner = self._nested(self.parse)
             self.s.expect(")")
             return inner
         if tok.kind == "name":
             name = tok.text
             if self.s.peek() is not None and self.s.peek().text == "(":
                 self.s.next()
-                args: List[Expr] = [self.parse()]
+                args: List[Expr] = [self._nested(self.parse)]
                 while self.s.accept(","):
-                    args.append(self.parse())
+                    args.append(self._nested(self.parse))
                 self.s.expect(")")
                 if name in self.array_names:
                     return ArrayRef(name, tuple(args))

@@ -27,6 +27,9 @@ from typing import Dict, Iterable, List, Tuple
 from .terms import (And, FAnd, FAtom, FFalse, FNot, FOr, Formula, FTrue,
                     Not, Or, TAdd, TApp, TConst, Term, TMul, TVar)
 
+#: The (rewritten application, its variable) pairs one rewrite named.
+Named = Tuple[Tuple[TApp, TVar], ...]
+
 
 @dataclass
 class AckermannResult:
@@ -71,6 +74,12 @@ class Ackermannizer:
       instance, so the push/ask/pop cycle of exploitation questions
       re-*uses* axioms across levels instead of re-building (and
       re-clausifying) them per level.
+    * The rewrite of every compound term is kept with the
+      ``(application, variable)`` pairs it named, and is reused only
+      while each of those applications is still registered under that
+      variable. Rewriting again would then register nothing and return
+      the same term, so reuse never changes a name, and the names stay
+      a function of the live prefix.
     """
 
     def __init__(self) -> None:
@@ -82,6 +91,10 @@ class Ackermannizer:
         # (app_a, app_b, var_a, var_b) -> instantiated congruence axiom;
         # survives forget_apps so popped-and-re-pushed levels hit it.
         self._axiom_cache: Dict[tuple, Formula] = {}
+        # term -> (rewrite, the (application, variable) pairs it named);
+        # keyed by the hash-consed term itself, which the entry keeps
+        # alive, so a key can never be reused by another term.
+        self._rewrites: Dict[Term, Tuple[Term, Named]] = {}
         self.introduced: List[TApp] = []
 
     @property
@@ -98,18 +111,36 @@ class Ackermannizer:
         return {app: var.name for app, var in self._cache.items()}
 
     def rewrite_term(self, term: Term) -> Term:
+        return self._rewrite(term)[0]
+
+    def _rewrite(self, term: Term) -> Tuple[Term, Named]:
+        """*term* rewritten, with the (application, variable) pairs the
+        rewrite named."""
         if isinstance(term, (TConst, TVar)):
-            return term
+            return term, ()
+        entry = self._rewrites.get(term)
+        if entry is not None:
+            cache = self._cache
+            for app, var in entry[1]:
+                if cache.get(app) is not var:
+                    break
+            else:
+                return entry
         if isinstance(term, TAdd):
-            parts = tuple(self.rewrite_term(t) for t in term.terms)
-            if all(a is b for a, b in zip(parts, term.terms)):
-                return term  # identity-preserving: keeps caches effective
-            return TAdd(parts)
-        if isinstance(term, TMul):
-            inner = self.rewrite_term(term.term)
-            return term if inner is term.term else TMul(term.coeff, inner)
-        if isinstance(term, TApp):
-            rewritten = TApp(term.func, tuple(self.rewrite_term(a) for a in term.args))
+            done = [self._rewrite(t) for t in term.terms]
+            named = _merged(done)
+            if all(r is t for (r, _), t in zip(done, term.terms)):
+                # Identity-preserving: keeps caches effective.
+                entry = term, named
+            else:
+                entry = TAdd(tuple(r for r, _ in done)), named
+        elif isinstance(term, TMul):
+            inner, named = self._rewrite(term.term)
+            entry = (term if inner is term.term else TMul(term.coeff, inner),
+                     named)
+        elif isinstance(term, TApp):
+            done = [self._rewrite(a) for a in term.args]
+            rewritten = TApp(term.func, tuple(r for r, _ in done))
             var = self._cache.get(rewritten)
             if var is None:
                 # Position in the live registration order: suffix-only
@@ -120,8 +151,11 @@ class Ackermannizer:
                 self._cache[rewritten] = var
                 self._by_func.setdefault((term.func, len(term.args)), []).append(rewritten)
                 self.introduced.append(rewritten)
-            return var
-        raise TypeError(f"not a term: {term!r}")  # pragma: no cover
+            entry = var, _merged(done) + ((rewritten, var),)
+        else:
+            raise TypeError(f"not a term: {term!r}")  # pragma: no cover
+        self._rewrites[term] = entry
+        return entry
 
     def rewrite_formula(self, formula: Formula) -> Formula:
         if isinstance(formula, FAtom):
@@ -193,6 +227,12 @@ class Ackermannizer:
             self._emitted[key] = min(self._emitted.get(key, 0), len(lst))
         if removed:
             self.introduced = [a for a in self.introduced if a not in removed]
+
+
+def _merged(done: List[Tuple[Term, Named]]) -> Named:
+    """The named pairs of several rewrites, each pair once."""
+    named = [pair for _, pairs in done for pair in pairs]
+    return tuple(dict.fromkeys(named)) if named else ()
 
 
 def ackermannize(formulas: List[Formula]) -> AckermannResult:

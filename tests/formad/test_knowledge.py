@@ -1,12 +1,18 @@
 """Direct tests for knowledge extraction (§5, phase 1)."""
 
+import hashlib
+import re
+
 import pytest
 
-from repro.analysis import collect_region_references
+from repro.analysis import ActivityAnalysis, collect_region_references
 from repro.cfg import number_instances
-from repro.formad import (IndexTranslator, disjointness_formula,
-                          extract_knowledge)
+from repro.formad import (FormADEngine, IndexTranslator,
+                          disjointness_formula, extract_knowledge)
 from repro.ir import parse_procedure
+from repro.obs.tracer import CollectingTracer
+from repro.programs import (build_gfmc, build_greengauss, build_lbm,
+                            build_stencil)
 from repro.smt import FOr, FAtom, Rel, TVar
 
 
@@ -141,3 +147,85 @@ end subroutine s
         # the branch-local write pair).
         assert set(map(id, root_facts)) <= set(map(id, branch_facts))
         assert len(branch_facts) > len(root_facts)
+
+
+#: A scalar redefined inside the region: its uses get instance numbers
+#: k_0, k_1, k_2 in the order translations first reach them.
+REDEFINED = """
+subroutine redef(x, y, c, n)
+  integer, intent(in) :: n
+  real, intent(in) :: x(300)
+  real, intent(inout) :: y(300)
+  integer, intent(in) :: c(100)
+  integer :: k
+  !$omp parallel do private(k)
+  do i = 1, n
+    k = 3 * i
+    y(k) = y(k) + x(k + 1)
+    if (x(i) > 0.0) then
+      k = k + 1
+      y(k) = y(k) + x(c(i))
+    end if
+    y(k + 2) = y(k + 2) * x(k)
+  end do
+end subroutine redef
+"""
+
+DIGEST_KERNELS = {
+    "stencil 8": (lambda: build_stencil(8, name="stencil_large"),
+                  ["uold"], ["unew"]),
+    "GFMC": (build_gfmc, ["cl", "cr"], ["cl", "cr"]),
+    "LBM": (build_lbm, ["srcgrid"], ["dstgrid"]),
+    "GreenGauss": (build_greengauss, ["dv"], ["grad"]),
+    "redefined k": (lambda: parse_procedure(REDEFINED), ["x"], ["y"]),
+}
+
+#: (line count, SHA-256) of every fact and question line, recorded
+#: before index translations were cached per access.
+KNOWLEDGE_DIGESTS = {
+    "stencil 8": (126, "f0d3ad96ddc95676389f2634c37adc374ba0bbb33f048c2c"
+                       "a99dff8367d46fce"),
+    "GFMC": (38, "20ebcc127ea98c8ed30b16b2ad89e0b9cb3f90f60626b4bd"
+                 "792d6960fecc17e2"),
+    "LBM": (553, "054c8e3ee8560083a685478f4d8680c14830e26feb7df81f"
+                 "9aac3a91d53aa216"),
+    "GreenGauss": (7, "a70e37cc9067dd11fa7f0560651572a6426d3244d0c94a48"
+                      "f5762772254f0814"),
+    "redefined k": (14, "ac10ed95ea92c93104f955fd0acf572f2308f62bccb5b791"
+                        "c1319db8925483ae"),
+}
+
+
+@pytest.mark.parametrize("name", list(DIGEST_KERNELS))
+def test_fact_and_question_text_is_pinned(name):
+    """The ordered fact strings, question strings and instance names of
+    the paper kernels (and of a region whose scalar has three
+    instances) are byte-identical to the uncached translator's. Instance
+    numbers are handed out in the order translations first reach
+    ``InstanceNumbering``, so a cache that changed that order would
+    rename ``k_0``/``k_1``/``k_2`` here."""
+    builder, independents, dependents = DIGEST_KERNELS[name]
+    proc = builder()
+    tracer = CollectingTracer()
+    FormADEngine(proc, ActivityAnalysis(proc, independents, dependents),
+                 tracer=tracer).analyze_all()
+    # Context labels carry statement uids, which come from a
+    # process-wide counter: number them in order of first appearance.
+    uids = {}
+
+    def context(path):
+        return re.sub(r"(if|do)(\d+)", lambda m: "%s#%d" % (
+            m.group(1), uids.setdefault(m.group(2), len(uids))), path)
+
+    lines = []
+    for e in tracer.events:
+        if e["type"] == "fact":
+            lines.append(" ".join(("fact", e["loop"], context(e["context"]),
+                                   e["array"], e["formula"])))
+        elif e["type"] == "question":
+            lines.append(" ".join(("question", e["loop"], e["array"],
+                                   context(e["context"]), e["write"],
+                                   e["other"], e["question"],
+                                   ",".join(e["instances"]))))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == KNOWLEDGE_DIGESTS[name]

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.analysis import AccessKind, ArrayAccess
 from repro.cfg import number_instances
 from repro.formad import IndexTranslator, UntranslatableError, render_term
+from repro.formad.translate import render_tuple
 from repro.ir import Assign, Var, parse_expression
 from repro.smt import TApp, TVar
 from repro.smt.terms import TAdd, TConst, TMul
@@ -118,3 +120,41 @@ class TestRendering:
         t = tr.translate(
             parse_expression("w + n_cell_entries * -1 + i"), s, primed=False)
         assert render_term(t) == "(w_0 + n_cell_entries_0*-1 + i_0)"
+
+
+class TestAccessCache:
+    """``translate_access`` translates each (access, side) once per
+    translator and answers every later call from what it kept."""
+
+    def _access(self, text, arrays=()):
+        s = _stmt()
+        return s, ArrayAccess("y", (parse_expression(text,
+                                                     array_names=arrays),),
+                              AccessKind.WRITE, s)
+
+    def test_translation_and_rendering_kept_per_side(self):
+        s, access = self._access("i + 2")
+        tr = _translator([s], ["i", "sink"], primed={"i"})
+        plain = tr.translate_access(access, primed=False)
+        assert plain == ((TAdd((TVar("i_0"), TConst(2))),), "(i_0 + 2)")
+        assert tr.translate_access(access, primed=False) is plain
+        primed = tr.translate_access(access, primed=True)
+        assert primed[1] == "(i_0' + 2)"
+        assert tr.translate_access(access, primed=True) is primed
+
+    def test_untranslatable_outcome_kept(self):
+        s, access = self._access("c(i)", arrays={"c"})
+        tr = _translator([s], ["i", "sink"], written={"c"})
+        for _ in range(2):
+            with pytest.raises(UntranslatableError, match="'c' is written"):
+                tr.translate_access(access, primed=False)
+        assert list(tr._accesses.values()) == [
+            "index array 'c' is written inside the region"]
+
+    def test_tuples_render_in_paper_style(self):
+        s = _stmt()
+        tr = _translator([s], ["i", "j", "sink"])
+        access = ArrayAccess("m", (Var("i"), Var("j") + 1),
+                             AccessKind.READ, s)
+        terms, rendering = tr.translate_access(access, primed=False)
+        assert rendering == render_tuple(terms) == "(i_0, (j_0 + 1))"

@@ -1,5 +1,7 @@
 """Unit tests for the expression AST."""
 
+import random
+
 import pytest
 
 from repro.ir import (ArrayRef, BinOp, Call, CmpOp, Compare, Const, Logical,
@@ -115,6 +117,88 @@ class TestTraversal:
         e = Var("y")[Var("c")[Var("i")] + 7]
         assert variables_in(e) == {"i"}
         assert arrays_in(e) == {"y", "c"}
+
+
+def _walked_names(expr):
+    """The walk-based reference for the cached name sets."""
+    nodes = list(walk(expr))
+    return ({n.name for n in nodes if isinstance(n, Var)},
+            {n.name for n in nodes if isinstance(n, ArrayRef)})
+
+
+def _random_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([Var(rng.choice("ijkn")), Const(rng.randint(0, 3)),
+                           Const(1.5)])
+    def sub():
+        return _random_expr(rng, depth - 1)
+
+    kind = rng.randrange(6)
+    if kind == 0:
+        return ArrayRef(rng.choice("abc"),
+                        tuple(sub() for _ in range(rng.randint(1, 3))))
+    if kind == 1:
+        return BinOp(rng.choice([Op.ADD, Op.SUB, Op.MUL]), sub(), sub())
+    if kind == 2:
+        return UnOp(Op.NEG, sub())
+    if kind == 3:
+        return Call("max", (sub(), sub()))
+    if kind == 4:
+        return Compare(CmpOp.LT, sub(), sub())
+    return Logical(LogicOp.AND, (sub(), sub()))
+
+
+class TestNameSets:
+    """``variables_in``/``arrays_in``/``names_in`` read per-node sets
+    computed once; they must answer exactly what a walk finds."""
+
+    def test_random_expressions_match_walk(self):
+        rng = random.Random(20261021)
+        for _ in range(300):
+            e = _random_expr(rng, rng.randint(0, 6))
+            want_vars, want_arrays = _walked_names(e)
+            # Ask a random sub-expression first, so the root's sets are
+            # built on top of already-cached children half the time.
+            sub = rng.choice(list(walk(e)))
+            assert variables_in(sub) == _walked_names(sub)[0]
+            assert variables_in(e) == want_vars
+            assert arrays_in(e) == want_arrays
+            assert names_in(e) == want_vars | want_arrays
+
+    def test_shared_subtree_answers_in_every_parent(self):
+        shared = Var("c")[Var("i")]
+        left = shared + Var("x")
+        right = Var("a")[shared]
+        assert variables_in(left) == {"i", "x"}
+        assert arrays_in(right) == {"a", "c"}
+        assert names_in(left * right) == {"a", "c", "i", "x"}
+
+    def test_left_deep_sum_of_2000_terms(self):
+        e = Var("x0")
+        for k in range(1, 2000):
+            e = BinOp(Op.ADD, e, Var(f"x{k}"))
+        assert variables_in(e) == {f"x{k}" for k in range(2000)}
+        assert arrays_in(e) == set()
+
+    def test_right_nested_binop_1000_deep(self):
+        e = Var("a")[Var("i")]
+        for k in range(1000):
+            e = BinOp(Op.MUL, Var(f"s{k % 7}"), e)
+        assert variables_in(e) == {"i"} | {f"s{k}" for k in range(7)}
+        assert arrays_in(e) == {"a"}
+        assert len(names_in(e)) == 9
+
+    def test_mutating_a_returned_set_changes_no_later_answer(self):
+        e = Var("a")[Var("i")] + Var("x")
+        for query, want in ((variables_in, {"i", "x"}),
+                            (arrays_in, {"a"}),
+                            (names_in, {"a", "i", "x"})):
+            got = query(e)
+            got.add("zzz")
+            got.discard("x")
+            got.discard("a")
+            assert query(e) == want
+        assert names_in(e) == {"a", "i", "x"}
 
 
 class TestSubstitution:

@@ -8,6 +8,7 @@ from repro.ir import (ArrayRef, BinOp, Call, CmpOp, Compare, Const, If,
                       Intent, Kind, Logical, Loop, Op, ParseError, Pop, Push,
                       UnOp, Var, format_procedure, parse_expression,
                       parse_procedure, parse_program, validate)
+from repro.ir.parser import MAX_NESTING
 from repro.programs import (build_gfmc, build_greengauss, build_lbm,
                             build_stencil)
 
@@ -83,6 +84,24 @@ class TestExpressionParsing:
 
     def test_case_insensitive(self):
         assert parse_expression("A + B") == Var("a") + Var("b")
+
+    @pytest.mark.parametrize("text", [
+        "(" * 1000 + "x" + ")" * 1000,
+        "c(" * 1000 + "i" + ")" * 1000,
+        "-" * 1000 + "x",
+        ".not. " * 1000 + "x",
+        " ** ".join(["x"] * 1000),
+    ], ids=["parentheses", "subscripts", "unary-minus", "not", "power"])
+    def test_nesting_past_the_limit_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="^line 1: expression nests "
+                                             "more than 64 levels deep"):
+            parse_expression(text, array_names={"c"})
+
+    def test_nesting_up_to_the_limit_parses(self):
+        e = parse_expression("(" * MAX_NESTING + "x" + ")" * MAX_NESTING)
+        assert e == Var("x")
+        e = parse_expression("-" * MAX_NESTING + "x")
+        assert isinstance(e, UnOp)
 
 
 class TestProcedureParsing:

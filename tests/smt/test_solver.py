@@ -1,10 +1,12 @@
 """Tests for clausification, Ackermann elimination, and the Solver facade."""
 
+import random
+
 import pytest
 
-from repro.smt import (And, FAtom, Int, Not, Or, Rel, SAT, UNKNOWN, UNSAT,
-                       Solver, TApp, ackermannize, clausify, prove_distinct,
-                       to_nnf)
+from repro.smt import (Ackermannizer, And, FAtom, Int, Not, Or, Rel, SAT,
+                       UNKNOWN, UNSAT, Solver, TAdd, TApp, TConst,
+                       ackermannize, clausify, prove_distinct, to_nnf)
 
 i, ip, j, jp = Int("i"), Int("ip"), Int("j"), Int("jp")
 
@@ -78,6 +80,115 @@ class TestAckermann:
     def test_different_arity_kept_separate(self):
         res = ackermannize([TApp("f", (i,)).le(0), TApp("f", (i, j)).le(0)])
         assert not res.congruence
+
+    def test_kept_rewrite_dropped_once_any_named_app_is_forgotten(self):
+        """A kept rewrite is reused only while every application it
+        named is live under the same variable. Here ``g(y)`` comes back
+        at its old position but ``f(x)`` does not, so reusing the first
+        rewrite would name a dead application ``!f@0``."""
+        x, y, z = Int("x"), Int("y"), Int("z")
+        f, g, h = TApp("f", (x,)), TApp("g", (y,)), TApp("h", (z,))
+        formula = (f + g).eq(0)
+        ack = Ackermannizer()
+        assert str(ack.rewrite_formula(formula)) == "((!f@0 + !g@1) = 0)"
+        ack.forget_apps(ack.introduced)  # the owning level is popped
+        ack.rewrite_term(h)
+        ack.rewrite_term(g)
+        fresh = Ackermannizer()
+        fresh.rewrite_term(h)
+        fresh.rewrite_term(g)
+        want = fresh.rewrite_formula(formula)
+        assert str(want) == "((!f@2 + !g@1) = 0)"
+        assert ack.rewrite_formula(formula) is want
+        assert ack.app_names == fresh.app_names
+
+
+class _RecordingAckermannizer(Ackermannizer):
+    """Logs every assertion rewrite the solver asks for (not the
+    recursive calls on an assertion's operands)."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+        self._depth = 0
+
+    def rewrite_formula(self, formula):
+        self._depth += 1
+        try:
+            rewritten = super().rewrite_formula(formula)
+        finally:
+            self._depth -= 1
+        if not self._depth:
+            self.log.append((formula, rewritten))
+        return rewritten
+
+
+def _uf_pool(rng):
+    """Recurring terms: single applications (some nested) and sums of
+    two, so one rewrite often names several applications that later
+    come back at other positions, or in another order, and an inner
+    variable name ``!f@k`` can come to stand for another application."""
+    x, y, z = Int("x"), Int("y"), Int("z")
+    f_x, f_y = TApp("f", (x,)), TApp("f", (y,))
+    apps = [f_x, f_y, TApp("g", (y,)), TApp("h", (z,)),
+            TApp("g", (f_x,)), TApp("g", (f_y,)),
+            TApp("k", (x, TAdd((y, TConst(1)))))]
+    sums = [TAdd(tuple(rng.sample(apps, 2))) for _ in range(6)]
+    return apps + sums + [x, y]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_rewrite_matches_a_fresh_replay_of_the_live_prefix(seed):
+    """Random push/add/check/pop traffic over a small pool of recurring
+    UF terms: every rewrite the solver's Ackermannizer returns, kept or
+    not, is the one a fresh Ackermannizer gives after replaying the
+    live assertions up to it, and the live names agree after each
+    check."""
+    rng = random.Random(f"ackermann-{seed}")
+    pool = _uf_pool(rng)
+    # Tiny search budgets: the verdicts do not matter here, and every
+    # pending assertion is rewritten before the search starts.
+    solver = Solver(max_theory_checks=20, node_budget=20)
+    solver._ack = ack = _RecordingAckermannizer()
+    stack = [[]]  # mirror of the solver's assertion levels
+    rewrites = 0
+    for _ in range(200):
+        op = rng.random()
+        if len(stack) == 1:
+            # Few base-level assertions: they are never popped, so
+            # they would pin the low positions for the whole run.
+            op = 0.0 if op < 0.1 else 1.0
+        if op < 0.4:
+            rel = rng.choice([Rel.EQ, Rel.NE, Rel.LE])
+            formula = FAtom(rel, rng.choice(pool), TConst(rng.randint(0, 3)))
+            if rng.random() < 0.3:
+                formula = Or(formula, FAtom(Rel.NE, rng.choice(pool),
+                                            rng.choice(pool)))
+            solver.add(formula)
+            stack[-1].append(formula)
+        elif op < 0.7:
+            solver.pop()
+            stack.pop()
+        else:
+            solver.push()
+            stack.append([])
+        if rng.random() < 0.6:
+            ack.log.clear()
+            solver.check()
+            live = [f for level in stack for f in level]
+            start = len(live) - len(ack.log)
+            for k, (formula, rewritten) in enumerate(ack.log):
+                assert formula is live[start + k]
+                fresh = Ackermannizer()
+                for earlier in live[:start + k]:
+                    fresh.rewrite_formula(earlier)
+                assert rewritten is fresh.rewrite_formula(formula)
+                rewrites += 1
+            fresh = Ackermannizer()
+            for formula in live:
+                fresh.rewrite_formula(formula)
+            assert ack.app_names == fresh.app_names
+    assert rewrites >= 20
 
 
 class TestSolverFacade:

@@ -103,6 +103,23 @@ class TestParseErrors:
         assert main(["analyze", str(path), "-i", "x", "-o", "y"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_sum_is_an_error_line(self, tmp_path, capsys):
+        """A sum nested 120 parentheses deep exceeds the parser's
+        nesting limit: one ``error:`` line naming the line, exit 1."""
+        inner = "x(120)"
+        for k in range(119, 0, -1):
+            inner = f"x({k}) + ({inner})"
+        path = tmp_path / "deep.f90"
+        path.write_text("subroutine deep(x, y)\n"
+                        "  real, intent(in) :: x(120)\n"
+                        "  real, intent(out) :: y\n"
+                        f"  y = {inner}\n"
+                        "end subroutine deep\n")
+        assert main(["analyze", str(path), "-i", "x", "-o", "y"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: line 4: expression nests more than")
+
 
 class TestBadPaths:
     @pytest.mark.parametrize("argv", [
